@@ -45,6 +45,20 @@ class Digraph:
         """Arcs in lexicographic order; the canonical order used everywhere."""
         return tuple(sorted(self.arcs))
 
+    @cached_property
+    def flow_network(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Heads of the unit-flow edges and the edges leaving each vertex.
+
+        Edge ``2i`` is ``sorted_arcs[i]`` and edge ``2i + 1`` its reverse.
+        """
+        head: list[int] = []
+        edges: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.sorted_arcs):
+            head += (v, u)
+            edges[u].append(2 * i)
+            edges[v].append(2 * i + 1)
+        return tuple(head), tuple(map(tuple, edges))
+
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])
 

@@ -1,16 +1,17 @@
 """Local and global arc connectivity via unit-capacity max flow.
 
-``max_flow_unit`` packs the maximum number of arc-disjoint s->t paths with
-breadth-first augmentation and returns the matching minimum cut, so the
-path/cut duality is checkable on every call.  ``arc_connectivity`` reduces the
-global arc-strong connectivity to ``2 (n - 1)`` local computations against a
-fixed pivot vertex.
+All flows run on one kernel, ``_unit_flow``: breadth-first augmentation over
+``Digraph.flow_network`` that stops at a requested number of paths and can
+leave arcs out.  ``arc_connectivity`` takes the least local value around the
+cycle ``0 -> 1 -> ... -> n-1 -> 0`` (Schnorr 1979), capping each flow below the
+best so far; its witness is the cut of the first pair in pivot order ``(0, 1),
+(1, 0), (0, 2), (2, 0), ...`` that attains the minimum.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .digraph import Arc, Digraph, DigraphError, degrees, is_strong
@@ -18,13 +19,43 @@ from .digraph import Arc, Digraph, DigraphError, degrees, is_strong
 
 @dataclass(frozen=True)
 class LocalArcConnectivity:
-    """Max arc-disjoint s->t paths: their number, a minimum cut, and the paths."""
+    """Max arc-disjoint s->t paths: their number, a minimum cut, and the paths.
+
+    ``capped``: the flow stopped at the caller's cap, more paths exist and ``cut``
+    is empty.  Otherwise ``cut`` holds the arcs leaving the residual-reachable
+    side, the unique minimal minimum cut.  ``paths`` is built on first access.
+    """
 
     source: int
     sink: int
     value: int
     cut: frozenset[Arc]
-    paths: tuple[tuple[int, ...], ...]
+    capped: bool
+    _d: Digraph = field(repr=False, compare=False)
+    _residual: list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        # decompose the flow into s->t paths, excising any flow cycles on the way
+        flow_out: list[list[int]] = [[] for _ in range(self._d.n)]
+        for i, (u, v) in enumerate(self._d.sorted_arcs):
+            if self._residual[2 * i + 1]:
+                flow_out[u].append(v)
+        paths: list[tuple[int, ...]] = []
+        for _ in range(self.value):
+            walk = [self.source]
+            pos = {self.source: 0}
+            while walk[-1] != self.sink:
+                v = flow_out[walk[-1]].pop()
+                if v in pos:
+                    # a flow cycle: drop it and continue from its entry point
+                    walk = walk[: pos[v] + 1]
+                    pos = {w: k for k, w in enumerate(walk)}
+                else:
+                    pos[v] = len(walk)
+                    walk.append(v)
+            paths.append(tuple(walk))
+        return tuple(paths)
 
 
 @dataclass(frozen=True)
@@ -42,99 +73,87 @@ class ConnectivityReport:
     strong: bool
 
 
-def _bfs_parent(n: int, residual: dict[int, dict[int, int]], s: int, t: int) -> list[int] | None:
-    parent = [-1] * n
-    parent[s] = s
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and parent[v] == -1:
-                parent[v] = u
-                if v == t:
-                    return parent
-                queue.append(v)
-    return None
+def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int], list[int]]:
+    """Augment along shortest residual s->t paths until ``need`` are found or none is left.
+
+    Arc ``i`` of ``d.sorted_arcs`` is left out when bit ``i`` of ``excluded`` is
+    set.  Returns the path count, the residual capacities and the labels of
+    the last search; if it failed, -1 marks the side ``s`` cannot reach.
+    """
+    head, edges = d.flow_network
+    residual = [1, 0] * (len(head) // 2)
+    while excluded:
+        low = excluded & -excluded
+        residual[2 * low.bit_length() - 2] = 0
+        excluded ^= low
+    via: list[int] = []
+    value = 0
+    while value < need:
+        via = [-1] * d.n  # edge by which each vertex was reached
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for e in edges[u]:
+                if residual[e]:
+                    v = head[e]
+                    if via[v] == -1:
+                        via[v] = e
+                        queue.append(v)
+            if via[t] != -1:
+                break
+        else:
+            break
+        v = t
+        while v != s:
+            e = via[v]
+            residual[e] -= 1
+            residual[e ^ 1] += 1
+            v = head[e ^ 1]
+        value += 1
+    return value, residual, via
 
 
-def max_flow_unit(d: Digraph, s: int, t: int) -> LocalArcConnectivity:
-    """Maximum number of arc-disjoint s->t paths, with minimum cut and path list."""
+def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalArcConnectivity:
+    """Maximum number of arc-disjoint s->t paths, with minimum cut and path list.
+
+    With ``cap`` below the maximum the result is ``cap``, ``capped`` and an
+    empty cut; with ``cap`` at or above it, the uncapped result.
+    """
     if s == t:
         raise DigraphError("source and sink must differ")
     if not (0 <= s < d.n and 0 <= t < d.n):
         raise DigraphError(f"terminals ({s}, {t}) outside 0..{d.n - 1}")
-    residual: dict[int, dict[int, int]] = {v: {} for v in range(d.n)}
-    for u, v in d.arcs:
-        residual[u][v] = residual[u].get(v, 0) + 1
-        residual[v].setdefault(u, 0)
-    value = 0
-    while True:
-        parent = _bfs_parent(d.n, residual, s, t)
-        if parent is None:
-            break
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= 1
-            residual[v][u] += 1
-            v = u
-        value += 1
-
-    # minimum cut: original arcs leaving the residual-reachable side
-    reach = [False] * d.n
-    reach[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and not reach[v]:
-                reach[v] = True
-                queue.append(v)
-    cut = frozenset((u, v) for u, v in d.arcs if reach[u] and not reach[v])
-
-    # decompose the flow into s->t paths, excising any flow cycles on the way
-    flow_out: dict[int, list[int]] = {v: [] for v in range(d.n)}
-    for u, v in d.arcs:
-        used = 1 - residual[u].get(v, 0)
-        if used > 0:
-            flow_out[u].append(v)
-    for heads in flow_out.values():
-        heads.sort(reverse=True)  # pop() then yields smallest head first
-    paths: list[tuple[int, ...]] = []
-    for _ in range(value):
-        walk = [s]
-        pos = {s: 0}
-        while walk[-1] != t:
-            u = walk[-1]
-            v = flow_out[u].pop()
-            if v in pos:
-                # a flow cycle: drop it and continue from its entry point
-                walk = walk[: pos[v] + 1]
-                pos = {w: k for k, w in enumerate(walk)}
-            else:
-                pos[v] = len(walk)
-                walk.append(v)
-        paths.append(tuple(walk))
-    return LocalArcConnectivity(s, t, value, cut, tuple(paths))
+    if cap is not None and cap < 0:
+        raise DigraphError(f"flow cap must be >= 0, got {cap}")
+    # a flow never exceeds the out-degree of s, which is below n
+    value, residual, via = _unit_flow(d, s, t, d.n if cap is None else cap + 1)
+    if cap is not None and value > cap:
+        return LocalArcConnectivity(s, t, cap, frozenset(), True, d, residual)
+    cut = frozenset((u, v) for u, v in d.sorted_arcs if via[u] != -1 and via[v] == -1)
+    return LocalArcConnectivity(s, t, value, cut, False, d, residual)
 
 
 def arc_connectivity(d: Digraph) -> ConnectivityReport:
-    """Global arc-strong connectivity: min over local values against pivot 0."""
+    """Global arc-strong connectivity: min over local values around the cycle 0 -> 1 -> ... -> 0."""
     if d.n < 2:
         raise DigraphError("arc connectivity needs at least two vertices")
     d_out, d_in = degrees(d)
     if not is_strong(d):
         return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False)
-    best_value: int | None = None
-    best_cut: frozenset[Arc] = frozenset()
+    value = min(d_out, d_in)
+    for u in range(d.n):
+        if value == 1:  # a strong digraph has at least 1
+            break
+        local = max_flow_unit(d, u, (u + 1) % d.n, cap=value - 1)
+        if not local.capped:
+            value = local.value
+    # the witness pair is the first whose flow capped at ``value`` is not cut short
     for u in range(1, d.n):
         for s, t in ((0, u), (u, 0)):
-            local = max_flow_unit(d, s, t)
-            if best_value is None or local.value < best_value:
-                best_value = local.value
-                best_cut = local.cut
-    assert best_value is not None
-    return ConnectivityReport(best_value, d_out, d_in, best_cut, strong=True)
+            local = max_flow_unit(d, s, t, cap=value)
+            if not local.capped:
+                return ConnectivityReport(value, d_out, d_in, local.cut, strong=True)
+    raise AssertionError("every minimum cut separates 0 from some vertex")
 
 
 def verify_cut(d: Digraph, cut: Iterable[Arc]) -> bool:

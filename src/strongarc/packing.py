@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digraph import Arc, Digraph, DigraphError, is_strong
-from .flow import max_flow_unit
+from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
 
@@ -213,17 +213,13 @@ class _SeedPacker:
         arcs = d.sorted_arcs
         self.arcs = arcs
         adj_bits: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-        rev_heads: list[list[int]] = [[] for _ in range(d.n)]
         for i, (u, v) in enumerate(arcs):
-            adj_bits[u].append((v, 1 << i))
-            rev_heads[v].append(u)
-        for row in adj_bits:
-            row.sort()
+            adj_bits[u].append((v, 1 << i))  # sorted by head, as the arcs are
         self.adj_bits = tuple(tuple(r) for r in adj_bits)
         self.arc_table = tuple((1 << i, u, v) for i, (u, v) in enumerate(arcs))
         self.ticker = [0, budget if budget is not None else float("inf")]
-        self.space_xy = _PathSpace(d.n, self.adj_bits, rev_heads, x, y, self.ticker)
-        self.space_yx = _PathSpace(d.n, self.adj_bits, rev_heads, y, x, self.ticker)
+        self.space_xy = _PathSpace(d.n, self.adj_bits, d.in_adj, x, y, self.ticker)
+        self.space_yx = _PathSpace(d.n, self.adj_bits, d.in_adj, y, x, self.ticker)
 
         def side_mask(pred) -> int:
             m = 0
@@ -252,39 +248,6 @@ class _SeedPacker:
             out.append(frozenset(member))
         return tuple(out)
 
-    def _bounded_flow(self, used: int, s: int, t: int, need: int) -> int:
-        residual: dict[int, dict[int, int]] = {v: {} for v in range(self.d.n)}
-        for bit, u, v in self.arc_table:
-            if bit & used == 0:
-                residual[u][v] = residual[u].get(v, 0) + 1
-                residual[v].setdefault(u, 0)
-        value = 0
-        n = self.d.n
-        while value < need:
-            parent = [-1] * n
-            parent[s] = s
-            queue = deque([s])
-            found = False
-            while queue and not found:
-                u = queue.popleft()
-                for v, cap in residual[u].items():
-                    if cap > 0 and parent[v] == -1:
-                        parent[v] = u
-                        if v == t:
-                            found = True
-                            break
-                        queue.append(v)
-            if not found:
-                break
-            v = t
-            while v != s:
-                u = parent[v]
-                residual[u][v] -= 1
-                residual[v][u] += 1
-                v = u
-            value += 1
-        return value
-
     def feasible(self, k: int) -> tuple[frozenset[Arc], ...] | None:
         """A packing of exactly k classes, or None when impossible."""
         masks = self._rec(0, k, 0)
@@ -307,9 +270,9 @@ class _SeedPacker:
         memo_rank = self.fail_memo.get((used, remaining))
         if memo_rank is not None and memo_rank <= min_rank:
             return None
-        if self._bounded_flow(used, self.x, self.y, remaining) < remaining:
+        if _unit_flow(self.d, self.x, self.y, remaining, used)[0] < remaining:
             return None
-        if self._bounded_flow(used, self.y, self.x, remaining) < remaining:
+        if _unit_flow(self.d, self.y, self.x, remaining, used)[0] < remaining:
             return None
         rank = min_rank
         while True:
@@ -339,15 +302,25 @@ class _SeedPacker:
         return None
 
 
+def _seed_degree(d: Digraph, x: int, y: int) -> int:
+    """Fewest arcs at a seed on one side: no packing through x and y exceeds it."""
+    return min(d.out_degree(x), d.in_degree(x), d.out_degree(y), d.in_degree(y))
+
+
+def _seed_bounds(d: Digraph, x: int, y: int) -> tuple[int, int]:
+    """The seed-degree bound and the flow bound ``min(degree, λ(x, y), λ(y, x))``.
+
+    Both flows are capped at the degree bound, above which they never matter.
+    """
+    deg = _seed_degree(d, x, y)
+    if deg == 0:
+        return 0, 0
+    return deg, min(max_flow_unit(d, x, y, cap=deg).value, max_flow_unit(d, y, x, cap=deg).value)
+
+
 def lambda_s_upper_bound(d: Digraph, seed: Iterable[int]) -> int:
     """Cheap upper bound: seed degrees and both local connectivities."""
-    x, y = _validate_pair(d, seed)
-    deg = min(d.out_degree(x), d.in_degree(x), d.out_degree(y), d.in_degree(y))
-    if deg == 0:
-        return 0
-    f_xy = max_flow_unit(d, x, y).value
-    f_yx = max_flow_unit(d, y, x).value
-    return min(deg, f_xy, f_yx)
+    return _seed_bounds(d, *_validate_pair(d, seed))[1]
 
 
 def _exact(d: Digraph, x: int, y: int, cap: int | None = None, budget: int | None = None) -> PackingResult:
@@ -356,14 +329,8 @@ def _exact(d: Digraph, x: int, y: int, cap: int | None = None, budget: int | Non
     With ``cap`` set the result value is min(true value, cap); callers use the
     cap only when the true value is already known to lie below it.
     """
-    deg_bound = min(d.out_degree(x), d.in_degree(x), d.out_degree(y), d.in_degree(y))
-    if deg_bound == 0:
-        empty = CertificateFamily(d.n, (x, y), ())
-        return PackingResult(0, empty, "unreachable", True, 0, 0)
-    flow_bound = min(max_flow_unit(d, x, y).value, max_flow_unit(d, y, x).value)
-    ub = min(deg_bound, flow_bound)
-    if cap is not None:
-        ub = min(ub, cap)
+    deg_bound, flow_bound = _seed_bounds(d, x, y)
+    ub = flow_bound if cap is None else min(flow_bound, cap)
     if ub == 0:
         empty = CertificateFamily(d.n, (x, y), ())
         return PackingResult(0, empty, "unreachable", True, 0, 0)
@@ -425,7 +392,7 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
             continue
         if best.value == 0:
             break
-        deg_bound = min(d.out_degree(x), d.in_degree(x), d.out_degree(y), d.in_degree(y))
+        deg_bound = _seed_degree(d, x, y)
         if deg_bound >= best.value:
             if _SeedPacker(d, x, y).feasible(best.value) is not None:
                 continue

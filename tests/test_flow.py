@@ -1,11 +1,12 @@
 """Max-flow based arc connectivity: local values, global minima, cut verification."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from strongarc.digraph import Digraph, from_arc_list, is_strong
-from strongarc.flow import arc_connectivity, max_flow_unit, verify_cut
+from strongarc.digraph import Digraph, DigraphError, from_arc_list, is_strong
+from strongarc.flow import _unit_flow, arc_connectivity, max_flow_unit, verify_cut
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
@@ -52,6 +53,48 @@ def brute_max_arc_disjoint_paths(d: Digraph, s: int, t: int, target: int) -> boo
     return paths_from(d.arcs, target)
 
 
+def brute_min_cut(d: Digraph, s: int, t: int) -> frozenset:
+    """Arcs leaving the smallest source side of a minimum s-t cut, by enumerating every side.
+
+    Minimum-cut source sides are closed under intersection, so their
+    intersection is the unique minimal one.
+    """
+    others = [v for v in range(d.n) if v not in (s, t)]
+    best, sides = None, []
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            side = {s, *extra}
+            out = frozenset((u, v) for u, v in d.arcs if u in side and v not in side)
+            if best is None or len(out) < best:
+                best, sides = len(out), [side]
+            elif len(out) == best:
+                sides.append(side)
+    minimal = set.intersection(*sides)
+    return frozenset((u, v) for u, v in d.arcs if u in minimal and v not in minimal)
+
+
+def pivot_order_cut(d: Digraph) -> frozenset:
+    """Cut of the first pair (0, 1), (1, 0), (0, 2), ... with the least uncapped local value."""
+    best = None
+    for u in range(1, d.n):
+        for s, t in ((0, u), (u, 0)):
+            local = max_flow_unit(d, s, t)
+            if best is None or local.value < best.value:
+                best = local
+    return best.cut
+
+
+def assert_disjoint_paths(d: Digraph, local) -> None:
+    """The paths are arc-disjoint simple source->sink paths inside ``d``."""
+    used = set()
+    for path in local.paths:
+        assert path[0] == local.source and path[-1] == local.sink
+        assert len(set(path)) == len(path)
+        for arc in zip(path, path[1:]):
+            assert d.has_arc(*arc) and arc not in used
+            used.add(arc)
+
+
 class TestLocalFlow:
     def test_known_product_instance(self):
         p = cartesian_product(directed_cycle(3), bidirected_cycle(3))
@@ -60,14 +103,7 @@ class TestLocalFlow:
         assert local.value == 3
         assert len(local.cut) == 3
         assert len(local.paths) == 3
-        # paths really are arc-disjoint s->t walks inside the digraph
-        used = set()
-        for path in local.paths:
-            assert path[0] == s and path[-1] == t
-            for u, v in zip(path, path[1:]):
-                assert p.digraph.has_arc(u, v)
-                assert (u, v) not in used
-                used.add((u, v))
+        assert_disjoint_paths(p.digraph, local)
         assert brute_max_arc_disjoint_paths(p.digraph, s, t, 3)
 
     def test_no_path(self):
@@ -81,6 +117,66 @@ class TestLocalFlow:
         assert local.value == 3
         stripped = d.remove_arcs(local.cut)
         assert max_flow_unit(stripped, 0, 3).value == 0
+
+
+def _small_digraphs():
+    return [random_digraph(2 + seed % 5, 12, seed) for seed in range(40)]
+
+
+def bottleneck_digraph(k: int, links: int, seed: int) -> Digraph:
+    """Two complete digraphs on k vertices joined by up to ``links`` random arcs each way.
+
+    Arc connectivity is at most ``links`` while the minimum degree is
+    ``k - 1``, so the minimum is not found from degrees alone.
+    """
+    rng = random.Random(seed)
+    arcs = [(u + off, v + off) for off in (0, k) for u in range(k) for v in range(k) if u != v]
+    arcs += [(rng.randrange(k), k + rng.randrange(k)) for _ in range(links)]
+    arcs += [(k + rng.randrange(k), rng.randrange(k)) for _ in range(links)]
+    d = from_arc_list(2 * k, arcs)
+    perm = list(range(2 * k))
+    rng.shuffle(perm)
+    return from_arc_list(2 * k, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+class TestFlowKernel:
+    @pytest.mark.parametrize("d", _small_digraphs(), ids=repr)
+    def test_value_and_cut_match_brute_force(self, d):
+        for s, t in ((0, d.n - 1), (d.n - 1, 0), (0, 1)):
+            local = max_flow_unit(d, s, t)
+            assert not local.capped
+            assert len(local.paths) == local.value
+            assert_disjoint_paths(d, local)
+            assert brute_max_arc_disjoint_paths(d, s, t, local.value)
+            assert not brute_max_arc_disjoint_paths(d, s, t, local.value + 1)
+            assert local.cut == brute_min_cut(d, s, t)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_cap(self, seed):
+        d = random_strong_digraph(3 + seed % 4, 0.6, seed)
+        s, t = 0, d.n - 1
+        full = max_flow_unit(d, s, t)
+        for cap in range(full.value + 2):
+            local = max_flow_unit(d, s, t, cap=cap)
+            if cap >= full.value:
+                assert (local.value, local.cut, local.capped) == (full.value, full.cut, False)
+            else:
+                assert (local.value, local.cut, local.capped) == (cap, frozenset(), True)
+            assert len(local.paths) == local.value
+            assert_disjoint_paths(d, local)
+
+    @pytest.mark.parametrize("d", _small_digraphs()[:20], ids=repr)
+    def test_excluded_arcs_are_left_out(self, d):
+        rng = random.Random(d.n * 1000 + len(d.arcs))
+        for _ in range(5):
+            mask = rng.getrandbits(len(d.arcs)) if d.arcs else 0
+            kept = d.remove_arcs(a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1)
+            for s, t in ((0, d.n - 1), (d.n - 1, 0)):
+                assert _unit_flow(d, s, t, d.n, mask)[0] == max_flow_unit(kept, s, t).value
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(DigraphError):
+            max_flow_unit(directed_cycle(3), 0, 1, cap=-1)
 
 
 class TestGlobalConnectivity:
@@ -118,6 +214,26 @@ class TestGlobalConnectivity:
         report = arc_connectivity(d)
         assert report.value == brute_arc_connectivity(d) >= 1
         assert verify_cut(d, report.min_cut)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_minimum_below_degree(self, seed):
+        d = bottleneck_digraph(4 + seed % 3, 1 + seed % 2, seed)
+        report = arc_connectivity(d)
+        assert report.value == brute_arc_connectivity(d) < min(report.delta_out, report.delta_in)
+        assert verify_cut(d, report.min_cut)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_witness_is_first_pivot_pair_attaining_minimum(self, seed):
+        if seed % 3 == 0:
+            d = bottleneck_digraph(3 + seed % 4, 1 + seed % 2, seed)
+        else:
+            d = random_strong_digraph(3 + seed % 5, 0.1 + (seed % 4) * 0.1, seed)
+        if seed % 2:
+            h = random_strong_digraph(2 + seed % 3, 0.3, seed + 100)
+            d = cartesian_product(d, h).digraph
+        report = arc_connectivity(d)
+        assert report.min_cut == pivot_order_cut(d)
+        assert len(report.min_cut) == report.value
 
 
 class TestVerifyCut:
