@@ -7,7 +7,7 @@ rejected at construction; vertices are always ``0 .. n-1``.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -170,6 +170,127 @@ def arc_subset_spanning_check(d: Digraph, arcs: Iterable[Arc], seeds: Iterable[i
     remap = {old: new for new, old in enumerate(touched)}
     sub = Digraph(len(touched), frozenset((remap[u], remap[v]) for u, v in chosen))
     return is_strong(sub)
+
+
+# --- automorphisms ------------------------------------------------------------
+
+# Refinements the generator search may spend; past it the generators verified so
+# far are returned, which only makes the group they generate smaller.
+_AUTOMORPHISM_NODE_BUDGET = 2000
+
+
+def _refine(d: Digraph, colour: Sequence[int]) -> tuple[list[int], list]:
+    """Coarsest refinement of ``colour`` that is equitable for out- and in-neighbours.
+
+    Each round colours a vertex by its colour and the sorted colours of its
+    out- and in-neighbours (a vertex alone in its cell keeps its colour),
+    numbered in sorted order, so the result depends on the colours alone and
+    never on vertex labels.  Returns the colouring and its sorted cell
+    signatures; an automorphism can map one refined colouring onto another
+    only when their signatures are equal.
+    """
+    out_adj, in_adj = d.out_adj, d.in_adj
+    size = Counter(colour)
+    while True:
+        at = colour.__getitem__
+        sigs = [
+            (c, tuple(sorted(map(at, out_adj[v]))), tuple(sorted(map(at, in_adj[v])))) if size[c] > 1 else (c,)
+            for v, c in enumerate(colour)
+        ]
+        order = sorted(set(sigs))
+        rank = {sig: i for i, sig in enumerate(order)}
+        colour = [rank[sig] for sig in sigs]
+        if len(order) == len(size):
+            return colour, order
+        size = Counter(colour)
+
+
+def _individualise(colour: Sequence[int], w: int) -> list[int]:
+    """Split ``w`` off its cell, ahead of the rest of it."""
+    return [2 * c + (v != w) for v, c in enumerate(colour)]
+
+
+def _target_cell(colour: Sequence[int]) -> list[int]:
+    """Vertices of the non-singleton cell with the least colour."""
+    target = min(c for c, k in Counter(colour).items() if k > 1)
+    return [v for v, c in enumerate(colour) if c == target]
+
+
+def _automorphism_generators(d: Digraph) -> list[tuple[int, ...]]:
+    """Automorphisms of ``d`` found by individualisation and refinement.
+
+    The first path individualises the least vertex of the target cell until
+    the colouring is discrete.  Then, from the deepest level up, it looks for
+    an automorphism fixing the earlier base points that maps the level's base
+    point to each vertex of its cell not yet in its orbit, and takes the first
+    leaf that yields one.  A permutation is kept only after it is checked to map
+    the arc set onto itself, so every returned ``p`` (vertex ``v`` to ``p[v]``)
+    is an automorphism whether or not the search ran to the end.  The search
+    stops for good after ``_AUTOMORPHISM_NODE_BUDGET`` refinements.
+    """
+    n = d.n
+    colour, sig = _refine(d, [0] * n)
+    path = [(colour, sig)]
+    base: list[int] = []
+    while len(sig) < n:
+        base.append(_target_cell(colour)[0])
+        colour, sig = _refine(d, _individualise(colour, base[-1]))
+        path.append((colour, sig))
+    leaf = colour
+    arcs = d.arcs
+    budget = _AUTOMORPHISM_NODE_BUDGET
+
+    def leaf_search(level: int, w: int) -> tuple[int, ...] | None:
+        """An automorphism fixing ``base[:level]`` and mapping ``base[level]`` to ``w``."""
+        nonlocal budget
+        stack = [[w]]  # candidates still to try per depth, least last
+        colours = [path[level][0]]
+        while stack:
+            if not stack[-1]:
+                stack.pop()
+                colours.pop()
+                continue
+            if budget <= 0:
+                return None
+            budget -= 1
+            colour, sig = _refine(d, _individualise(colours[-1], stack[-1].pop()))
+            depth = level + len(stack)
+            if sig != path[depth][1]:
+                continue
+            if depth < len(base):
+                stack.append(_target_cell(colour)[::-1])
+                colours.append(colour)
+                continue
+            where = [0] * n
+            for v, c in enumerate(colour):
+                where[c] = v
+            perm = tuple(where[c] for c in leaf)
+            if all((perm[u], perm[v]) in arcs for u, v in arcs):
+                return perm
+        return None
+
+    orbit = list(range(n))  # union-find under the generators found so far
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    generators: list[tuple[int, ...]] = []
+    for level in reversed(range(len(base))):
+        colour, b = path[level][0], base[level]
+        for w in range(n):
+            if colour[w] != colour[b] or find(w) == find(b):
+                continue
+            perm = leaf_search(level, w)
+            if perm is not None:
+                generators.append(perm)
+                for v in range(n):
+                    orbit[find(v)] = find(perm[v])
+            elif budget <= 0:
+                return generators
+    return generators
 
 
 # --- text and DOT formats ---------------------------------------------------

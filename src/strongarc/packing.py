@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .digraph import Arc, Digraph, DigraphError, is_strong
+from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, is_strong
 from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
@@ -131,6 +131,27 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
 # --- lazy path spaces ---------------------------------------------------------
 
 
+_ArcTables = tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _arc_tables(d: Digraph) -> _ArcTables:
+    """Arcs as bits: per vertex its ``(head, bit)`` out-arcs, its out-arc mask and its in-arc mask.
+
+    Bit ``1 << i`` is ``sorted_arcs[i]``, so each row is sorted by head.
+    Built once per search and shared by the packers of all its pairs; not
+    cached on the digraph, where it would outlive the search.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+    out_mask = [0] * d.n
+    in_mask = [0] * d.n
+    for i, (u, v) in enumerate(d.sorted_arcs):
+        bit = 1 << i
+        adj[u].append((v, bit))
+        out_mask[u] |= bit
+        in_mask[v] |= bit
+    return tuple(map(tuple, adj)), tuple(out_mask), tuple(in_mask)
+
+
 class _PathSpace:
     """Simple s->t paths as arc bitmasks, generated in (length, lexicographic) order."""
 
@@ -171,31 +192,47 @@ class _PathSpace:
         return self.paths[idx] if idx < len(self.paths) else None
 
     def _extend(self) -> None:
+        """Append every path of the current length, by depth-first search on an explicit stack.
+
+        Out-arcs are tried in head order, so paths come out in lexicographic
+        order, and the ticker counts one step per visited vertex.
+        """
         target_len = self.length
         sink = self.t
         dist = self.dist
         adj = self.adj
         out = self.paths
         on_path = [False] * self.n
-        ticker = self.ticker
-
-        def dfs(v: int, depth: int, mask: int) -> None:
-            ticker[0] += 1
-            if ticker[0] > ticker[1]:
-                raise _BudgetExhausted
-            if v == sink:
-                if depth == target_len:
-                    out.append(mask)
-                return
-            if depth + dist[v] > target_len:
-                return
-            on_path[v] = True
-            for head, bit in adj[v]:
-                if not on_path[head]:
-                    dfs(head, depth + 1, mask | bit)
-            on_path[v] = False
-
-        dfs(self.s, 0, 0)
+        ticks, limit = self.ticker
+        ticks += 1
+        if ticks > limit:
+            raise _BudgetExhausted
+        on_path[self.s] = True
+        # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
+        verts, masks, arcs_left = [self.s], [0], [iter(adj[self.s])]
+        while arcs_left:
+            depth = len(arcs_left)
+            mask = masks[-1]
+            for head, bit in arcs_left[-1]:
+                if on_path[head]:
+                    continue
+                ticks += 1
+                if ticks > limit:
+                    raise _BudgetExhausted
+                if head == sink:
+                    if depth == target_len:
+                        out.append(mask | bit)
+                elif depth + dist[head] <= target_len:
+                    on_path[head] = True
+                    verts.append(head)
+                    masks.append(mask | bit)
+                    arcs_left.append(iter(adj[head]))
+                    break
+            else:
+                on_path[verts.pop()] = False
+                masks.pop()
+                arcs_left.pop()
+        self.ticker[0] = ticks
         self.length += 1
         if self.length > self.n - 1:
             self.done = True
@@ -207,31 +244,16 @@ class _PathSpace:
 class _SeedPacker:
     """Depth-first packer for arc-disjoint (x->y path, y->x path) unions."""
 
-    def __init__(self, d: Digraph, x: int, y: int, budget: int | None = None) -> None:
+    def __init__(self, d: Digraph, tables: _ArcTables, x: int, y: int, budget: int | None = None) -> None:
         self.d = d
         self.x, self.y = x, y
-        arcs = d.sorted_arcs
-        self.arcs = arcs
-        adj_bits: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-        for i, (u, v) in enumerate(arcs):
-            adj_bits[u].append((v, 1 << i))  # sorted by head, as the arcs are
-        self.adj_bits = tuple(tuple(r) for r in adj_bits)
-        self.arc_table = tuple((1 << i, u, v) for i, (u, v) in enumerate(arcs))
+        self.arcs = d.sorted_arcs
         self.ticker = [0, budget if budget is not None else float("inf")]
-        self.space_xy = _PathSpace(d.n, self.adj_bits, d.in_adj, x, y, self.ticker)
-        self.space_yx = _PathSpace(d.n, self.adj_bits, d.in_adj, y, x, self.ticker)
-
-        def side_mask(pred) -> int:
-            m = 0
-            for bit, u, v in self.arc_table:
-                if pred(u, v):
-                    m |= bit
-            return m
-
-        self.out_x = side_mask(lambda u, v: u == x)
-        self.in_x = side_mask(lambda u, v: v == x)
-        self.out_y = side_mask(lambda u, v: u == y)
-        self.in_y = side_mask(lambda u, v: v == y)
+        adj_bits, out_mask, in_mask = tables
+        self.space_xy = _PathSpace(d.n, adj_bits, d.in_adj, x, y, self.ticker)
+        self.space_yx = _PathSpace(d.n, adj_bits, d.in_adj, y, x, self.ticker)
+        self.out_x, self.in_x = out_mask[x], in_mask[x]
+        self.out_y, self.in_y = out_mask[y], in_mask[y]
         self.fail_memo: dict[tuple[int, int], int] = {}
         self.stack: list[int] = []
         self.best_partial: list[int] = []
@@ -323,7 +345,9 @@ def lambda_s_upper_bound(d: Digraph, seed: Iterable[int]) -> int:
     return _seed_bounds(d, *_validate_pair(d, seed))[1]
 
 
-def _exact(d: Digraph, x: int, y: int, cap: int | None = None, budget: int | None = None) -> PackingResult:
+def _exact(
+    d: Digraph, tables: _ArcTables, x: int, y: int, cap: int | None = None, budget: int | None = None
+) -> PackingResult:
     """Largest feasible packing size, iterating k downward from the upper bound.
 
     With ``cap`` set the result value is min(true value, cap); callers use the
@@ -334,7 +358,7 @@ def _exact(d: Digraph, x: int, y: int, cap: int | None = None, budget: int | Non
     if ub == 0:
         empty = CertificateFamily(d.n, (x, y), ())
         return PackingResult(0, empty, "unreachable", True, 0, 0)
-    packer = _SeedPacker(d, x, y, budget)
+    packer = _SeedPacker(d, tables, x, y, budget)
     for k in range(ub, 0, -1):
         try:
             members = packer.feasible(k)
@@ -358,51 +382,97 @@ def _exact(d: Digraph, x: int, y: int, cap: int | None = None, budget: int | Non
 def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -> PackingResult:
     """Exact seed-pair packing number with a verified witness family."""
     x, y = _validate_pair(d, seed)
-    return _exact(d, x, y, budget=budget)
+    return _exact(d, _arc_tables(d), x, y, budget=budget)
+
+
+def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
+    """The least pair of each orbit of pairs ``x < y`` under the automorphisms found for ``d``.
+
+    Returned in lexicographic order.  Pairs are taken in that order and each
+    one not yet reached closes its whole orbit, so it is the orbit's least
+    pair.  With no automorphism found, every pair is its own representative.
+    """
+    n = d.n
+    generators = _automorphism_generators(d)
+    reached = bytearray(n * n)  # pair (x, y) with x < y is x * n + y
+    reps: list[tuple[int, int]] = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            if reached[x * n + y]:
+                continue
+            reached[x * n + y] = 1
+            reps.append((x, y))
+            stack = [(x, y)]
+            while stack:
+                a, b = stack.pop()
+                for perm in generators:
+                    pa, pb = perm[a], perm[b]
+                    if pa > pb:
+                        pa, pb = pb, pa
+                    if not reached[pa * n + pb]:
+                        reached[pa * n + pb] = 1
+                        stack.append((pa, pb))
+    return reps
 
 
 def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
     """Minimum seed-pair packing number over all pairs (or a seeded sample).
 
-    The exhaustive sweep screens each pair for feasibility at the running
-    minimum before paying for an exact computation, and reports the
-    lexicographically least minimizing pair.  Sampled sweeps yield an upper
-    bound and are flagged inexact.
+    The exhaustive sweep visits one pair per orbit of pairs under a group of
+    automorphisms of ``d``: the least pair of each orbit, in lexicographic
+    order.  The group is generated by permutations found by
+    individualisation and refinement and checked to map the arc set onto
+    itself, and ``λ_S(D) = λ_φ(S)(D)`` for every automorphism φ.  Each
+    skipped pair therefore has the value of a smaller pair already swept,
+    so it could never have lowered the running minimum, and the value, the
+    lexicographically least minimizing pair and its witness are those of
+    the sweep over all pairs.  When the generator search runs out of its
+    fixed node budget, the generators verified so far still merge pairs;
+    the sweep stays exact and merely visits more of them.
+
+    Each visited pair is screened for feasibility at the running minimum
+    before paying for an exact computation.  Sampled sweeps visit every
+    sampled pair, yield an upper bound and are flagged inexact.  The
+    returned witness is verified before return; a witness that fails
+    raises ``RuntimeError``.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
-    all_pairs = [(x, y) for x in range(d.n) for y in range(x + 1, d.n)]
     if samples is None:
-        pairs = all_pairs
+        pairs = _pair_orbit_representatives(d)
         exact = True
     else:
         if seed is None:
             raise DigraphError("sampled sweep needs an explicit seed")
         import random
 
+        all_pairs = [(x, y) for x in range(d.n) for y in range(x + 1, d.n)]
         rng = random.Random(seed)
         pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
         exact = False
+    tables = _arc_tables(d)
     best: PackingResult | None = None
     best_pair: tuple[int, int] = pairs[0]
     for x, y in pairs:
         if best is None:
-            best = _exact(d, x, y)
+            best = _exact(d, tables, x, y)
             best_pair = (x, y)
             continue
         if best.value == 0:
             break
         deg_bound = _seed_degree(d, x, y)
         if deg_bound >= best.value:
-            if _SeedPacker(d, x, y).feasible(best.value) is not None:
+            if _SeedPacker(d, tables, x, y).feasible(best.value) is not None:
                 continue
             cap = best.value - 1
         else:
             cap = deg_bound
-        result = _exact(d, x, y, cap=cap)
+        result = _exact(d, tables, x, y, cap=cap)
         if result.value < best.value:
             best, best_pair = result, (x, y)
     assert best is not None
+    if not verify_certificate(d, best.witness).valid:
+        raise RuntimeError(f"lambda_2 witness for pair {best_pair} does not verify")
     return Lambda2Result(best.value, best_pair, best.witness, exact)
 
 

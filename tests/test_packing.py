@@ -1,19 +1,25 @@
 """Seed-pair strong-subgraph packing: exact search, oracles, certificates."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongarc.digraph import DigraphError, from_arc_list, is_strong
+from strongarc import digraph as digraph_module
+from strongarc import packing
+from strongarc.cli import parse_operand
+from strongarc.digraph import DigraphError, _automorphism_generators, from_arc_list, is_strong
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
     directed_cycle,
     random_digraph,
+    random_strong_digraph,
 )
 from strongarc.packing import (
     CertificateFamily,
+    CertificateReport,
     OracleRefusal,
     certificate_from_json,
     certificate_to_json,
@@ -21,6 +27,7 @@ from strongarc.packing import (
     lambda_s_exact,
     lambda_s_oracle_paths,
     lambda_s_oracle_subsets,
+    _pair_orbit_representatives,
     lambda_s_upper_bound,
     verify_certificate,
 )
@@ -62,6 +69,12 @@ class TestExactSearch:
             lambda_s_exact(d, (0, 3))
         with pytest.raises(DigraphError):
             lambda_s_exact(d, (0, 1, 2))
+
+    def test_deep_path_does_not_recurse(self):
+        d = directed_cycle(1200)
+        r = lambda_s_exact(d, (0, 1100))
+        assert r.value == 1 and len(r.witness.members[0]) == 1200
+        assert verify_certificate(d, r.witness).valid
 
     def test_budget_interrupt_brackets_value(self):
         p = cartesian_product(complete_digraph(4), complete_digraph(4))
@@ -111,6 +124,117 @@ class TestLambdaTwo:
         a = lambda_2(d, samples=5, seed=42)
         b = lambda_2(d, samples=5, seed=42)
         assert a.value == b.value and a.pair == b.pair
+
+
+def _orbit_instances():
+    """Digraphs with and without symmetry: random, random products, class products."""
+    out = []
+    for seed in range(14):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        out.append((f"random {seed}", random_digraph(n, rng.randint(n, 3 * n), rng.getrandbits(32))))
+    for seed in range(10):
+        rng = random.Random(100 + seed)
+        g = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.5, rng.getrandbits(32))
+        h = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.5, rng.getrandbits(32))
+        out.append((f"random product {seed}", cartesian_product(g, h).digraph))
+    for spec in [
+        "cn:3 x cn:4",
+        "cn:4 x bcm:3",
+        "bcm:4 x btm:star:4",
+        "btm:path:3 x bkm:3",
+        "bkm:3 x btm:path:4",
+        "btm:star:4 x btm:star:4",
+        "bkm:2 x cn:5",
+    ]:
+        out.append((spec, parse_operand(spec.split())[0]))
+    return out
+
+
+ORBIT_INSTANCES = _orbit_instances()
+SMALL_INSTANCES = [(name, d) for name, d in ORBIT_INSTANCES if d.n <= 7]
+
+
+def _brute_force_pair_orbits(d):
+    """Pair orbits under the full automorphism group, by trying every permutation."""
+    arcs = d.arcs
+    group = [
+        p for p in itertools.permutations(range(d.n)) if all((p[u], p[v]) in arcs for u, v in arcs)
+    ]
+    orbits = {
+        (x, y): min(tuple(sorted((p[x], p[y]))) for p in group)
+        for x in range(d.n)
+        for y in range(x + 1, d.n)
+    }
+    return sorted(set(orbits.values()))
+
+
+class TestPairOrbits:
+    @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
+    def test_orbit_sweep_equals_all_pairs_sweep(self, name, d):
+        every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
+        r = lambda_2(d)
+        assert r.exact
+        assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
+
+    @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
+    def test_generators_are_automorphisms(self, name, d):
+        for p in _automorphism_generators(d):
+            assert sorted(p) == list(range(d.n))
+            assert p != tuple(range(d.n))
+            assert frozenset((p[u], p[v]) for u, v in d.arcs) == d.arcs
+
+    def test_only_checked_permutations_are_kept(self, monkeypatch):
+        """A refinement blind to the arcs makes every leaf look alike; the arc check must sort them."""
+
+        def blind(d, colour):
+            order = sorted(set(colour))
+            rank = {c: i for i, c in enumerate(order)}
+            return [rank[c] for c in colour], [(i,) for i in range(len(order))]
+
+        monkeypatch.setattr(digraph_module, "_refine", blind)
+        for name, d in SMALL_INSTANCES:
+            for p in _automorphism_generators(d):
+                assert frozenset((p[u], p[v]) for u, v in d.arcs) == d.arcs, name
+            every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
+            r = lambda_2(d)
+            assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
+
+    @pytest.mark.parametrize("name, d", SMALL_INSTANCES, ids=[name for name, _ in SMALL_INSTANCES])
+    def test_orbits_match_full_automorphism_group(self, name, d):
+        assert _pair_orbit_representatives(d) == _brute_force_pair_orbits(d)
+
+    @pytest.mark.parametrize(
+        "spec, count", [("cn:5", 2), ("bkm:6 x bkm:6", 2), ("bcm:6 x bcm:6", 9)]
+    )
+    def test_known_pair_orbit_counts(self, spec, count):
+        assert len(_pair_orbit_representatives(parse_operand(spec.split())[0])) == count
+
+    def test_rigid_digraph_keeps_every_pair(self):
+        d = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
+        assert len(_brute_force_pair_orbits(d)) == 10
+        assert _automorphism_generators(d) == []
+        assert len(_pair_orbit_representatives(d)) == 10
+
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_exhausted_budget_keeps_result(self, monkeypatch, budget):
+        cases = [d for _, d in ORBIT_INSTANCES[-7:]]
+        full = [lambda_2(d) for d in cases]
+        monkeypatch.setattr(digraph_module, "_AUTOMORPHISM_NODE_BUDGET", budget)
+        for d, expected in zip(cases, full):
+            if budget == 0:
+                assert _automorphism_generators(d) == []
+                assert len(_pair_orbit_representatives(d)) == d.n * (d.n - 1) // 2
+            r = lambda_2(d)
+            assert (r.value, r.pair, r.witness) == (expected.value, expected.pair, expected.witness)
+
+    def test_invalid_witness_raises(self, monkeypatch):
+        def reject(d, cert):
+            return CertificateReport(False, (), (), (), ())
+
+        monkeypatch.setattr(packing, "verify_certificate", reject)
+        with pytest.raises(RuntimeError):
+            lambda_2(bidirected_cycle(4))
 
 
 class TestOracles:
