@@ -4,168 +4,52 @@ The package computes arc-strong connectivity, packs arc-disjoint strong
 subgraphs through seed vertex pairs, evaluates closed formulas for Cartesian
 products, and builds verifiable certificate families for products of
 standard digraph classes.
+
+The root re-exports the library entry points below; every other name is
+imported from its submodule (``strongarc.digraph``, ``.generators``,
+``.product``, ``.flow``, ``.packing``, ``.constructions``).
 """
 
 from .constructions import (
-    CLASS_TOKENS,
-    BoundsReport,
-    ConstructionError,
-    FormulaBreakdown,
-    FormulaCheck,
-    HuntConfig,
-    HuntHit,
-    HuntReport,
-    SymmetricIdentityCheck,
-    UndirectedFormula,
-    all_connected_graphs,
     check_bounds,
     check_product_formula,
-    check_symmetric_identity,
     class_digraph,
     class_table_value,
     cycle_bicycle_family,
     cycle_complete_family,
     cycle_cycle_family,
     cycle_tree_family,
-    hunt_tightness,
     lift_certificates,
     product_lambda_formula,
-    undirected_product_lambda,
 )
-from .digraph import (
-    Arc,
-    Digraph,
-    DigraphError,
-    biorient,
-    degrees,
-    dumps_digraph,
-    from_arc_list,
-    induced_subgraph,
-    is_strong,
-    loads_digraph,
-    read_digraph,
-    to_dot,
-    write_digraph,
-)
-from .flow import (
-    ConnectivityReport,
-    LocalArcConnectivity,
-    arc_connectivity,
-    max_flow_unit,
-    verify_cut,
-)
-from .generators import (
-    TREE_KINDS,
-    TreeShape,
-    bidirected_cycle,
-    bidirected_tree,
-    complete_digraph,
-    directed_cycle,
-    random_connected_graph,
-    random_digraph,
-    random_strong_digraph,
-    tree_edges,
-)
-from .packing import (
-    CertificateFamily,
-    CertificateReport,
-    Lambda2Result,
-    OracleRefusal,
-    PackingResult,
-    certificate_from_json,
-    certificate_to_json,
-    lambda_2,
-    lambda_s_exact,
-    lambda_s_oracle_paths,
-    lambda_s_oracle_subsets,
-    lambda_s_upper_bound,
-    verify_certificate,
-)
-from .product import (
-    FiberRef,
-    ProductDigraph,
-    cartesian_product,
-    g_fiber,
-    h_fiber,
-    lift_g_arcs,
-    lift_h_arcs,
-    translate_subgraph,
-)
+from .digraph import Digraph, DigraphError
+from .flow import arc_connectivity, verify_cut
+from .generators import TreeShape, random_strong_digraph
+from .packing import CertificateFamily, lambda_2, lambda_s_exact, verify_certificate
+from .product import cartesian_product
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
-    "BoundsReport",
-    "CLASS_TOKENS",
     "CertificateFamily",
-    "CertificateReport",
-    "ConnectivityReport",
-    "ConstructionError",
     "Digraph",
     "DigraphError",
-    "FiberRef",
-    "FormulaBreakdown",
-    "FormulaCheck",
-    "HuntConfig",
-    "HuntHit",
-    "HuntReport",
-    "Lambda2Result",
-    "LocalArcConnectivity",
-    "OracleRefusal",
-    "PackingResult",
-    "ProductDigraph",
-    "SymmetricIdentityCheck",
-    "TREE_KINDS",
     "TreeShape",
-    "UndirectedFormula",
-    "all_connected_graphs",
     "arc_connectivity",
-    "bidirected_cycle",
-    "bidirected_tree",
-    "biorient",
     "cartesian_product",
-    "certificate_from_json",
-    "certificate_to_json",
     "check_bounds",
     "check_product_formula",
-    "check_symmetric_identity",
     "class_digraph",
     "class_table_value",
-    "complete_digraph",
     "cycle_bicycle_family",
     "cycle_complete_family",
     "cycle_cycle_family",
     "cycle_tree_family",
-    "degrees",
-    "directed_cycle",
-    "dumps_digraph",
-    "from_arc_list",
-    "g_fiber",
-    "h_fiber",
-    "hunt_tightness",
-    "induced_subgraph",
-    "is_strong",
     "lambda_2",
     "lambda_s_exact",
-    "lambda_s_oracle_paths",
-    "lambda_s_oracle_subsets",
-    "lambda_s_upper_bound",
     "lift_certificates",
-    "lift_g_arcs",
-    "lift_h_arcs",
-    "loads_digraph",
-    "max_flow_unit",
     "product_lambda_formula",
-    "random_connected_graph",
-    "random_digraph",
     "random_strong_digraph",
-    "read_digraph",
-    "to_dot",
-    "translate_subgraph",
-    "tree_edges",
-    "undirected_product_lambda",
     "verify_certificate",
     "verify_cut",
-    "write_digraph",
 ]

@@ -41,7 +41,7 @@ from .digraph import (
     read_digraph,
     to_dot,
 )
-from .flow import arc_connectivity
+from .flow import arc_connectivity, verify_cut
 from .generators import (
     TreeShape,
     bidirected_cycle,
@@ -148,6 +148,9 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _cmd_lambda(args: argparse.Namespace) -> int:
     d, _ = parse_operand(args.spec)
     report = arc_connectivity(d)
+    if len(report.min_cut) != report.value or not verify_cut(d, report.min_cut):
+        print(f"error: min cut {_format_arcs(report.min_cut)} does not verify", file=sys.stderr)
+        return 1
     if not report.strong:
         print("warning: digraph is not strong")
     print(f"lambda: {report.value}")
@@ -391,7 +394,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
     report = hunt_tightness(
-        HuntConfig(trials=args.trials, max_order=args.max_order, seed=args.seed)
+        HuntConfig(
+            trials=args.trials, max_order=args.max_order, extra_arc_prob=args.density, seed=args.seed
+        )
     )
     print(f"trials: {report.trials}")
     for gap, count in report.gap_counts:
@@ -489,6 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--trials", type=int, default=100)
     p_hunt.add_argument("--max-order", dest="max_order", type=int, default=4)
     p_hunt.add_argument("--seed", type=int, required=True)
+    p_hunt.add_argument(
+        "--density", type=float, default=HuntConfig.extra_arc_prob,
+        help="largest extra-arc probability of the random factors (default %(default)s)",
+    )
     p_hunt.add_argument("--out", default=None, help="directory for zero-gap witness files")
     p_hunt.set_defaults(handler=_cmd_hunt)
 

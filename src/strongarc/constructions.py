@@ -30,15 +30,7 @@ from .packing import (
     lambda_s_exact,
     verify_certificate,
 )
-from .product import (
-    ProductDigraph,
-    cartesian_product,
-    g_fiber,
-    h_fiber,
-    lift_g_arcs,
-    lift_h_arcs,
-    translate_subgraph,
-)
+from .product import ProductDigraph, cartesian_product, lift_g_arcs, lift_h_arcs
 
 
 class ConstructionError(RuntimeError):
@@ -430,21 +422,7 @@ def _sealed_family(
 
 def _solver_family(p: ProductDigraph, x: int, y: int, size: int) -> CertificateFamily:
     """Fallback for seed positions the closed forms do not cover: search, then trim."""
-    result = lambda_s_exact(p.digraph, (x, y))
-    if result.value < size or result.witness is None:
-        raise ConstructionError(
-            f"search found only {result.value} members where {size} are guaranteed"
-        )
-    trimmed = CertificateFamily(
-        n=p.digraph.n,
-        seed=result.witness.seed,
-        members=result.witness.members[:size],
-        origin="solver",
-    )
-    report = verify_certificate(p.digraph, trimmed)
-    if not report.valid:
-        raise ConstructionError("trimmed search family failed verification")
-    return trimmed
+    return _sealed_family(p, x, y, _factor_family(p.digraph, (x, y), size)[:size], size, "solver")
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +619,9 @@ def cycle_complete_family(
 
 def _factor_family(d: Digraph, pair: tuple[int, int], need: int) -> tuple[frozenset[Arc], ...]:
     result = lambda_s_exact(d, pair)
-    if result.value < need or result.witness is None:
+    if result.value < need:
         raise ConstructionError(
-            f"factor packing for seed {pair} gave {result.value} members, expected >= {need}"
+            f"packing for seed {pair} gave {result.value} members, expected >= {need}"
         )
     return result.witness.members
 
@@ -712,14 +690,12 @@ def lift_certificates(
 
 def _g_block(p: ProductDigraph, arcs: frozenset[Arc], c_from: int, c_to: int) -> frozenset[Arc]:
     """Copies of a first-factor arc set in two columns."""
-    at_from = lift_g_arcs(p, arcs, c_from)
-    return at_from | translate_subgraph(p, at_from, g_fiber(p, c_to))
+    return lift_g_arcs(p, arcs, c_from) | lift_g_arcs(p, arcs, c_to)
 
 
 def _h_block(p: ProductDigraph, arcs: frozenset[Arc], r_from: int, r_to: int) -> frozenset[Arc]:
     """Copies of a second-factor arc set in two rows."""
-    at_from = lift_h_arcs(p, arcs, r_from)
-    return at_from | translate_subgraph(p, at_from, h_fiber(p, r_to))
+    return lift_h_arcs(p, arcs, r_from) | lift_h_arcs(p, arcs, r_to)
 
 
 def _lift_same_row(
@@ -889,6 +865,8 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
         raise DigraphError(f"trials must be nonnegative, got {config.trials}")
     if config.max_order < 2:
         raise DigraphError(f"max order must be at least 2, got {config.max_order}")
+    if not 0 <= config.extra_arc_prob <= 1:
+        raise DigraphError(f"extra arc probability must lie in [0, 1], got {config.extra_arc_prob}")
     rng = random.Random(config.seed)
     tally: dict[int, int] = {}
     hits: list[HuntHit] = []

@@ -161,15 +161,16 @@ def arc_subset_spanning_check(d: Digraph, arcs: Iterable[Arc], seeds: Iterable[i
     chosen = frozenset(arcs)
     if not chosen <= d.arcs:
         raise DigraphError("arc subset contains arcs not present in the digraph")
-    seed_set = set(seeds)
     if not chosen:
         return False
-    touched = sorted({w for arc in chosen for w in arc})
-    if not seed_set <= set(touched):
-        return False
-    remap = {old: new for new, old in enumerate(touched)}
-    sub = Digraph(len(touched), frozenset((remap[u], remap[v]) for u, v in chosen))
-    return is_strong(sub)
+    touched = {w for arc in chosen for w in arc}
+    return set(seeds) <= touched and _strong_on_endpoints(chosen, touched)
+
+
+def _strong_on_endpoints(arcs: frozenset[Arc], endpoints: Iterable[int]) -> bool:
+    """True iff the non-empty arc set ``arcs`` is strong on ``endpoints``, the ends of its arcs."""
+    remap = {old: new for new, old in enumerate(sorted(endpoints))}
+    return is_strong(Digraph(len(remap), frozenset((remap[u], remap[v]) for u, v in arcs)))
 
 
 # --- automorphisms ------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, is_strong
+from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, _strong_on_endpoints
 from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
@@ -101,24 +101,17 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     inspected in full.
     """
     x, y = _validate_pair(d, cert.seed)
+    mem = [frozenset(tuple(a) for a in member) for member in cert.members]
     in_host: list[bool] = []
     strong: list[bool] = []
     has_seed: list[bool] = []
-    for member in cert.members:
-        arcs = frozenset(tuple(a) for a in member)
-        ok_host = arcs <= d.arcs
-        in_host.append(ok_host)
+    for arcs in mem:
+        in_host.append(arcs <= d.arcs)
         endpoints = {w for arc in arcs for w in arc}
         has_seed.append(x in endpoints and y in endpoints)
-        if not arcs or not all(0 <= w < d.n for w in endpoints):
-            strong.append(False)
-            continue
-        verts = sorted(endpoints)
-        remap = {old: new for new, old in enumerate(verts)}
-        sub = Digraph(len(verts), frozenset((remap[u], remap[v]) for u, v in arcs))
-        strong.append(is_strong(sub))
+        in_range = bool(arcs) and all(0 <= w < d.n for w in endpoints)
+        strong.append(in_range and _strong_on_endpoints(arcs, endpoints))
     overlaps: list[tuple[int, int, frozenset[Arc]]] = []
-    mem = [frozenset(tuple(a) for a in member) for member in cert.members]
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
             shared = mem[i] & mem[j]
@@ -504,36 +497,26 @@ def _strong_arc_masks(d: Digraph) -> tuple[tuple[int, int], ...]:
             in_map[v] = in_map.get(v, 0) | (1 << u)
             m ^= low
         start_v = (verts & -verts).bit_length() - 1
-        # forward closure from the smallest endpoint
-        seen = 1 << start_v
-        frontier = [start_v]
-        while frontier:
-            nxt: list[int] = []
-            for w in frontier:
-                reach = out_map.get(w, 0) & ~seen
-                while reach:
-                    lowb = reach & -reach
-                    seen |= lowb
-                    nxt.append(lowb.bit_length() - 1)
-                    reach ^= lowb
-            frontier = nxt
-        if seen != verts:
-            continue
-        seen = 1 << start_v
-        frontier = [start_v]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                reach = in_map.get(w, 0) & ~seen
-                while reach:
-                    lowb = reach & -reach
-                    seen |= lowb
-                    nxt.append(lowb.bit_length() - 1)
-                    reach ^= lowb
-            frontier = nxt
-        if seen == verts:
+        if _closure(out_map, start_v) == verts and _closure(in_map, start_v) == verts:
             out.append((mask, verts))
     return tuple(out)
+
+
+def _closure(adj: dict[int, int], start: int) -> int:
+    """Vertex mask reachable from ``start`` along ``adj`` (vertex -> neighbour mask)."""
+    seen = 1 << start
+    frontier = [start]
+    while frontier:
+        nxt: list[int] = []
+        for w in frontier:
+            reach = adj.get(w, 0) & ~seen
+            while reach:
+                lowb = reach & -reach
+                seen |= lowb
+                nxt.append(lowb.bit_length() - 1)
+                reach ^= lowb
+        frontier = nxt
+    return seen
 
 
 def _minimal_antichain(masks: Sequence[int]) -> list[int]:

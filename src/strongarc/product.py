@@ -1,4 +1,4 @@
-"""Cartesian products of digraphs and fiber bookkeeping.
+"""Cartesian products of digraphs and arc lifting into fibers.
 
 The product of G (order n) and H (order m) lives on pairs (i, j) encoded as
 the flat index ``i * m + j``.  An arc joins (i, j) to (k, l) iff either
@@ -34,15 +34,6 @@ class ProductDigraph:
         return divmod(v, self.h_order)
 
 
-@dataclass(frozen=True)
-class FiberRef:
-    """One fiber of a product: ``axis`` is 'g' or 'h', ``index`` the fixed coordinate."""
-
-    axis: str
-    index: int
-    vertices: tuple[int, ...]
-
-
 def cartesian_product(g: Digraph, h: Digraph) -> ProductDigraph:
     """Cartesian product; arc count is ``n * |A(H)| + m * |A(G)|``."""
     n, m = g.n, h.n
@@ -56,20 +47,6 @@ def cartesian_product(g: Digraph, h: Digraph) -> ProductDigraph:
     return ProductDigraph(Digraph(n * m, frozenset(arcs)), n, m)
 
 
-def g_fiber(p: ProductDigraph, j: int) -> FiberRef:
-    """The copy of G with H-coordinate fixed to ``j``."""
-    if not 0 <= j < p.h_order:
-        raise DigraphError(f"H-coordinate {j} outside 0..{p.h_order - 1}")
-    return FiberRef("g", j, tuple(p.encode(i, j) for i in range(p.g_order)))
-
-
-def h_fiber(p: ProductDigraph, i: int) -> FiberRef:
-    """The copy of H with G-coordinate fixed to ``i``."""
-    if not 0 <= i < p.g_order:
-        raise DigraphError(f"G-coordinate {i} outside 0..{p.g_order - 1}")
-    return FiberRef("h", i, tuple(p.encode(i, j) for j in range(p.h_order)))
-
-
 def lift_g_arcs(p: ProductDigraph, factor_arcs: Iterable[Arc], j: int) -> frozenset[Arc]:
     """Map arcs of the factor G into the G-fiber with H-coordinate ``j``."""
     return frozenset((p.encode(a, j), p.encode(b, j)) for a, b in factor_arcs)
@@ -78,31 +55,3 @@ def lift_g_arcs(p: ProductDigraph, factor_arcs: Iterable[Arc], j: int) -> frozen
 def lift_h_arcs(p: ProductDigraph, factor_arcs: Iterable[Arc], i: int) -> frozenset[Arc]:
     """Map arcs of the factor H into the H-fiber with G-coordinate ``i``."""
     return frozenset((p.encode(i, a), p.encode(i, b)) for a, b in factor_arcs)
-
-
-def translate_subgraph(p: ProductDigraph, arcs: Iterable[Arc], target: FiberRef) -> frozenset[Arc]:
-    """Move an arc set lying inside one fiber to the parallel fiber ``target``.
-
-    All arcs must share the fixed coordinate of the source fiber; arcs that
-    span two fibers are rejected.
-    """
-    arcs = list(arcs)
-    if target.axis not in ("g", "h"):
-        raise DigraphError(f"unknown fiber axis {target.axis!r}")
-    fixed_pos = 1 if target.axis == "g" else 0
-    fixed_vals = set()
-    for u, v in arcs:
-        cu, cv = p.decode(u), p.decode(v)
-        if cu[fixed_pos] != cv[fixed_pos]:
-            raise DigraphError(f"arc ({u}, {v}) spans two fibers of axis {target.axis!r}")
-        fixed_vals.add(cu[fixed_pos])
-    if len(fixed_vals) > 1:
-        raise DigraphError(f"arcs lie in several fibers with fixed coordinates {sorted(fixed_vals)}")
-    out: set[Arc] = set()
-    for u, v in arcs:
-        cu, cv = p.decode(u), p.decode(v)
-        if target.axis == "g":
-            out.add((p.encode(cu[0], target.index), p.encode(cv[0], target.index)))
-        else:
-            out.add((p.encode(target.index, cu[1]), p.encode(target.index, cv[1])))
-    return frozenset(out)

@@ -1,5 +1,6 @@
 """Command line interface: operand parsing, subcommands, exit codes, file output."""
 
+import dataclasses
 import json
 
 import pytest
@@ -96,6 +97,18 @@ class TestLambdaCommand:
         assert code == 0
         assert "warning: digraph is not strong" in out
         assert "lambda: 0" in out
+
+    @pytest.mark.parametrize(
+        "cut",
+        [frozenset({(0, 1), (0, 2), (0, 3), (1, 2)}), frozenset({(0, 1), (1, 2), (2, 3)})],
+        ids=["wrong-size", "not-a-cut"],
+    )
+    def test_unverified_cut_fails(self, capsys, monkeypatch, cut):
+        real = cli.arc_connectivity
+        monkeypatch.setattr(cli, "arc_connectivity", lambda d: dataclasses.replace(real(d), min_cut=cut))
+        code, out, err = run(capsys, ["lambda", "bkm:4"])
+        assert code == 1 and out == ""
+        assert "does not verify" in err
 
 
 class TestLambdaTwoCommand:
@@ -266,6 +279,21 @@ class TestHuntCommand:
     def test_small_run_reports_gaps(self, capsys):
         code, out, _ = run(capsys, ["hunt", "--trials", "5", "--max-order", "3", "--seed", "2"])
         assert code == 0 and "trials: 5" in out and "gap " in out
+
+    def test_density_sets_extra_arc_prob(self, capsys, monkeypatch):
+        config = HuntConfig(trials=30, seed=11, extra_arc_prob=0.1)
+        seen = []
+        real = cli.hunt_tightness
+        monkeypatch.setattr(cli, "hunt_tightness", lambda c: seen.append(c) or real(c))
+        code, out, _ = run(capsys, ["hunt", "--trials", "30", "--seed", "11", "--density", "0.1"])
+        assert code == 0 and seen == [config]
+        tallies = [f"gap {gap}: {count}" for gap, count in real(config).gap_counts]
+        assert [line for line in out.splitlines() if line.startswith("gap ")] == tallies
+
+    @pytest.mark.parametrize("density", ["1.5", "-0.1"])
+    def test_density_out_of_range_is_usage_error(self, capsys, density):
+        code, _, err = run(capsys, ["hunt", "--trials", "20", "--seed", "0", "--density", density])
+        assert code == 2 and f"got {density}" in err
 
     def test_out_directory_written_on_hits(self, capsys, tmp_path, monkeypatch):
         g = h = directed_cycle(3)

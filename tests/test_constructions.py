@@ -318,6 +318,11 @@ class TestHunt:
         cfg = HuntConfig(trials=12, max_order=3, seed=5)
         assert hunt_tightness(cfg) == hunt_tightness(cfg)
 
+    @pytest.mark.parametrize("prob", [1.5, -0.1])
+    def test_extra_arc_prob_checked_before_any_trial(self, prob):
+        with pytest.raises(DigraphError, match=f"got {prob}$"):
+            hunt_tightness(HuntConfig(trials=20, extra_arc_prob=prob, seed=0))
+
     def test_zero_trials(self):
         report = hunt_tightness(HuntConfig(trials=0, seed=0))
         assert report.trials == 0 and report.sandwich_ok

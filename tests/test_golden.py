@@ -1,6 +1,6 @@
 """CLI stdout, byte for byte, against outputs recorded before the flow kernel rewrite
-(`lambda`, `check thm31`) and before the pair-orbit sweep (`lambda2`, `check table1`,
-`check eq2`)."""
+(`lambda`, `check thm31`), before the pair-orbit sweep (`lambda2`, `check table1`,
+`check eq2`) and before the single-copy refactor (`hunt`, `check bounds`, `construct`)."""
 
 from pathlib import Path
 
@@ -23,6 +23,14 @@ COMMANDS = {
     "lambda2_rand6_x_rand4": "lambda2 rand:6:0.4:3 x rand:4:0.5:7",
     "check_table1_max4": "check table1 --max 4",
     "check_eq2_trials30_seed3": "check eq2 --trials 30 --seed 3",
+    "hunt_trials200_seed9": "hunt --trials 200 --seed 9",
+    "check_bounds_trials100_seed2": "check bounds --trials 100 --seed 2",
+    "construct_p51_n4_m4_s00_02": "construct p51 -n 4 -m 4 -S 0,0:0,2",
+    "construct_lift_cn3_bcm4_s00_12": "construct lift --g cn:3 --h bcm:4 -S 0,0:1,2",
+    "construct_lift_cn3_bcm4_s00_02": "construct lift --g cn:3 --h bcm:4 -S 0,0:0,2",
+    "construct_lift_cn3_bcm4_s01_21": "construct lift --g cn:3 --h bcm:4 -S 0,1:2,1",
+    "construct_p54_n3_m5_s00_11": "construct p54 -n 3 -m 5 -S 0,0:1,1",
+    "construct_p53_n3_m4_star_s00_10": "construct p53 -n 3 -m 4 -S 0,0:1,0 --shape star",
 }
 
 

@@ -1,0 +1,39 @@
+"""The package root: what it exports, and that the benchmark's names are among them."""
+
+import ast
+from pathlib import Path
+
+import strongarc
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+def _names_read_by_workloads() -> set[str]:
+    """Names ``benchmarks/workloads.py`` reads as ``sa.<name>`` or through ``getattr(sa, ...)``.
+
+    ``getattr`` takes the name from an ``Instance`` argument tuple or from ``_FAMILIES``.
+    """
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sa":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Instance":
+            args = node.args[1]
+            if isinstance(args, ast.Tuple) and isinstance(args.elts[0], ast.Constant):
+                names.add(args.elts[0].value)
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_FAMILIES":
+            names.update(row[0] for row in ast.literal_eval(node.value))
+    return names
+
+
+def test_benchmark_names_are_exported():
+    names = _names_read_by_workloads()
+    assert {"lift_certificates", "cycle_cycle_family", "lambda_2", "verify_cut"} <= names
+    assert names <= set(strongarc.__all__)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(strongarc.__all__)) == len(strongarc.__all__)
+    for name in strongarc.__all__:
+        assert getattr(strongarc, name) is not None

@@ -288,6 +288,12 @@ class TestCertificates:
         report = verify_certificate(d, self.build([[(0, 1), (1, 2)]]))
         assert not report.valid and report.member_strong == (False,)
 
+    def test_strongness_reported_off_host_and_out_of_range(self):
+        d = from_arc_list(3, [(0, 1), (1, 0)])
+        report = verify_certificate(d, self.build([[(0, 2), (2, 1), (1, 0)], [(0, 1), (1, 5), (5, 0)]]))
+        assert report.member_in_host == (False, False)
+        assert report.member_strong == (True, False)
+
     def test_member_missing_seed_flagged(self):
         d = complete_digraph(3)
         report = verify_certificate(d, self.build([[(1, 2), (2, 1)]]))

@@ -1,17 +1,10 @@
-"""Cartesian product of digraphs: encoding, fibers, arc lifting."""
+"""Cartesian product of digraphs: encoding, arc lifting into fibers."""
 
 import pytest
 
-from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong
+from strongarc.digraph import DigraphError, biorient, is_strong
 from strongarc.generators import bidirected_cycle, complete_digraph, directed_cycle
-from strongarc.product import (
-    cartesian_product,
-    g_fiber,
-    h_fiber,
-    lift_g_arcs,
-    lift_h_arcs,
-    translate_subgraph,
-)
+from strongarc.product import cartesian_product, lift_g_arcs, lift_h_arcs
 
 
 @pytest.fixture
@@ -64,27 +57,6 @@ class TestEncoding:
 
 
 class TestFibers:
-    def test_g_fiber_vertices(self):
-        g = from_arc_list(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-        p = cartesian_product(g, bidirected_cycle(3))
-        for j in range(3):
-            ref = g_fiber(p, j)
-            assert ref.axis == "g" and ref.index == j
-            assert ref.vertices == tuple(p.encode(i, j) for i in range(3))
-
-    def test_h_fiber_vertices(self):
-        p = cartesian_product(directed_cycle(3), bidirected_cycle(4))
-        for i in range(3):
-            ref = h_fiber(p, i)
-            assert ref.axis == "h" and ref.index == i
-            assert ref.vertices == tuple(p.encode(i, j) for j in range(4))
-
-    def test_fiber_index_range_checked(self, c3_square):
-        with pytest.raises(DigraphError):
-            g_fiber(c3_square, 3)
-        with pytest.raises(DigraphError):
-            h_fiber(c3_square, -1)
-
     def test_lifted_fibers_partition_product_arcs(self, c3_square):
         p = c3_square
         g_arcs = directed_cycle(3).arcs
@@ -111,27 +83,3 @@ class TestLifting:
             lift_g_arcs(c3_square, [(0, 3)], 0)
         with pytest.raises(DigraphError):
             lift_h_arcs(c3_square, [(0, 1)], 5)
-
-    def test_translate_between_g_fibers(self, c3_square):
-        p = c3_square
-        src = lift_g_arcs(p, [(0, 1), (1, 2), (2, 0)], 0)
-        moved = translate_subgraph(p, src, g_fiber(p, 2))
-        assert moved == lift_g_arcs(p, [(0, 1), (1, 2), (2, 0)], 2)
-
-    def test_translate_between_h_fibers(self, c3_square):
-        p = c3_square
-        src = lift_h_arcs(p, [(0, 1)], 0)
-        moved = translate_subgraph(p, src, h_fiber(p, 2))
-        assert moved == lift_h_arcs(p, [(0, 1)], 2)
-
-    def test_translate_rejects_mixed_axis_arcs(self, c3_square):
-        p = c3_square
-        mixed = {(p.encode(0, 0), p.encode(0, 1))}  # an H-arc
-        with pytest.raises(DigraphError):
-            translate_subgraph(p, mixed, g_fiber(p, 1))
-
-    def test_translate_rejects_arcs_from_several_fibers(self, c3_square):
-        p = c3_square
-        spread = lift_g_arcs(p, [(0, 1)], 0) | lift_g_arcs(p, [(0, 1)], 1)
-        with pytest.raises(DigraphError):
-            translate_subgraph(p, spread, g_fiber(p, 2))
