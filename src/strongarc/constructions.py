@@ -26,8 +26,10 @@ from .generators import (
 )
 from .packing import (
     CertificateFamily,
+    _ArcTables,
+    _exact,
+    _validate_pair,
     lambda_2,
-    lambda_s_exact,
     verify_certificate,
 )
 from .product import ProductDigraph, cartesian_product, lift_g_arcs, lift_h_arcs
@@ -618,7 +620,8 @@ def cycle_complete_family(
 
 
 def _factor_family(d: Digraph, pair: tuple[int, int], need: int) -> tuple[frozenset[Arc], ...]:
-    result = lambda_s_exact(d, pair)
+    # the search itself, not ``lambda_s_exact``: every caller verifies the lifted or sealed family
+    result = _exact(d, _ArcTables(d), *_validate_pair(d, pair))
     if result.value < need:
         raise ConstructionError(
             f"packing for seed {pair} gave {result.value} members, expected >= {need}"

@@ -16,7 +16,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, _strong_on_endpoints
 from .flow import _unit_flow, max_flow_unit
@@ -124,129 +124,143 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
 # --- lazy path spaces ---------------------------------------------------------
 
 
-_ArcTables = tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[int, ...]]
+class _ArcTables:
+    """Arcs as bits, built once per search and shared by the packers of all its pairs.
 
-
-def _arc_tables(d: Digraph) -> _ArcTables:
-    """Arcs as bits: per vertex its ``(head, bit)`` out-arcs, its out-arc mask and its in-arc mask.
-
-    Bit ``1 << i`` is ``sorted_arcs[i]``, so each row is sorted by head.
-    Built once per search and shared by the packers of all its pairs; not
-    cached on the digraph, where it would outlive the search.
+    ``adj[u]`` lists the out-arcs of ``u`` as ``(head, bit)`` with bit ``1 << i``
+    for ``sorted_arcs[i]``, so each row is sorted by head; ``out_mask[u]`` and
+    ``in_mask[u]`` are the masks of its out- and in-arcs.  ``dist_to(t)`` gives
+    every vertex's distance to ``t``, searched on first use, so a sweep runs
+    one search per target however many pairs share it.  Not cached on the
+    digraph, where it would outlive the search.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-    out_mask = [0] * d.n
-    in_mask = [0] * d.n
-    for i, (u, v) in enumerate(d.sorted_arcs):
-        bit = 1 << i
-        adj[u].append((v, bit))
-        out_mask[u] |= bit
-        in_mask[v] |= bit
-    return tuple(map(tuple, adj)), tuple(out_mask), tuple(in_mask)
+
+    def __init__(self, d: Digraph) -> None:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+        out_mask = [0] * d.n
+        in_mask = [0] * d.n
+        for i, (u, v) in enumerate(d.sorted_arcs):
+            bit = 1 << i
+            adj[u].append((v, bit))
+            out_mask[u] |= bit
+            in_mask[v] |= bit
+        self.adj = tuple(map(tuple, adj))
+        self.out_mask, self.in_mask = out_mask, in_mask
+        self._in_adj = d.in_adj
+        self._dist: list[list[float] | None] = [None] * d.n
+
+    def dist_to(self, t: int) -> list[float]:
+        dist = self._dist[t]
+        if dist is None:
+            dist = [_INF] * len(self._dist)
+            dist[t] = 0
+            queue = deque([t])
+            while queue:
+                u = queue.popleft()
+                for v in self._in_adj[u]:
+                    if dist[v] is _INF:
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+            self._dist[t] = dist
+        return dist
 
 
 class _PathSpace:
-    """Simple s->t paths as arc bitmasks, generated in (length, lexicographic) order."""
+    """Simple s->t paths as arc bitmasks, produced on demand in (length, lexicographic) order."""
 
-    def __init__(
-        self,
-        n: int,
-        adj_bits: Sequence[Sequence[tuple[int, int]]],
-        rev_heads: Sequence[Sequence[int]],
-        s: int,
-        t: int,
-        ticker: list[int],
-    ) -> None:
-        self.n = n
-        self.adj = adj_bits  # per vertex: sorted (head, arc_bit)
-        self.s, self.t = s, t
-        self.ticker = ticker
-        dist = [_INF] * n
-        dist[t] = 0
-        queue = deque([t])
-        while queue:
-            u = queue.popleft()
-            for v in rev_heads[u]:
-                if dist[v] is _INF:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        self.dist = dist
+    def __init__(self, tables: _ArcTables, s: int, t: int, ticker: list[int]) -> None:
         self.paths: list[int] = []
-        if dist[s] is _INF:
-            self.done = True
-            self.length = 0
-        else:
-            self.done = False
-            self.length = int(dist[s])
+        self._more = self._generate(tables.adj, tables.dist_to(t), s, t, ticker)
 
     def get(self, idx: int) -> int | None:
-        while len(self.paths) <= idx and not self.done:
-            self._extend()
-        return self.paths[idx] if idx < len(self.paths) else None
+        paths = self.paths
+        while len(paths) <= idx:
+            path = next(self._more, None)
+            if path is None:
+                return None
+            paths.append(path)
+        return paths[idx]
 
-    def _extend(self) -> None:
-        """Append every path of the current length, by depth-first search on an explicit stack.
+    @staticmethod
+    def _generate(
+        adj: Sequence[Sequence[tuple[int, int]]], dist: Sequence[float], s: int, t: int, ticker: list[int]
+    ) -> Iterator[int]:
+        """Each length's paths by a depth-first search on an explicit stack, shortest length first.
 
-        Out-arcs are tried in head order, so paths come out in lexicographic
-        order, and the ticker counts one step per visited vertex.
+        Out-arcs are tried in head order, so each length's paths come out in
+        lexicographic order.  The ticker counts one step per visited vertex
+        and is written back before each path is handed out, since the
+        packer ticks it too while this search is paused.
         """
-        target_len = self.length
-        sink = self.t
-        dist = self.dist
-        adj = self.adj
-        out = self.paths
-        on_path = [False] * self.n
-        ticks, limit = self.ticker
-        ticks += 1
-        if ticks > limit:
-            raise _BudgetExhausted
-        on_path[self.s] = True
-        # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
-        verts, masks, arcs_left = [self.s], [0], [iter(adj[self.s])]
-        while arcs_left:
-            depth = len(arcs_left)
-            mask = masks[-1]
-            for head, bit in arcs_left[-1]:
-                if on_path[head]:
-                    continue
-                ticks += 1
-                if ticks > limit:
-                    raise _BudgetExhausted
-                if head == sink:
-                    if depth == target_len:
-                        out.append(mask | bit)
-                elif depth + dist[head] <= target_len:
-                    on_path[head] = True
-                    verts.append(head)
-                    masks.append(mask | bit)
-                    arcs_left.append(iter(adj[head]))
-                    break
-            else:
-                on_path[verts.pop()] = False
-                masks.pop()
-                arcs_left.pop()
-        self.ticker[0] = ticks
-        self.length += 1
-        if self.length > self.n - 1:
-            self.done = True
+        if dist[s] is _INF:
+            return
+        n = len(adj)
+        limit = ticker[1]
+        on_path = [False] * n
+        for target_len in range(int(dist[s]), n):
+            ticks = ticker[0] + 1
+            if ticks > limit:
+                raise _BudgetExhausted
+            on_path[s] = True
+            # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
+            verts, masks, arcs_left = [s], [0], [iter(adj[s])]
+            while arcs_left:
+                depth = len(arcs_left)
+                mask = masks[-1]
+                for head, bit in arcs_left[-1]:
+                    if on_path[head]:
+                        continue
+                    ticks += 1
+                    if ticks > limit:
+                        raise _BudgetExhausted
+                    if head == t:
+                        if depth == target_len:
+                            ticker[0] = ticks
+                            yield mask | bit
+                            ticks = ticker[0]
+                    elif depth + dist[head] <= target_len:
+                        on_path[head] = True
+                        verts.append(head)
+                        masks.append(mask | bit)
+                        arcs_left.append(iter(adj[head]))
+                        break
+                else:
+                    on_path[verts.pop()] = False
+                    masks.pop()
+                    arcs_left.pop()
+            ticker[0] = ticks
 
 
 # --- exact packing search -----------------------------------------------------
 
 
 class _SeedPacker:
-    """Depth-first packer for arc-disjoint (x->y path, y->x path) unions."""
+    """Depth-first packer for arc-disjoint (x->y path, y->x path) unions.
+
+    Each search node first applies the seed-degree counts and the failure
+    memo.  The flow bound (both local connectivities in the unused arcs are
+    at least ``remaining``) is deferred: a node pays for its two flows only
+    once its scan does anything other than take its first candidate, that
+    is, when it skips a clashing path, runs out of y->x paths for an x->y
+    path, or resumes after a failed child.  A node that succeeds on its
+    first try runs no flow.  The deferral stays cheap: if a node is
+    flow-infeasible (``λ(x, y) < remaining`` in the unused arcs), so is
+    every child, because a member crosses every minimum x->y cut at least
+    once, so λ falls by at least 1 while ``remaining`` falls by exactly 1.
+    A flow-infeasible node therefore costs at most ``remaining`` first
+    descents, each ended by one check.  Results do not change, because a
+    flow check only prunes subtrees whose scan would find nothing.
+    """
 
     def __init__(self, d: Digraph, tables: _ArcTables, x: int, y: int, budget: int | None = None) -> None:
         self.d = d
         self.x, self.y = x, y
         self.arcs = d.sorted_arcs
         self.ticker = [0, budget if budget is not None else float("inf")]
-        adj_bits, out_mask, in_mask = tables
-        self.space_xy = _PathSpace(d.n, adj_bits, d.in_adj, x, y, self.ticker)
-        self.space_yx = _PathSpace(d.n, adj_bits, d.in_adj, y, x, self.ticker)
-        self.out_x, self.in_x = out_mask[x], in_mask[x]
-        self.out_y, self.in_y = out_mask[y], in_mask[y]
+        self.space_xy = _PathSpace(tables, x, y, self.ticker)
+        self.space_yx = _PathSpace(tables, y, x, self.ticker)
+        self.out_x, self.in_x = tables.out_mask[x], tables.in_mask[x]
+        self.out_y, self.in_y = tables.out_mask[y], tables.in_mask[y]
         self.fail_memo: dict[tuple[int, int], int] = {}
         self.stack: list[int] = []
         self.best_partial: list[int] = []
@@ -263,10 +277,16 @@ class _SeedPacker:
             out.append(frozenset(member))
         return tuple(out)
 
-    def feasible(self, k: int) -> tuple[frozenset[Arc], ...] | None:
-        """A packing of exactly k classes, or None when impossible."""
-        masks = self._rec(0, k, 0)
-        return None if masks is None else self.masks_to_arcs(masks)
+    def feasible(self, k: int) -> list[int] | None:
+        """The arc masks of a packing of exactly k classes, or None when impossible."""
+        return self._rec(0, k, 0)
+
+    def _flow_short(self, used: int, remaining: int) -> bool:
+        """True when fewer than ``remaining`` arc-disjoint paths avoid ``used`` in either direction."""
+        return (
+            _unit_flow(self.d, self.x, self.y, remaining, used)[0] < remaining
+            or _unit_flow(self.d, self.y, self.x, remaining, used)[0] < remaining
+        )
 
     def _rec(self, used: int, remaining: int, min_rank: int) -> list[int] | None:
         if remaining == 0:
@@ -285,10 +305,7 @@ class _SeedPacker:
         memo_rank = self.fail_memo.get((used, remaining))
         if memo_rank is not None and memo_rank <= min_rank:
             return None
-        if _unit_flow(self.d, self.x, self.y, remaining, used)[0] < remaining:
-            return None
-        if _unit_flow(self.d, self.y, self.x, remaining, used)[0] < remaining:
-            return None
+        flows_checked = False
         rank = min_rank
         while True:
             pmask = self.space_xy.get(rank)
@@ -309,7 +326,15 @@ class _SeedPacker:
                         self.stack.pop()
                         if sub is not None:
                             return [member] + sub
+                    if not flows_checked:
+                        if self._flow_short(used, remaining):
+                            return None
+                        flows_checked = True
                     qrank += 1
+            if not flows_checked:
+                if self._flow_short(used, remaining):
+                    return None
+                flows_checked = True
             rank += 1
         prev = self.fail_memo.get((used, remaining))
         if prev is None or min_rank < prev:
@@ -354,28 +379,35 @@ def _exact(
     packer = _SeedPacker(d, tables, x, y, budget)
     for k in range(ub, 0, -1):
         try:
-            members = packer.feasible(k)
+            masks = packer.feasible(k)
         except _BudgetExhausted:
             lower = len(packer.best_partial)
             witness = CertificateFamily(d.n, (x, y), packer.masks_to_arcs(packer.best_partial))
             return PackingResult(lower, witness, "budget", False, lower, k)
-        if members is not None:
+        if masks is not None:
             if k == deg_bound:
                 why = "degree-bound"
             elif k == flow_bound:
                 why = "flow-bound"
             else:
                 why = "search-closed"
-            witness = CertificateFamily(d.n, (x, y), members)
+            witness = CertificateFamily(d.n, (x, y), packer.masks_to_arcs(masks))
             return PackingResult(k, witness, why, True, k, k)
     empty = CertificateFamily(d.n, (x, y), ())
     return PackingResult(0, empty, "search-closed", True, 0, 0)
 
 
 def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -> PackingResult:
-    """Exact seed-pair packing number with a verified witness family."""
+    """Exact seed-pair packing number with a verified witness family.
+
+    The witness is verified before return; a witness that fails raises
+    ``RuntimeError``.
+    """
     x, y = _validate_pair(d, seed)
-    return _exact(d, _arc_tables(d), x, y, budget=budget)
+    result = _exact(d, _ArcTables(d), x, y, budget=budget)
+    if not verify_certificate(d, result.witness).valid:
+        raise RuntimeError(f"lambda_s_exact witness for pair {(x, y)} does not verify")
+    return result
 
 
 def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
@@ -431,6 +463,8 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
+    if samples is not None and samples < 1:
+        raise DigraphError(f"samples must be at least 1, got {samples}")
     if samples is None:
         pairs = _pair_orbit_representatives(d)
         exact = True
@@ -443,7 +477,7 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
         rng = random.Random(seed)
         pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
         exact = False
-    tables = _arc_tables(d)
+    tables = _ArcTables(d)
     best: PackingResult | None = None
     best_pair: tuple[int, int] = pairs[0]
     for x, y in pairs:

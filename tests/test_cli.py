@@ -138,6 +138,12 @@ class TestLambdaTwoCommand:
         code, _, err = run(capsys, ["lambda2", "bcm:5", "--samples", "3"])
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_is_usage_error(self, capsys, samples):
+        code, out, err = run(capsys, ["lambda2", "cn:4", "--samples", samples, "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: samples must be at least 1, got {samples}\n"
+
     def test_cert_out_round_trips(self, capsys, tmp_path):
         path = tmp_path / "wit.json"
         code, out, _ = run(capsys, ["lambda2", "bcm:4", "--cert-out", str(path)])

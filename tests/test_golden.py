@@ -1,6 +1,7 @@
 """CLI stdout, byte for byte, against outputs recorded before the flow kernel rewrite
 (`lambda`, `check thm31`), before the pair-orbit sweep (`lambda2`, `check table1`,
-`check eq2`) and before the single-copy refactor (`hunt`, `check bounds`, `construct`)."""
+`check eq2`), before the single-copy refactor (`hunt`, `check bounds`, `construct`) and
+before the deferred flow bound (`check table1 --max 5`, the sampled `lambda2`)."""
 
 from pathlib import Path
 
@@ -31,6 +32,8 @@ COMMANDS = {
     "construct_lift_cn3_bcm4_s01_21": "construct lift --g cn:3 --h bcm:4 -S 0,1:2,1",
     "construct_p54_n3_m5_s00_11": "construct p54 -n 3 -m 5 -S 0,0:1,1",
     "construct_p53_n3_m4_star_s00_10": "construct p53 -n 3 -m 4 -S 0,0:1,0 --shape star",
+    "check_table1_max5": "check table1 --max 5",
+    "lambda2_rand6_x_bcm4_samples12_seed3": "lambda2 rand:6:0.4:3 x bcm:4 --samples 12 --seed 3",
 }
 
 

@@ -83,6 +83,65 @@ class TestExactSearch:
         assert (r.value, r.lower, r.upper) == (2, 2, 6)
         assert verify_certificate(p.digraph, r.witness).valid
 
+    def test_invalid_witness_raises(self, monkeypatch):
+        def reject(d, cert):
+            return CertificateReport(False, (), (), (), ())
+
+        monkeypatch.setattr(packing, "verify_certificate", reject)
+        with pytest.raises(RuntimeError):
+            lambda_s_exact(complete_digraph(3), (0, 1))
+
+    def test_flow_bound_stops_an_infeasible_search_early(self, monkeypatch):
+        """Two K4 joined by one digon: the first descent uses the digon, and two flows end the search."""
+        arcs = [(u, v) for block in (range(4), range(4, 8)) for u in block for v in block if u != v]
+        d = from_arc_list(8, arcs + [(3, 4), (4, 3)])
+        calls = {"nodes": 0, "flows": 0}
+        rec, unit_flow = packing._SeedPacker._rec, packing._unit_flow
+
+        def counted_rec(self, *args):
+            calls["nodes"] += 1
+            return rec(self, *args)
+
+        def counted_flow(*args):
+            calls["flows"] += 1
+            return unit_flow(*args)
+
+        monkeypatch.setattr(packing._SeedPacker, "_rec", counted_rec)
+        monkeypatch.setattr(packing, "_unit_flow", counted_flow)
+        assert packing._SeedPacker(d, packing._ArcTables(d), 0, 7).feasible(2) is None
+        assert calls["nodes"] <= 2 and calls["flows"] <= 4
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_paths_come_shortest_first_then_lexicographic(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        d = random_digraph(n, rng.randint(n, 3 * n), rng.getrandbits(32))
+        bit = {arc: 1 << i for i, arc in enumerate(d.sorted_arcs)}
+        walks = [(0,)]
+        found = []
+        while walks:
+            walk = walks.pop()
+            for v in range(n):
+                if (walk[-1], v) in d.arcs and v not in walk:
+                    (found if v == n - 1 else walks).append(walk + (v,))
+        found.sort(key=lambda walk: (len(walk), walk))
+        expected = [sum(bit[arc] for arc in zip(walk, walk[1:])) for walk in found]
+        space = packing._PathSpace(packing._ArcTables(d), 0, n - 1, [0, float("inf")])
+        produced = list(iter(lambda: space.get(len(space.paths)), None))
+        assert produced == expected
+
+    def test_path_search_keeps_ticks_taken_while_paused(self):
+        ticker = [0, float("inf")]
+        d = complete_digraph(5)
+        space = packing._PathSpace(packing._ArcTables(d), 0, 4, ticker)
+        for idx in itertools.count():
+            ticker[0] += 1000  # the packer's own steps between two requests
+            before = ticker[0]
+            if space.get(idx) is None:
+                break
+            assert ticker[0] > before
+        assert idx == 16  # every simple 0 -> 4 path in K5
+
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_value_never_exceeds_cheap_upper_bound(self, seed):
@@ -118,6 +177,11 @@ class TestLambdaTwo:
     def test_sampled_mode_requires_seed(self):
         with pytest.raises(DigraphError):
             lambda_2(bidirected_cycle(5), samples=3)
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(DigraphError, match="samples must be at least 1"):
+            lambda_2(bidirected_cycle(5), samples=samples, seed=1)
 
     def test_sampled_mode_deterministic(self):
         d = random_digraph(6, 18, 1)
@@ -261,9 +325,20 @@ class TestOracles:
         y = rng.randrange(d.n - 1)
         if y >= x:
             y += 1
-        exact = lambda_s_exact(d, (x, y)).value
-        assert exact == lambda_s_oracle_subsets(d, (x, y))
-        assert exact == lambda_s_oracle_paths(d, (x, y))
+        _assert_three_routes_agree(d, (x, y))
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exact_equals_both_oracles(self, n, seed, data):
+        d = random_digraph(n, 14, seed)
+        pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        _assert_three_routes_agree(d, pair)
+
+
+def _assert_three_routes_agree(d, pair):
+    exact = lambda_s_exact(d, pair).value
+    assert exact == lambda_s_oracle_subsets(d, pair)
+    assert exact == lambda_s_oracle_paths(d, pair)
 
 
 class TestCertificates:
