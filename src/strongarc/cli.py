@@ -29,6 +29,7 @@ from .constructions import (
     cycle_cycle_family,
     cycle_tree_family,
     HuntConfig,
+    _validate_trials,
     hunt_tightness,
     lift_certificates,
 )
@@ -311,6 +312,8 @@ _CHECK_HANDLERS = {
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.target != "table1":
+        _validate_trials(args.trials, args.max_order)
     return _CHECK_HANDLERS[args.target](args)
 
 

@@ -856,6 +856,14 @@ class HuntReport:
     hits: tuple[HuntHit, ...]
 
 
+def _validate_trials(trials: int, max_order: int) -> None:
+    """Reject the settings of a randomized run that would do nothing sensible."""
+    if trials < 0:
+        raise DigraphError(f"trials must be nonnegative, got {trials}")
+    if max_order < 2:
+        raise DigraphError(f"max order must be at least 2, got {max_order}")
+
+
 def hunt_tightness(config: HuntConfig) -> HuntReport:
     """Sample random strong factor pairs, looking for products that meet the lower bound.
 
@@ -864,10 +872,7 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
     witness family.  ``sandwich_ok`` confirms every trial stayed inside
     both bounds.
     """
-    if config.trials < 0:
-        raise DigraphError(f"trials must be nonnegative, got {config.trials}")
-    if config.max_order < 2:
-        raise DigraphError(f"max order must be at least 2, got {config.max_order}")
+    _validate_trials(config.trials, config.max_order)
     if not 0 <= config.extra_arc_prob <= 1:
         raise DigraphError(f"extra arc probability must lie in [0, 1], got {config.extra_arc_prob}")
     rng = random.Random(config.seed)

@@ -4,10 +4,11 @@ For a seed pair S = {x, y} the quantity of interest is the largest number of
 pairwise arc-disjoint strong subgraphs of D that all contain x and y.  Every
 such subgraph can be shrunk to the union of one x->y path and one y->x path,
 so the exact solver packs path-pair unions: classes are built one at a time,
-paths are tried shortest-first in a fixed lexicographic order, and failed
-states are memoized on the bitmask of consumed arcs.  Two independent
-brute-force oracles (arc-subset enumeration and path-union enumeration) cross
-check the solver on small instances.
+each from paths in the arcs the earlier classes left unused, tried
+shortest-first in a fixed lexicographic order, and failed states are memoized
+on the bitmask of consumed arcs.  Two independent brute-force oracles
+(arc-subset enumeration and path-union enumeration) cross check the solver on
+small instances.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class CertificateReport:
 class PackingResult:
     """Seed-pair packing number with witness family and the reason it is optimal.
 
-    When a node budget interrupts the search, ``exact`` is False and
+    When a budget interrupts the search, ``exact`` is False and
     ``lower``/``upper`` bracket the true value (witness proves ``lower``).
+    The budget counts search steps: one per search node, per path length
+    a path search starts and per arc a path search examines.
     """
 
     value: int
@@ -121,7 +124,7 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     return CertificateReport(valid, tuple(in_host), tuple(strong), tuple(has_seed), tuple(overlaps))
 
 
-# --- lazy path spaces ---------------------------------------------------------
+# --- arc tables and path enumeration ------------------------------------------
 
 
 class _ArcTables:
@@ -165,70 +168,68 @@ class _ArcTables:
         return dist
 
 
-class _PathSpace:
-    """Simple s->t paths as arc bitmasks, produced on demand in (length, lexicographic) order."""
+def _paths(
+    tables: _ArcTables, s: int, t: int, avoid: int, start: tuple[int, int], ticker: list[int]
+) -> Iterator[int]:
+    """Simple s->t paths avoiding ``avoid``, as arc bitmasks, in (length, lexicographic) order.
 
-    def __init__(self, tables: _ArcTables, s: int, t: int, ticker: list[int]) -> None:
-        self.paths: list[int] = []
-        self._more = self._generate(tables.adj, tables.dist_to(t), s, t, ticker)
+    Only paths after the (length, first-arc bit) key ``start`` come out: the
+    longer ones and those of that length whose first arc is a later bit.
+    Each length is a depth-first search on an explicit stack, pruned by the
+    distances to ``t`` in D, with out-arcs tried in head order.  The ticker
+    counts one step per length started and per arc examined, and is written
+    back before each path is handed out, since the packer ticks it too while
+    this search is paused.
+    """
+    adj = tables.adj
+    dist = tables.dist_to(t)
+    if dist[s] is _INF:
+        return
+    n = len(adj)
+    limit = ticker[1]
+    on_path = [False] * n
+    start_len, start_bit = start
+    for target_len in range(max(start_len, int(dist[s])), n):
+        ticks = ticker[0] + 1
+        if ticks > limit:
+            raise _BudgetExhausted
+        first_arcs = adj[s] if target_len > start_len else [arc for arc in adj[s] if arc[1] > start_bit]
+        on_path[s] = True
+        # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
+        verts, masks, arcs_left = [s], [0], [iter(first_arcs)]
+        while arcs_left:
+            depth = len(arcs_left)
+            mask = masks[-1]
+            for head, bit in arcs_left[-1]:
+                ticks += 1
+                if ticks > limit:
+                    raise _BudgetExhausted
+                if bit & avoid or on_path[head]:
+                    continue
+                if head == t:
+                    if depth == target_len:
+                        ticker[0] = ticks
+                        yield mask | bit
+                        ticks = ticker[0]
+                elif depth + dist[head] <= target_len:
+                    on_path[head] = True
+                    verts.append(head)
+                    masks.append(mask | bit)
+                    arcs_left.append(iter(adj[head]))
+                    break
+            else:
+                on_path[verts.pop()] = False
+                masks.pop()
+                arcs_left.pop()
+        ticker[0] = ticks
 
-    def get(self, idx: int) -> int | None:
-        paths = self.paths
-        while len(paths) <= idx:
-            path = next(self._more, None)
-            if path is None:
-                return None
-            paths.append(path)
-        return paths[idx]
 
-    @staticmethod
-    def _generate(
-        adj: Sequence[Sequence[tuple[int, int]]], dist: Sequence[float], s: int, t: int, ticker: list[int]
-    ) -> Iterator[int]:
-        """Each length's paths by a depth-first search on an explicit stack, shortest length first.
-
-        Out-arcs are tried in head order, so each length's paths come out in
-        lexicographic order.  The ticker counts one step per visited vertex
-        and is written back before each path is handed out, since the
-        packer ticks it too while this search is paused.
-        """
-        if dist[s] is _INF:
-            return
-        n = len(adj)
-        limit = ticker[1]
-        on_path = [False] * n
-        for target_len in range(int(dist[s]), n):
-            ticks = ticker[0] + 1
-            if ticks > limit:
-                raise _BudgetExhausted
-            on_path[s] = True
-            # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
-            verts, masks, arcs_left = [s], [0], [iter(adj[s])]
-            while arcs_left:
-                depth = len(arcs_left)
-                mask = masks[-1]
-                for head, bit in arcs_left[-1]:
-                    if on_path[head]:
-                        continue
-                    ticks += 1
-                    if ticks > limit:
-                        raise _BudgetExhausted
-                    if head == t:
-                        if depth == target_len:
-                            ticker[0] = ticks
-                            yield mask | bit
-                            ticks = ticker[0]
-                    elif depth + dist[head] <= target_len:
-                        on_path[head] = True
-                        verts.append(head)
-                        masks.append(mask | bit)
-                        arcs_left.append(iter(adj[head]))
-                        break
-                else:
-                    on_path[verts.pop()] = False
-                    masks.pop()
-                    arcs_left.pop()
-            ticker[0] = ticks
+def _replay(seen: list[int], source: Iterator[int]) -> Iterator[int]:
+    """The items already drawn from ``source`` (kept in ``seen``), then the ones still to come."""
+    yield from seen
+    for item in source:
+        seen.append(item)
+        yield item
 
 
 # --- exact packing search -----------------------------------------------------
@@ -237,31 +238,37 @@ class _PathSpace:
 class _SeedPacker:
     """Depth-first packer for arc-disjoint (x->y path, y->x path) unions.
 
-    Each search node first applies the seed-degree counts and the failure
-    memo.  The flow bound (both local connectivities in the unused arcs are
-    at least ``remaining``) is deferred: a node pays for its two flows only
-    once its scan does anything other than take its first candidate, that
-    is, when it skips a clashing path, runs out of y->x paths for an x->y
-    path, or resumes after a failed child.  A node that succeeds on its
-    first try runs no flow.  The deferral stays cheap: if a node is
-    flow-infeasible (``λ(x, y) < remaining`` in the unused arcs), so is
-    every child, because a member crosses every minimum x->y cut at least
-    once, so λ falls by at least 1 while ``remaining`` falls by exactly 1.
-    A flow-infeasible node therefore costs at most ``remaining`` first
+    Each search node lists its own candidates in the arcs not yet used: its
+    x->y paths after the key of the previous class's x->y path (which lies
+    in ``used``, so no later path is lost), and its y->x paths once, shared
+    by all of them.  No path list outlives its node.  A node first applies
+    the seed-degree counts and the failure memo, which keeps the least
+    start key that failed for each (used arcs, classes still to place).  A
+    node with no y->x path in the unused arcs fails at once.  The flow bound
+    (both local connectivities in the unused arcs are at least
+    ``remaining``) is deferred: a node pays for its two flows only after
+    its first child fails, so a node that succeeds on its first try runs
+    no flow.  The deferral stays cheap: if a node is flow-infeasible
+    (``λ(x, y) < remaining`` in the unused arcs), so is every child,
+    because a member crosses every minimum x->y cut at least once, so λ
+    falls by at least 1 while ``remaining`` falls by exactly 1.  A
+    flow-infeasible node therefore costs at most ``remaining`` first
     descents, each ended by one check.  Results do not change, because a
     flow check only prunes subtrees whose scan would find nothing.
+
+    ``budget`` bounds the search steps: one per search node, per path
+    length a path search starts and per arc it examines.
     """
 
     def __init__(self, d: Digraph, tables: _ArcTables, x: int, y: int, budget: int | None = None) -> None:
         self.d = d
         self.x, self.y = x, y
         self.arcs = d.sorted_arcs
+        self.tables = tables
         self.ticker = [0, budget if budget is not None else float("inf")]
-        self.space_xy = _PathSpace(tables, x, y, self.ticker)
-        self.space_yx = _PathSpace(tables, y, x, self.ticker)
         self.out_x, self.in_x = tables.out_mask[x], tables.in_mask[x]
         self.out_y, self.in_y = tables.out_mask[y], tables.in_mask[y]
-        self.fail_memo: dict[tuple[int, int], int] = {}
+        self.fail_memo: dict[tuple[int, int], tuple[int, int]] = {}
         self.stack: list[int] = []
         self.best_partial: list[int] = []
 
@@ -279,7 +286,7 @@ class _SeedPacker:
 
     def feasible(self, k: int) -> list[int] | None:
         """The arc masks of a packing of exactly k classes, or None when impossible."""
-        return self._rec(0, k, 0)
+        return self._rec(0, k, (0, 0))
 
     def _flow_short(self, used: int, remaining: int) -> bool:
         """True when fewer than ``remaining`` arc-disjoint paths avoid ``used`` in either direction."""
@@ -288,7 +295,8 @@ class _SeedPacker:
             or _unit_flow(self.d, self.y, self.x, remaining, used)[0] < remaining
         )
 
-    def _rec(self, used: int, remaining: int, min_rank: int) -> list[int] | None:
+    def _rec(self, used: int, remaining: int, start: tuple[int, int]) -> list[int] | None:
+        """``remaining`` classes outside ``used`` whose x->y paths come after ``start``, or None."""
         if remaining == 0:
             return []
         self.ticker[0] += 1
@@ -302,43 +310,30 @@ class _SeedPacker:
             return None
         if (self.in_y & ~used).bit_count() < remaining:
             return None
-        memo_rank = self.fail_memo.get((used, remaining))
-        if memo_rank is not None and memo_rank <= min_rank:
+        memo_start = self.fail_memo.get((used, remaining))
+        if memo_start is not None and memo_start <= start:
             return None
         flows_checked = False
-        rank = min_rank
-        while True:
-            pmask = self.space_xy.get(rank)
-            if pmask is None:
-                break
-            if pmask & used == 0:
-                qrank = 0
-                while True:
-                    qmask = self.space_yx.get(qrank)
-                    if qmask is None:
-                        break
-                    if qmask & used == 0:
-                        member = pmask | qmask
-                        self.stack.append(member)
-                        if len(self.stack) > len(self.best_partial):
-                            self.best_partial = list(self.stack)
-                        sub = self._rec(used | member, remaining - 1, rank + 1)
-                        self.stack.pop()
-                        if sub is not None:
-                            return [member] + sub
-                    if not flows_checked:
-                        if self._flow_short(used, remaining):
-                            return None
-                        flows_checked = True
-                    qrank += 1
-            if not flows_checked:
-                if self._flow_short(used, remaining):
+        # the y->x paths avoiding ``used``, drawn once and shared by every x->y candidate
+        back_seen: list[int] = []
+        back_more = _paths(self.tables, self.y, self.x, used, (0, 0), self.ticker)
+        for pmask in _paths(self.tables, self.x, self.y, used, start, self.ticker):
+            key = (pmask.bit_count(), pmask & self.out_x)
+            for qmask in _replay(back_seen, back_more):
+                member = pmask | qmask
+                self.stack.append(member)
+                if len(self.stack) > len(self.best_partial):
+                    self.best_partial = list(self.stack)
+                sub = self._rec(used | member, remaining - 1, key)
+                self.stack.pop()
+                if sub is not None:
+                    return [member] + sub
+                if not flows_checked and self._flow_short(used, remaining):
                     return None
                 flows_checked = True
-            rank += 1
-        prev = self.fail_memo.get((used, remaining))
-        if prev is None or min_rank < prev:
-            self.fail_memo[(used, remaining)] = min_rank
+            if not back_seen:
+                return None
+        self.fail_memo[(used, remaining)] = start  # below any stored key, or the memo would have hit
         return None
 
 
@@ -400,7 +395,10 @@ def _exact(
 def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -> PackingResult:
     """Exact seed-pair packing number with a verified witness family.
 
-    The witness is verified before return; a witness that fails raises
+    ``budget`` bounds the search steps (search nodes, path lengths started,
+    arcs examined); past it the result is a bracket (see ``PackingResult``).
+    A search node runs its flow bound only after its first child fails.  The
+    witness is verified before return; a witness that fails raises
     ``RuntimeError``.
     """
     x, y = _validate_pair(d, seed)

@@ -2,11 +2,17 @@
 
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongarc
 from strongarc import cli
-from strongarc.constructions import HuntConfig, HuntHit, HuntReport, lift_certificates
+from strongarc.constructions import HuntConfig, HuntHit, HuntReport, class_table_value, lift_certificates
 from strongarc.digraph import from_arc_list, write_digraph
 from strongarc.generators import directed_cycle
 from strongarc.packing import certificate_from_json
@@ -157,6 +163,20 @@ class TestLambdaTwoCommand:
         _, out_b, _ = run(capsys, argv)
         assert out_a == out_b
 
+    def test_torus_runs_in_bounded_memory(self):
+        """Seeds 0 and 1 of a directed 20 x 20 torus have far more simple paths than fit in 1 GB."""
+
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(strongarc.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-m", "strongarc", "lambda2", "cn:20", "x", "cn:20"],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[0] == "lambda2: 2" == f"lambda2: {class_table_value('cn', 'cn', 20, 20)}"
+
 
 class TestCheckCommands:
     def test_thm31_small_run(self, capsys):
@@ -186,6 +206,18 @@ class TestCheckCommands:
             capsys, ["check", "eq2", "--trials", "3", "--max-order", "3", "--seed", "4"]
         )
         assert code == 0 and "0 failure(s)" in out and "bidirected products" in out
+
+    @pytest.mark.parametrize("target", ["thm31", "bounds", "eq2"])
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--trials", "-3", "error: trials must be nonnegative, got -3"),
+            ("--max-order", "1", "error: max order must be at least 2, got 1"),
+        ],
+    )
+    def test_bad_trial_settings_are_usage_errors(self, capsys, target, option, value, message):
+        code, out, err = run(capsys, ["check", target, option, value, "--seed", "1"])
+        assert code == 2 and out == "" and err.strip() == message
 
     def test_deterministic_check(self, capsys):
         argv = ["check", "thm31", "--trials", "3", "--max-order", "4", "--seed", "9"]

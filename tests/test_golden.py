@@ -1,7 +1,8 @@
 """CLI stdout, byte for byte, against outputs recorded before the flow kernel rewrite
 (`lambda`, `check thm31`), before the pair-orbit sweep (`lambda2`, `check table1`,
 `check eq2`), before the single-copy refactor (`hunt`, `check bounds`, `construct`) and
-before the deferred flow bound (`check table1 --max 5`, the sampled `lambda2`)."""
+before the deferred flow bound (`check table1 --max 5`, the sampled `lambda2`) and before
+per-node path enumeration (`lambda2` on a directed torus and on a mixed product)."""
 
 from pathlib import Path
 
@@ -34,6 +35,8 @@ COMMANDS = {
     "construct_p53_n3_m4_star_s00_10": "construct p53 -n 3 -m 4 -S 0,0:1,0 --shape star",
     "check_table1_max5": "check table1 --max 5",
     "lambda2_rand6_x_bcm4_samples12_seed3": "lambda2 rand:6:0.4:3 x bcm:4 --samples 12 --seed 3",
+    "lambda2_cn12_x_cn10": "lambda2 cn:12 x cn:10",
+    "lambda2_bcm10_x_rand10": "lambda2 bcm:10 x rand:10:0.3:4",
 }
 
 

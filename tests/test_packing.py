@@ -83,6 +83,18 @@ class TestExactSearch:
         assert (r.value, r.lower, r.upper) == (2, 2, 6)
         assert verify_certificate(p.digraph, r.witness).valid
 
+    def test_later_xy_paths_reuse_the_drawn_yx_paths(self):
+        """The first 0 -> 1 path 0-2-3-1 meets both classes of the only packing, so it fails with
+        every 1 -> 0 path; the next, 0-2-4-1, must be offered those same 1 -> 0 paths again."""
+        arcs = [(0, 2), (2, 3), (3, 1), (2, 4), (4, 1), (0, 5), (5, 3), (1, 6), (6, 0), (1, 7), (7, 0)]
+        d = from_arc_list(8, arcs)
+        r = lambda_s_exact(d, (0, 1))
+        assert r.value == 2 == lambda_s_oracle_paths(d, (0, 1))
+        assert [sorted(m) for m in r.witness.members] == [
+            [(0, 2), (1, 6), (2, 4), (4, 1), (6, 0)],
+            [(0, 5), (1, 7), (3, 1), (5, 3), (7, 0)],
+        ]
+
     def test_invalid_witness_raises(self, monkeypatch):
         def reject(d, cert):
             return CertificateReport(False, (), (), (), ())
@@ -113,31 +125,48 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_paths_come_shortest_first_then_lexicographic(self, seed):
+        """All paths in (length, lexicographic) order; with ``avoid`` and ``start``, that list filtered."""
+
+        def brute_force(d, n):
+            bit = {arc: 1 << i for i, arc in enumerate(d.sorted_arcs)}
+            walks = [(0,)]
+            found = []
+            while walks:
+                walk = walks.pop()
+                for v in range(n):
+                    if (walk[-1], v) in d.arcs and v not in walk:
+                        (found if v == n - 1 else walks).append(walk + (v,))
+            found.sort(key=lambda walk: (len(walk), walk))
+            return bit, [(walk, sum(bit[arc] for arc in zip(walk, walk[1:]))) for walk in found]
+
         rng = random.Random(seed)
         n = rng.randint(2, 6)
         d = random_digraph(n, rng.randint(n, 3 * n), rng.getrandbits(32))
-        bit = {arc: 1 << i for i, arc in enumerate(d.sorted_arcs)}
-        walks = [(0,)]
-        found = []
-        while walks:
-            walk = walks.pop()
-            for v in range(n):
-                if (walk[-1], v) in d.arcs and v not in walk:
-                    (found if v == n - 1 else walks).append(walk + (v,))
-        found.sort(key=lambda walk: (len(walk), walk))
-        expected = [sum(bit[arc] for arc in zip(walk, walk[1:])) for walk in found]
-        space = packing._PathSpace(packing._ArcTables(d), 0, n - 1, [0, float("inf")])
-        produced = list(iter(lambda: space.get(len(space.paths)), None))
-        assert produced == expected
+        dense = random_digraph(6, 30, rng.getrandbits(32))
+        for d, n in ((d, n), (dense, 6)):
+            bit, found = brute_force(d, n)
+            tables = packing._ArcTables(d)
+            produced = list(packing._paths(tables, 0, n - 1, 0, (0, 0), [0, float("inf")]))
+            assert produced == [mask for _, mask in found]
+            first_bits = [0] + [bit[arc] for arc in d.sorted_arcs if arc[0] == 0]
+            for _ in range(8):
+                avoid = rng.getrandbits(len(bit)) & rng.getrandbits(len(bit))
+                start = (rng.randint(0, n - 1), rng.choice(first_bits))
+                kept = [
+                    mask
+                    for walk, mask in found
+                    if mask & avoid == 0 and (len(walk) - 1, bit[walk[:2]]) > start
+                ]
+                assert list(packing._paths(tables, 0, n - 1, avoid, start, [0, float("inf")])) == kept
 
     def test_path_search_keeps_ticks_taken_while_paused(self):
         ticker = [0, float("inf")]
         d = complete_digraph(5)
-        space = packing._PathSpace(packing._ArcTables(d), 0, 4, ticker)
+        paths = packing._paths(packing._ArcTables(d), 0, 4, 0, (0, 0), ticker)
         for idx in itertools.count():
             ticker[0] += 1000  # the packer's own steps between two requests
             before = ticker[0]
-            if space.get(idx) is None:
+            if next(paths, None) is None:
                 break
             assert ticker[0] > before
         assert idx == 16  # every simple 0 -> 4 path in K5
