@@ -28,6 +28,7 @@ from .packing import (
     CertificateFamily,
     _ArcTables,
     _exact,
+    _search_sweep,
     _validate_pair,
     lambda_2,
     verify_certificate,
@@ -197,13 +198,19 @@ def check_symmetric_identity(
     n_h: int,
     edges_h: tuple[tuple[int, int], ...],
 ) -> SymmetricIdentityCheck:
-    """Check that the bidirected product's pair-packing number equals the formula."""
+    """Check that the bidirected product's pair-packing number equals the formula.
+
+    The observed value comes from the packing search over pair orbits
+    (``packing._search_sweep``), not from ``lambda_2``, whose route for
+    symmetric digraphs is a flow computation; the check then stays
+    independent of the flows the formula rests on.
+    """
     und = undirected_product_lambda(n_g, edges_g, n_h, edges_h)
     bg = biorient(n_g, edges_g)
     bh = biorient(n_h, edges_h)
     directed = product_lambda_formula(bg, bh).value
     prod = cartesian_product(bg, bh)
-    observed = lambda_2(prod.digraph).value
+    observed = _search_sweep(prod.digraph).value
     holds = und.value == directed == observed
     return SymmetricIdentityCheck(
         holds=holds,

@@ -113,6 +113,11 @@ def is_strong(d: Digraph) -> bool:
     return all(_reachable(d.n, d.out_adj, 0)) and all(_reachable(d.n, d.in_adj, 0))
 
 
+def is_symmetric(d: Digraph) -> bool:
+    """True iff every arc has its reverse."""
+    return all((v, u) in d.arcs for u, v in d.arcs)
+
+
 def degrees(d: Digraph) -> tuple[int, int]:
     """Return ``(min out-degree, min in-degree)``."""
     d_out = min(d.out_degree(v) for v in range(d.n))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, _strong_on_endpoints
+from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, _strong_on_endpoints, is_symmetric
 from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
@@ -359,19 +359,28 @@ def lambda_s_upper_bound(d: Digraph, seed: Iterable[int]) -> int:
 
 
 def _exact(
-    d: Digraph, tables: _ArcTables, x: int, y: int, cap: int | None = None, budget: int | None = None
+    d: Digraph,
+    tables: _ArcTables,
+    x: int,
+    y: int,
+    cap: int | None = None,
+    budget: int | None = None,
+    packer: _SeedPacker | None = None,
 ) -> PackingResult:
     """Largest feasible packing size, iterating k downward from the upper bound.
 
     With ``cap`` set the result value is min(true value, cap); callers use the
-    cap only when the true value is already known to lie below it.
+    cap only when the true value is already known to lie below it.  A
+    ``packer`` for the same pair may be passed in to keep its failure memo;
+    the memo holds only true failures, so the packings found do not change.
     """
     deg_bound, flow_bound = _seed_bounds(d, x, y)
     ub = flow_bound if cap is None else min(flow_bound, cap)
     if ub == 0:
         empty = CertificateFamily(d.n, (x, y), ())
         return PackingResult(0, empty, "unreachable", True, 0, 0)
-    packer = _SeedPacker(d, tables, x, y, budget)
+    if packer is None:
+        packer = _SeedPacker(d, tables, x, y, budget)
     for k in range(ub, 0, -1):
         try:
             masks = packer.feasible(k)
@@ -441,6 +450,46 @@ def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
 def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
     """Minimum seed-pair packing number over all pairs (or a seeded sample).
 
+    The exhaustive sweep of a symmetric digraph (every arc has its reverse)
+    runs no pair search.  There ``λ_S(D) = λ(x, y)`` for every pair
+    ``S = {x, y}``: each member holds an x->y path, so ``λ_S ≤ λ(x, y)``;
+    conversely, cancel the flow on opposite arc pairs of a maximum x->y
+    flow and split it into paths.  The reversed paths are y->x paths of the
+    same number, and no reversed arc carries flow, so path i with its
+    reverse gives ``λ(x, y)`` arc-disjoint strong subgraphs through x and
+    y.  Every minimum cut separates 0 from some v, and ``λ(0, v) = λ(v, 0)``,
+    so ``λ₂(D) = λ(D) = min_v λ(0, v)``, and the lexicographically least
+    minimizing pair is ``(0, v)`` for the least minimizing v; n - 1 local
+    flows find it.  The witness is the first packing of that size the
+    packer finds at that pair, the one ``_search_sweep`` reports.
+
+    Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
+    see ``_search_sweep``.  The returned witness is verified before return;
+    a witness that fails raises ``RuntimeError``.
+    """
+    if samples is None and d.n >= 2 and is_symmetric(d):
+        return _flow_sweep(d)
+    return _search_sweep(d, samples, seed)
+
+
+def _flow_sweep(d: Digraph) -> Lambda2Result:
+    """``lambda_2`` of a symmetric digraph on two or more vertices, from n - 1 local flows."""
+    value, target = d.out_degree(0), 1  # no flow out of 0 exceeds its out-degree
+    for v in range(1, d.n):
+        if value == 0:
+            break
+        flow = _unit_flow(d, 0, v, value)[0]
+        if flow < value:
+            value, target = flow, v
+    result = _exact(d, _ArcTables(d), 0, target)
+    if result.value != value or not verify_certificate(d, result.witness).valid:
+        raise RuntimeError(f"lambda_2 witness for pair {(0, target)} does not verify at value {value}")
+    return Lambda2Result(value, (0, target), result.witness, True)
+
+
+def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
+    """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
+
     The exhaustive sweep visits one pair per orbit of pairs under a group of
     automorphisms of ``d``: the least pair of each orbit, in lexicographic
     order.  The group is generated by permutations found by
@@ -454,10 +503,10 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     the sweep stays exact and merely visits more of them.
 
     Each visited pair is screened for feasibility at the running minimum
-    before paying for an exact computation.  Sampled sweeps visit every
-    sampled pair, yield an upper bound and are flagged inexact.  The
-    returned witness is verified before return; a witness that fails
-    raises ``RuntimeError``.
+    before paying for an exact computation, which reuses the screen's
+    packer.  Sampled sweeps visit every sampled pair, yield an upper bound
+    and are flagged inexact.  The returned witness is verified before
+    return; a witness that fails raises ``RuntimeError``.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
@@ -487,12 +536,12 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
             break
         deg_bound = _seed_degree(d, x, y)
         if deg_bound >= best.value:
-            if _SeedPacker(d, tables, x, y).feasible(best.value) is not None:
+            packer = _SeedPacker(d, tables, x, y)
+            if packer.feasible(best.value) is not None:
                 continue
-            cap = best.value - 1
+            result = _exact(d, tables, x, y, cap=best.value - 1, packer=packer)
         else:
-            cap = deg_bound
-        result = _exact(d, tables, x, y, cap=cap)
+            result = _exact(d, tables, x, y, cap=deg_bound)
         if result.value < best.value:
             best, best_pair = result, (x, y)
     assert best is not None

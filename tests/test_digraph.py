@@ -13,6 +13,7 @@ from strongarc.digraph import (
     from_arc_list,
     induced_subgraph,
     is_strong,
+    is_symmetric,
     loads_digraph,
     read_digraph,
     to_dot,
@@ -93,6 +94,19 @@ class TestBiorient:
     def test_rejects_loop_edge(self):
         with pytest.raises(DigraphError):
             biorient(3, [(2, 2)])
+
+
+class TestSymmetry:
+    def test_biorientation_is_symmetric(self):
+        assert is_symmetric(biorient(5, [(0, 1), (1, 2), (3, 4)]))
+        assert is_symmetric(Digraph(3, frozenset()))
+
+    def test_one_way_arc_breaks_symmetry(self):
+        assert not is_symmetric(from_arc_list(3, [(0, 1), (1, 0), (1, 2)]))
+
+    @given(small_digraphs())
+    def test_symmetric_iff_equal_to_reverse(self, d):
+        assert is_symmetric(d) == (d.reverse().arcs == d.arcs)
 
 
 class TestInducedSubgraph:

@@ -2,7 +2,9 @@
 (`lambda`, `check thm31`), before the pair-orbit sweep (`lambda2`, `check table1`,
 `check eq2`), before the single-copy refactor (`hunt`, `check bounds`, `construct`) and
 before the deferred flow bound (`check table1 --max 5`, the sampled `lambda2`) and before
-per-node path enumeration (`lambda2` on a directed torus and on a mixed product)."""
+per-node path enumeration (`lambda2` on a directed torus and on a mixed product) and
+before the flow route for symmetric digraphs (`lambda2` on two symmetric products whose
+minimizing pair is not (0, 1))."""
 
 from pathlib import Path
 
@@ -37,6 +39,8 @@ COMMANDS = {
     "lambda2_rand6_x_bcm4_samples12_seed3": "lambda2 rand:6:0.4:3 x bcm:4 --samples 12 --seed 3",
     "lambda2_cn12_x_cn10": "lambda2 cn:12 x cn:10",
     "lambda2_bcm10_x_rand10": "lambda2 bcm:10 x rand:10:0.3:4",
+    "lambda2_btmstar5_x_bkm3": "lambda2 btm:star:5 x bkm:3",
+    "lambda2_btmstar6_x_btmpath4": "lambda2 btm:star:6 x btm:path:4",
 }
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from strongarc import digraph as digraph_module
 from strongarc import packing
 from strongarc.cli import parse_operand
-from strongarc.digraph import DigraphError, _automorphism_generators, from_arc_list, is_strong
+from strongarc.digraph import DigraphError, _automorphism_generators, biorient, from_arc_list, is_strong
+from strongarc.flow import max_flow_unit
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
@@ -28,6 +29,7 @@ from strongarc.packing import (
     lambda_s_oracle_paths,
     lambda_s_oracle_subsets,
     _pair_orbit_representatives,
+    _search_sweep,
     lambda_s_upper_bound,
     verify_certificate,
 )
@@ -266,9 +268,10 @@ class TestPairOrbits:
     @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
     def test_orbit_sweep_equals_all_pairs_sweep(self, name, d):
         every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
-        r = lambda_2(d)
+        r = _search_sweep(d)
         assert r.exact
         assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
+        assert lambda_2(d) == r
 
     @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
     def test_generators_are_automorphisms(self, name, d):
@@ -290,7 +293,7 @@ class TestPairOrbits:
             for p in _automorphism_generators(d):
                 assert frozenset((p[u], p[v]) for u, v in d.arcs) == d.arcs, name
             every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
-            r = lambda_2(d)
+            r = _search_sweep(d)
             assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
 
     @pytest.mark.parametrize("name, d", SMALL_INSTANCES, ids=[name for name, _ in SMALL_INSTANCES])
@@ -312,13 +315,13 @@ class TestPairOrbits:
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_exhausted_budget_keeps_result(self, monkeypatch, budget):
         cases = [d for _, d in ORBIT_INSTANCES[-7:]]
-        full = [lambda_2(d) for d in cases]
+        full = [_search_sweep(d) for d in cases]
         monkeypatch.setattr(digraph_module, "_AUTOMORPHISM_NODE_BUDGET", budget)
         for d, expected in zip(cases, full):
             if budget == 0:
                 assert _automorphism_generators(d) == []
                 assert len(_pair_orbit_representatives(d)) == d.n * (d.n - 1) // 2
-            r = lambda_2(d)
+            r = _search_sweep(d)
             assert (r.value, r.pair, r.witness) == (expected.value, expected.pair, expected.witness)
 
     def test_invalid_witness_raises(self, monkeypatch):
@@ -328,6 +331,104 @@ class TestPairOrbits:
         monkeypatch.setattr(packing, "verify_certificate", reject)
         with pytest.raises(RuntimeError):
             lambda_2(bidirected_cycle(4))
+        with pytest.raises(RuntimeError):
+            _search_sweep(bidirected_cycle(4))
+        with pytest.raises(RuntimeError):
+            lambda_2(directed_cycle(4))
+
+
+def _random_symmetric_digraph(n, density, seed):
+    """Biorientation of a random graph on ``n`` vertices; often not connected."""
+    rng = random.Random(seed)
+    return biorient(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+def _digon_components(n, seed):
+    """Disjoint digons on shuffled vertices, with one vertex left alone when ``n`` is odd."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    return biorient(n, [(order[i], order[i + 1]) for i in range(0, n - 1, 2)])
+
+
+SYMMETRIC_SIZES = st.tuples(
+    st.integers(2, 8), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9, 1.0]), st.integers(0, 2**32 - 1)
+)
+
+
+class TestSymmetricRoute:
+    """On symmetric digraphs ``lambda_2`` takes local flows; the search sweep is the reference."""
+
+    @given(SYMMETRIC_SIZES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_flow_route_equals_search_sweep(self, size):
+        d = _random_symmetric_digraph(*size)
+        assert lambda_2(d) == _search_sweep(d)
+
+    def test_flow_route_equals_search_sweep_seeded(self):
+        for seed in range(210):
+            d = _random_symmetric_digraph(2 + seed % 7, (seed % 10) / 9, seed)
+            assert lambda_2(d) == _search_sweep(d), seed
+
+    @given(SYMMETRIC_SIZES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_pair_packing_equals_local_flow(self, size):
+        d = _random_symmetric_digraph(*size)
+        for x, y in itertools.combinations(range(d.n), 2):
+            assert lambda_s_exact(d, (x, y)).value == max_flow_unit(d, x, y).value
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_digon_components(self, n):
+        for seed in range(4):
+            d = _digon_components(n, seed)
+            r = lambda_2(d)
+            assert r == _search_sweep(d)
+            assert r.value == (1 if n == 2 else 0)
+            for x, y in itertools.combinations(range(n), 2):
+                assert lambda_s_exact(d, (x, y)).value == max_flow_unit(d, x, y).value
+
+    @pytest.mark.parametrize(
+        "spec, pair", [("btm:star:5 x bkm:3", (0, 3)), ("btm:star:6 x btm:path:4", (0, 4))]
+    )
+    def test_least_pair_need_not_be_first(self, spec, pair):
+        d = parse_operand(spec.split())[0]
+        r = lambda_2(d)
+        assert r.pair == pair
+        assert r == _search_sweep(d)
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(DigraphError):
+            lambda_2(from_arc_list(1, []))
+
+    def test_witness_value_mismatch_raises(self, monkeypatch):
+        real = packing._exact
+
+        def short(*args, **kwargs):
+            r = real(*args, **kwargs)
+            return packing.PackingResult(r.value - 1, r.witness, r.optimality, r.exact, r.lower, r.upper)
+
+        monkeypatch.setattr(packing, "_exact", short)
+        with pytest.raises(RuntimeError):
+            lambda_2(complete_digraph(4))
+
+
+class TestScreenPackerReuse:
+    def test_exact_after_failed_screen_is_unchanged(self):
+        """``_exact`` on the packer of a failed screen finds what a fresh packer finds."""
+        screens_with_memo = 0
+        for seed in range(160):
+            rng = random.Random(seed)
+            d = random_strong_digraph(rng.randint(4, 7), rng.random() * 0.6, rng.getrandbits(32))
+            tables = packing._ArcTables(d)
+            for x, y in itertools.combinations(range(d.n), 2):
+                fresh = packing._exact(d, tables, x, y)
+                screen = packing._SeedPacker(d, tables, x, y)
+                assert screen.feasible(fresh.value + 1) is None
+                screens_with_memo += bool(screen.fail_memo)
+                reused = packing._exact(d, tables, x, y, cap=fresh.value, packer=screen)
+                assert reused == packing._exact(d, tables, x, y, cap=fresh.value)
+                assert (reused.value, reused.witness) == (fresh.value, fresh.witness)
+        assert screens_with_memo > 10
 
 
 class TestOracles:
