@@ -4,7 +4,9 @@
 before the deferred flow bound (`check table1 --max 5`, the sampled `lambda2`) and before
 per-node path enumeration (`lambda2` on a directed torus and on a mixed product) and
 before the flow route for symmetric digraphs (`lambda2` on two symmetric products whose
-minimizing pair is not (0, 1))."""
+minimizing pair is not (0, 1)) and before the strong-digraph floor exit (`lambda2` on a
+directed cycle and on a bidirected star, and the first lifted product of the certify
+benchmark)."""
 
 from pathlib import Path
 
@@ -41,6 +43,9 @@ COMMANDS = {
     "lambda2_bcm10_x_rand10": "lambda2 bcm:10 x rand:10:0.3:4",
     "lambda2_btmstar5_x_bkm3": "lambda2 btm:star:5 x bkm:3",
     "lambda2_btmstar6_x_btmpath4": "lambda2 btm:star:6 x btm:path:4",
+    "lambda2_cn7": "lambda2 cn:7",
+    "lambda2_btmstar6": "lambda2 btm:star:6",
+    "construct_lift_cn5_btmstar6_s00_12": "construct lift --g cn:5 --h btm:star:6 -S 0,0:1,2",
 }
 
 
