@@ -169,13 +169,43 @@ def arc_subset_spanning_check(d: Digraph, arcs: Iterable[Arc], seeds: Iterable[i
     if not chosen:
         return False
     touched = {w for arc in chosen for w in arc}
-    return set(seeds) <= touched and _strong_on_endpoints(chosen, touched)
+    return set(seeds) <= touched and _strong_on_endpoints(chosen)
 
 
-def _strong_on_endpoints(arcs: frozenset[Arc], endpoints: Iterable[int]) -> bool:
-    """True iff the non-empty arc set ``arcs`` is strong on ``endpoints``, the ends of its arcs."""
-    remap = {old: new for new, old in enumerate(sorted(endpoints))}
-    return is_strong(Digraph(len(remap), frozenset((remap[u], remap[v]) for u, v in arcs)))
+def _strong_on_endpoints(arcs: Iterable[Arc]) -> bool:
+    """True iff the non-empty arc set ``arcs`` is strong on the ends of its arcs.
+
+    One pass over the arcs builds the successor and predecessor masks of each
+    endpoint; the arc set is strong iff the least endpoint reaches every
+    endpoint along both.  Endpoints must be non-negative (they are bit
+    positions).
+    """
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    verts = 0
+    for u, v in arcs:
+        succ[u] = succ.get(u, 0) | 1 << v
+        pred[v] = pred.get(v, 0) | 1 << u
+        verts |= 1 << u | 1 << v
+    start = (verts & -verts).bit_length() - 1
+    return _closure(succ, start) == verts and _closure(pred, start) == verts
+
+
+def _closure(adj: dict[int, int], start: int) -> int:
+    """Vertex mask reachable from ``start`` along ``adj`` (vertex -> neighbour mask)."""
+    seen = 1 << start
+    frontier = [start]
+    while frontier:
+        nxt: list[int] = []
+        for w in frontier:
+            reach = adj.get(w, 0) & ~seen
+            while reach:
+                lowb = reach & -reach
+                seen |= lowb
+                nxt.append(lowb.bit_length() - 1)
+                reach ^= lowb
+        frontier = nxt
+    return seen
 
 
 # --- automorphisms ------------------------------------------------------------

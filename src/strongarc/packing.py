@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .digraph import Arc, Digraph, DigraphError, _automorphism_generators, _strong_on_endpoints, is_symmetric
+from .digraph import (
+    Arc,
+    Digraph,
+    DigraphError,
+    _automorphism_generators,
+    _closure,
+    _strong_on_endpoints,
+    is_strong,
+    is_symmetric,
+)
 from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
@@ -112,8 +121,9 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
         in_host.append(arcs <= d.arcs)
         endpoints = {w for arc in arcs for w in arc}
         has_seed.append(x in endpoints and y in endpoints)
+        # checked first: the strongness test takes endpoints as bit positions
         in_range = bool(arcs) and all(0 <= w < d.n for w in endpoints)
-        strong.append(in_range and _strong_on_endpoints(arcs, endpoints))
+        strong.append(in_range and _strong_on_endpoints(arcs))
     overlaps: list[tuple[int, int, frozenset[Arc]]] = []
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
@@ -464,19 +474,34 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     packer finds at that pair, the one ``_search_sweep`` reports.
 
     Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
-    see ``_search_sweep``.  The returned witness is verified before return;
-    a witness that fails raises ``RuntimeError``.
+    see ``_search_sweep``.  Both exhaustive sweeps stop at the floor, 1
+    when D is strong and 0 otherwise: a strong D is itself a strong
+    subgraph through every pair, so no pair has ``λ_S(D)`` below the floor,
+    and once the running minimum reaches it no later pair can lower it.
+    The returned witness is verified before return; a witness that fails
+    raises ``RuntimeError``.
     """
     if samples is None and d.n >= 2 and is_symmetric(d):
         return _flow_sweep(d)
     return _search_sweep(d, samples, seed)
 
 
+def _floor(d: Digraph) -> int:
+    """A lower bound on ``λ_S(D)`` for every pair S: 1 when D is strong (D is a member), else 0."""
+    return 1 if is_strong(d) else 0
+
+
 def _flow_sweep(d: Digraph) -> Lambda2Result:
-    """``lambda_2`` of a symmetric digraph on two or more vertices, from n - 1 local flows."""
+    """``lambda_2`` of a symmetric digraph on two or more vertices, from at most n - 1 local flows.
+
+    The loop over ``λ(0, v)`` stops once the running minimum reaches the
+    floor: no later v can go below it, and the target is already the least
+    minimizing v.
+    """
+    floor = _floor(d)
     value, target = d.out_degree(0), 1  # no flow out of 0 exceeds its out-degree
     for v in range(1, d.n):
-        if value == 0:
+        if value <= floor:
             break
         flow = _unit_flow(d, 0, v, value)[0]
         if flow < value:
@@ -490,48 +515,54 @@ def _flow_sweep(d: Digraph) -> Lambda2Result:
 def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
-    The exhaustive sweep visits one pair per orbit of pairs under a group of
+    The exhaustive sweep first solves ``(0, 1)``, the least pair.  When its
+    value is at most the floor (1 when D is strong, else 0), that is the
+    answer and no automorphism is searched: no pair goes below the floor,
+    so ``(0, 1)`` is the lexicographically least minimizing pair, and the
+    witness is the packer's first packing at ``(0, 1)``, exactly the one
+    the orbit sweep reports.
+
+    Otherwise it goes on over one pair per orbit of pairs under a group of
     automorphisms of ``d``: the least pair of each orbit, in lexicographic
-    order.  The group is generated by permutations found by
-    individualisation and refinement and checked to map the arc set onto
-    itself, and ``λ_S(D) = λ_φ(S)(D)`` for every automorphism φ.  Each
-    skipped pair therefore has the value of a smaller pair already swept,
-    so it could never have lowered the running minimum, and the value, the
-    lexicographically least minimizing pair and its witness are those of
-    the sweep over all pairs.  When the generator search runs out of its
-    fixed node budget, the generators verified so far still merge pairs;
-    the sweep stays exact and merely visits more of them.
+    order, of which ``(0, 1)`` is the first.  The group is generated by
+    permutations found by individualisation and refinement and checked to
+    map the arc set onto itself, and ``λ_S(D) = λ_φ(S)(D)`` for every
+    automorphism φ.  Each skipped pair therefore has the value of a smaller
+    pair already swept, so it could never have lowered the running
+    minimum, and the value, the lexicographically least minimizing pair and
+    its witness are those of the sweep over all pairs.  When the generator
+    search runs out of its fixed node budget, the generators verified so far
+    still merge pairs; the sweep stays exact and merely visits more of them.
 
     Each visited pair is screened for feasibility at the running minimum
     before paying for an exact computation, which reuses the screen's
-    packer.  Sampled sweeps visit every sampled pair, yield an upper bound
-    and are flagged inexact.  The returned witness is verified before
-    return; a witness that fails raises ``RuntimeError``.
+    packer.  Sampled sweeps visit every sampled pair (``(0, 1)`` need not
+    be one, so they take no floor exit) and yield an upper bound, flagged
+    inexact unless the sample holds every pair.  The returned witness is
+    verified before return; a witness that fails raises ``RuntimeError``.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
     if samples is not None and samples < 1:
         raise DigraphError(f"samples must be at least 1, got {samples}")
+    if samples is not None and seed is None:
+        raise DigraphError("sampled sweep needs an explicit seed")
+    tables = _ArcTables(d)
     if samples is None:
-        pairs = _pair_orbit_representatives(d)
+        best_pair = (0, 1)
+        best = _exact(d, tables, 0, 1)
+        pairs = [] if best.value <= _floor(d) else _pair_orbit_representatives(d)[1:]
         exact = True
     else:
-        if seed is None:
-            raise DigraphError("sampled sweep needs an explicit seed")
         import random
 
         all_pairs = [(x, y) for x in range(d.n) for y in range(x + 1, d.n)]
         rng = random.Random(seed)
         pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
-        exact = False
-    tables = _ArcTables(d)
-    best: PackingResult | None = None
-    best_pair: tuple[int, int] = pairs[0]
+        exact = len(pairs) == len(all_pairs)
+        best_pair, pairs = pairs[0], pairs[1:]
+        best = _exact(d, tables, *best_pair)
     for x, y in pairs:
-        if best is None:
-            best = _exact(d, tables, x, y)
-            best_pair = (x, y)
-            continue
         if best.value == 0:
             break
         deg_bound = _seed_degree(d, x, y)
@@ -544,7 +575,6 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
             result = _exact(d, tables, x, y, cap=deg_bound)
         if result.value < best.value:
             best, best_pair = result, (x, y)
-    assert best is not None
     if not verify_certificate(d, best.witness).valid:
         raise RuntimeError(f"lambda_2 witness for pair {best_pair} does not verify")
     return Lambda2Result(best.value, best_pair, best.witness, exact)
@@ -581,23 +611,6 @@ def _strong_arc_masks(d: Digraph) -> tuple[tuple[int, int], ...]:
         if _closure(out_map, start_v) == verts and _closure(in_map, start_v) == verts:
             out.append((mask, verts))
     return tuple(out)
-
-
-def _closure(adj: dict[int, int], start: int) -> int:
-    """Vertex mask reachable from ``start`` along ``adj`` (vertex -> neighbour mask)."""
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for w in frontier:
-            reach = adj.get(w, 0) & ~seen
-            while reach:
-                lowb = reach & -reach
-                seen |= lowb
-                nxt.append(lowb.bit_length() - 1)
-                reach ^= lowb
-        frontier = nxt
-    return seen
 
 
 def _minimal_antichain(masks: Sequence[int]) -> list[int]:

@@ -140,6 +140,11 @@ class TestLambdaTwoCommand:
         code, out, _ = run(capsys, ["lambda2", "bcm:5", "--samples", "3", "--seed", "7"])
         assert code == 0 and "upper bound" in out
 
+    def test_sample_of_every_pair_is_not_labeled(self, capsys):
+        code, out, _ = run(capsys, ["lambda2", "cn:3", "x", "cn:3", "--samples", "99", "--seed", "1"])
+        assert code == 0 and "upper bound" not in out
+        assert out == run(capsys, ["lambda2", "cn:3", "x", "cn:3"])[1]
+
     def test_samples_require_seed(self, capsys):
         code, _, err = run(capsys, ["lambda2", "bcm:5", "--samples", "3"])
         assert code == 2 and "seed" in err

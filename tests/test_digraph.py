@@ -1,11 +1,12 @@
 """Core digraph type: construction, strongness, serialization, DOT."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strongarc.digraph import (
     Digraph,
     DigraphError,
+    _strong_on_endpoints,
     arc_subset_spanning_check,
     biorient,
     degrees,
@@ -107,6 +108,36 @@ class TestSymmetry:
     @given(small_digraphs())
     def test_symmetric_iff_equal_to_reverse(self, d):
         assert is_symmetric(d) == (d.reverse().arcs == d.arcs)
+
+
+def _strong_after_remap(arcs):
+    """Strongness by the definition: relabel the endpoints 0..k-1, then ``is_strong``."""
+    remap = {old: new for new, old in enumerate(sorted({w for arc in arcs for w in arc}))}
+    return is_strong(Digraph(len(remap), frozenset((remap[u], remap[v]) for u, v in arcs)))
+
+
+@st.composite
+def labelled_arc_sets(draw):
+    """Non-empty arc sets on a few labels from 0..70, so vertex masks can pass 64 bits."""
+    labels = draw(st.lists(st.integers(0, 70), min_size=2, max_size=8, unique=True))
+    arc = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(lambda a: a[0] != a[1])
+    arcs = draw(st.lists(arc, min_size=1, max_size=16))
+    if draw(st.booleans()):  # a cycle through every label, so strong sets come up often
+        arcs += zip(labels, labels[1:] + labels[:1])
+    return frozenset(arcs)
+
+
+class TestStrongOnEndpoints:
+    def test_labels_past_64_bits(self):
+        assert _strong_on_endpoints({(3, 70), (70, 3)})
+        assert _strong_on_endpoints({(64, 65), (65, 69), (69, 64), (69, 65)})
+        assert not _strong_on_endpoints({(3, 70), (70, 65)})
+        assert not _strong_on_endpoints({(0, 1), (1, 0), (66, 67), (67, 66)})
+
+    @given(labelled_arc_sets())
+    @settings(max_examples=300)
+    def test_equals_remapped_is_strong(self, arcs):
+        assert _strong_on_endpoints(arcs) == _strong_after_remap(arcs)
 
 
 class TestInducedSubgraph:

@@ -220,6 +220,97 @@ class TestLambdaTwo:
         b = lambda_2(d, samples=5, seed=42)
         assert a.value == b.value and a.pair == b.pair
 
+    def test_sample_of_every_pair_is_exact(self):
+        for d in (directed_cycle(3), bidirected_cycle(5), random_digraph(5, 14, 3)):
+            total = d.n * (d.n - 1) // 2
+            full = lambda_2(d)
+            for samples, seed in ((total, 0), (total + 1, 4), (99, 1)):
+                assert lambda_2(d, samples=samples, seed=seed) == full
+            assert not lambda_2(d, samples=total - 1, seed=0).exact
+
+
+def _every_pair_sweep(d):
+    return lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
+
+
+def _strong_with_degree_one_vertex(n, prob, seed, position):
+    """A random strong digraph on n - 1 vertices plus one vertex with a single in- and out-arc,
+    relabelled so that the added vertex is ``position``."""
+    rng = random.Random(seed)
+    core = random_strong_digraph(n - 1, prob, rng.getrandbits(32))
+    arcs = set(core.arcs) | {(rng.randrange(n - 1), n - 1), (n - 1, rng.randrange(n - 1))}
+    label = list(range(n - 1))
+    label.insert(position, n - 1)  # vertex label[i] gets name i
+    name = {old: new for new, old in enumerate(label)}
+    return from_arc_list(n, [(name[u], name[v]) for u, v in arcs])
+
+
+class TestStrongFloor:
+    """A strong digraph is a member for every pair, so every exhaustive sweep may stop at value 1."""
+
+    def test_non_strong_digraph_goes_below_the_first_pair(self):
+        d = from_arc_list(3, [(0, 1), (1, 0), (1, 2)])
+        assert lambda_s_exact(d, (0, 1)).value == 1
+        r = lambda_2(d)
+        assert (r.value, r.pair, r.exact) == (0, (0, 2), True)
+        assert r == _search_sweep(d) == _every_pair_sweep(d)
+
+    def test_non_strong_symmetric_digraph_goes_below_the_first_pair(self):
+        d = biorient(3, [(0, 1)])
+        r = lambda_2(d)
+        assert (r.value, r.pair) == (0, (0, 2))
+        assert r == _search_sweep(d) == _every_pair_sweep(d)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"cn:{n}" for n in range(3, 9)]
+        + [f"btm:path:{n}" for n in range(2, 8)]
+        + [f"btm:star:{n}" for n in range(3, 8)],
+    )
+    def test_value_one_classes_equal_every_pair_sweep(self, spec):
+        d = parse_operand([spec])[0]
+        r = lambda_2(d)
+        assert (r.value, r.pair) == (1, (0, 1))
+        assert r == _search_sweep(d) == _every_pair_sweep(d)
+
+    @given(st.integers(3, 7), st.sampled_from([0.0, 0.3, 0.6, 1.0]), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_degree_one_vertex_equals_every_pair_sweep(self, n, prob, seed, data):
+        d = _strong_with_degree_one_vertex(n, prob, seed, data.draw(st.integers(0, n - 1)))
+        assert is_strong(d)
+        r = lambda_2(d)
+        assert r.value == 1
+        assert r == _every_pair_sweep(d)
+
+    def test_floor_exit_skips_orbit_search_and_flows(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("orbit search after the floor was reached")
+
+        flows = []
+        unit_flow = packing._unit_flow
+
+        def logged_flow(d, s, t, *rest):
+            flows.append((s, t))
+            return unit_flow(d, s, t, *rest)
+
+        monkeypatch.setattr(packing, "_pair_orbit_representatives", refuse)
+        monkeypatch.setattr(packing, "_unit_flow", logged_flow)
+        assert lambda_2(directed_cycle(7)).value == 1
+        assert lambda_2(parse_operand(["btm:star:6"])[0]).value == 1
+        assert flows == [(0, 1)]  # the star's centre 0 reaches leaf 1 by one path, and that is the floor
+
+    def test_sampled_sweep_takes_no_floor_exit(self):
+        """Every pair of a directed cycle has value 1, so a sampled sweep reports its least sampled pair."""
+        d = directed_cycle(6)
+        every_pair = [(x, y) for x in range(6) for y in range(x + 1, 6)]
+        least = set()
+        for seed in range(10):
+            r = lambda_2(d, samples=3, seed=seed)
+            assert (r.value, r.exact) == (1, False)
+            assert r.pair == min(random.Random(seed).sample(every_pair, 3))
+            least.add(r.pair)
+        assert least - {(0, 1)}
+
 
 def _orbit_instances():
     """Digraphs with and without symmetry: random, random products, class products."""
@@ -267,10 +358,10 @@ def _brute_force_pair_orbits(d):
 class TestPairOrbits:
     @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
     def test_orbit_sweep_equals_all_pairs_sweep(self, name, d):
-        every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
+        every_pair = _every_pair_sweep(d)
         r = _search_sweep(d)
         assert r.exact
-        assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
+        assert every_pair == r
         assert lambda_2(d) == r
 
     @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
@@ -360,7 +451,7 @@ class TestSymmetricRoute:
     """On symmetric digraphs ``lambda_2`` takes local flows; the search sweep is the reference."""
 
     @given(SYMMETRIC_SIZES)
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_flow_route_equals_search_sweep(self, size):
         d = _random_symmetric_digraph(*size)
         assert lambda_2(d) == _search_sweep(d)
@@ -371,7 +462,7 @@ class TestSymmetricRoute:
             assert lambda_2(d) == _search_sweep(d), seed
 
     @given(SYMMETRIC_SIZES)
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30, deadline=None)
     def test_pair_packing_equals_local_flow(self, size):
         d = _random_symmetric_digraph(*size)
         for x, y in itertools.combinations(range(d.n), 2):
@@ -458,7 +549,7 @@ class TestOracles:
         _assert_three_routes_agree(d, (x, y))
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     def test_exact_equals_both_oracles(self, n, seed, data):
         d = random_digraph(n, 14, seed)
         pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -492,6 +583,12 @@ class TestCertificates:
         d = complete_digraph(3)
         report = verify_certificate(d, self.build([[(0, 1), (1, 2)]]))
         assert not report.valid and report.member_strong == (False,)
+
+    def test_negative_endpoint_is_reported_not_raised(self):
+        d = from_arc_list(3, [(0, 1), (1, 0)])
+        report = verify_certificate(d, self.build([[(0, 1), (1, -1), (-1, 0)]]))
+        assert not report.valid
+        assert report.member_in_host == (False,) and report.member_strong == (False,)
 
     def test_strongness_reported_off_host_and_out_of_range(self):
         d = from_arc_list(3, [(0, 1), (1, 0)])
