@@ -1,6 +1,8 @@
 """Product connectivity formulas, closed-form certificate families, lifting, hunts."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +33,10 @@ from strongarc.generators import (
     directed_cycle,
     random_strong_digraph,
 )
-from strongarc.packing import lambda_2, verify_certificate
+from strongarc.packing import certificate_to_json, lambda_2, verify_certificate
 from strongarc.product import cartesian_product
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Bidirected K_{2,3} with parts {0, 3} and {1, 2, 4}: its pair-packing number
 # is 2 but the pair (0, 3) packs 3 members, so factor families can have spares.
@@ -311,6 +315,60 @@ class TestLift:
     def test_rejects_non_strong_factor(self):
         with pytest.raises(DigraphError):
             lift_certificates(from_arc_list(3, [(0, 1), (1, 2)]), directed_cycle(3), (0, 0), (1, 1))
+
+
+# The four lifted products of the certify benchmark and the lifted product of
+# the CLI goldens, as (class, order, tree shape) per factor.
+LIFT_DIGEST_PRODUCTS = (
+    (("cn", 5, None), ("btm", 6, "star")),
+    (("bkm", 3, None), ("bcm", 6, None)),
+    (("bcm", 4, None), ("bkm", 4, None)),
+    (("cn", 4, None), ("cn", 6, None)),
+    (("cn", 3, None), ("bcm", 4, None)),
+)
+
+
+def _class_token(cls, order, shape):
+    return f"{cls}:{shape}:{order}" if shape else f"{cls}:{order}"
+
+
+def _lift_digest_factor_pairs():
+    for (cg, n, sg), (ch, m, sh) in LIFT_DIGEST_PRODUCTS:
+        g = class_digraph(cg, n, TreeShape(sg, n) if sg else None)
+        h = class_digraph(ch, m, TreeShape(sh, m) if sh else None)
+        yield f"{_class_token(cg, n, sg)} x {_class_token(ch, m, sh)}", g, h
+    rng = random.Random(1)
+    for k in range(21):
+        g = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.6, rng.getrandbits(32))
+        h = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.6, rng.getrandbits(32))
+        yield f"rand#{k}", g, h
+
+
+def lift_digest_lines():
+    """One line per lifted family: label, seed positions, sha256 prefix of its JSON."""
+    lines = []
+    for label, g, h in _lift_digest_factor_pairs():
+        p = cartesian_product(g, h)
+        for x in range(p.digraph.n):
+            for y in range(x + 1, p.digraph.n):
+                (r1, c1), (r2, c2) = p.decode(x), p.decode(y)
+                _, fam = lift_certificates(g, h, (r1, c1), (r2, c2))
+                digest = hashlib.sha256(certificate_to_json(fam).encode()).hexdigest()[:16]
+                lines.append(f"{label} {r1},{c1}:{r2},{c2} {digest}")
+    return lines
+
+
+class TestLiftDigests:
+    """Every lifted family, byte for byte, against digests recorded before lifting
+    was folded into one routine per seed layout.  The random factor pairs reach
+    every layout: same row, same column, no member forced, both forced, and one
+    side forced with and without a spare member.  To re-record after a deliberate
+    change to the families: write ``"\\n".join(lift_digest_lines()) + "\\n"`` to
+    ``tests/golden/lift_digests.txt``."""
+
+    def test_lifted_families_match_recorded_digests(self):
+        recorded = (GOLDEN / "lift_digests.txt").read_text(encoding="utf-8").splitlines()
+        assert lift_digest_lines() == recorded
 
 
 class TestHunt:
