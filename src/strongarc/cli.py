@@ -333,8 +333,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.family == "p52":
         prod, fam = cycle_bicycle_family(args.n, args.m, x_pos, y_pos)
     elif args.family == "p53":
-        shape_seed = getattr(args, "shape_seed", None)
-        shape = TreeShape(args.shape, args.m, shape_seed)
+        shape = TreeShape(args.shape, args.m, args.shape_seed)
         prod, fam = cycle_tree_family(args.n, shape, x_pos, y_pos)
     else:
         prod, fam = cycle_complete_family(args.n, args.m, x_pos, y_pos)
@@ -515,9 +514,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DigraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

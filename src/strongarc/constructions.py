@@ -13,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Iterable
 
 from .digraph import Arc, Digraph, DigraphError, biorient, is_strong
 from .flow import arc_connectivity, verify_cut
@@ -34,6 +35,10 @@ from .packing import (
     verify_certificate,
 )
 from .product import ProductDigraph, cartesian_product, lift_g_arcs, lift_h_arcs
+
+
+# ``lift_g_arcs`` or ``lift_h_arcs``: a factor's arcs copied onto one line of the product
+_LiftArcs = Callable[[ProductDigraph, Iterable[Arc], int], frozenset[Arc]]
 
 
 class ConstructionError(RuntimeError):
@@ -250,20 +255,18 @@ class BoundsReport:
     upper: int
     lambda2_g: int
     lambda2_h: int
-    observed: int | None
-    lower_tight: bool | None
-    upper_tight: bool | None
-    sandwich_ok: bool | None
+    observed: int
+    lower_tight: bool
+    upper_tight: bool
+    sandwich_ok: bool
 
 
-def check_bounds(g: Digraph, h: Digraph, compute_exact: bool = True) -> BoundsReport:
-    """Evaluate both bounds; with ``compute_exact`` also settle the product by search."""
+def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
+    """Evaluate both bounds and settle the product's pair-packing number by search."""
     upper = product_lambda_formula(g, h).value
     g2 = lambda_2(g).value
     h2 = lambda_2(h).value
     lower = g2 + h2 - 1
-    if not compute_exact:
-        return BoundsReport(lower, upper, g2, h2, None, None, None, None)
     prod = cartesian_product(g, h)
     observed = lambda_2(prod.digraph).value
     return BoundsReport(
@@ -448,9 +451,9 @@ def cycle_cycle_family(
     closed cycles through both seeds; row- or column-aligned seeds fall back
     to search.  The pair-packing number of this product is exactly 2.
     """
-    p = cartesian_product(directed_cycle(n), directed_cycle(m))
     if n < 3 or m < 3:
         raise DigraphError(f"cycle factors need order >= 3, got {n} and {m}")
+    p = cartesian_product(directed_cycle(n), directed_cycle(m))
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
     if r1 == r2 or c1 == c2:
@@ -677,64 +680,43 @@ def lift_certificates(
     h2 = lambda_2(h).value
     lower = g2 + h2 - 1
     if r1 == r2:
-        members = _lift_same_row(p, g, h, r1, c1, c2, g2, h2)
+        members = _lift_same_line(p, g, h, lift_g_arcs, lift_h_arcs, r1, c1, c2, g2, h2)
     elif c1 == c2:
-        members = _lift_same_col(p, g, h, c1, r1, r2, g2, h2)
+        members = _lift_same_line(p, h, g, lift_h_arcs, lift_g_arcs, c1, r1, r2, h2, g2)
     else:
         members = _lift_general(p, g, h, r1, c1, r2, c2, g2, h2)
-    fam = CertificateFamily(
-        n=p.digraph.n,
-        seed=(min(x, y), max(x, y)),
-        members=tuple(members),
-        origin="lift",
-    )
-    report = verify_certificate(p.digraph, fam)
-    if not report.valid:
-        raise ConstructionError("lifted family failed verification")
+    fam = _sealed_family(p, x, y, members, len(members), "lift")
     if len(fam.members) < lower:
-        raise ConstructionError(
-            f"lifted family has {len(fam.members)} members, needs >= {lower}"
-        )
+        raise ConstructionError(f"lifted family has {len(fam.members)} members, needs >= {lower}")
     return p, fam
 
 
-def _g_block(p: ProductDigraph, arcs: frozenset[Arc], c_from: int, c_to: int) -> frozenset[Arc]:
-    """Copies of a first-factor arc set in two columns."""
-    return lift_g_arcs(p, arcs, c_from) | lift_g_arcs(p, arcs, c_to)
-
-
-def _h_block(p: ProductDigraph, arcs: frozenset[Arc], r_from: int, r_to: int) -> frozenset[Arc]:
-    """Copies of a second-factor arc set in two rows."""
-    return lift_h_arcs(p, arcs, r_from) | lift_h_arcs(p, arcs, r_to)
-
-
-def _lift_same_row(
-    p: ProductDigraph, g: Digraph, h: Digraph, r: int, c1: int, c2: int, g2: int, h2: int
+def _lift_same_line(
+    p: ProductDigraph,
+    a: Digraph,
+    b: Digraph,
+    lift_a: _LiftArcs,
+    lift_b: _LiftArcs,
+    line: int,
+    s1: int,
+    s2: int,
+    a2: int,
+    b2: int,
 ) -> tuple[frozenset[Arc], ...]:
-    """Seeds share row ``r``: copy h-members there, bridge g-members elsewhere."""
-    r_other = 0 if r != 0 else 1
-    g_members = _factor_family(g, (r, r_other), g2)[:g2]
-    h_members = _factor_family(h, (c1, c2), h2)
-    branches = _choose_branches(g_members, r, avoid=None)
-    members = [frozenset(lift_h_arcs(p, h_members[j], r)) for j in range(h2)]
-    for i in range(g2):
-        bridge = lift_h_arcs(p, h_members[0], branches[i])
-        members.append(frozenset(_g_block(p, g_members[i], c1, c2) | bridge))
-    return tuple(members)
+    """Seeds share a line of factor ``b``: copy b-members there, bridge a-members elsewhere.
 
-
-def _lift_same_col(
-    p: ProductDigraph, g: Digraph, h: Digraph, c: int, r1: int, r2: int, g2: int, h2: int
-) -> tuple[frozenset[Arc], ...]:
-    """Seeds share column ``c``: copy g-members there, bridge h-members elsewhere."""
-    c_other = 0 if c != 0 else 1
-    g_members = _factor_family(g, (r1, r2), g2)
-    h_members = _factor_family(h, (c, c_other), h2)[:h2]
-    branches = _choose_branches(h_members, c, avoid=None)
-    members = [frozenset(lift_g_arcs(p, g_members[i], c)) for i in range(g2)]
-    for j in range(h2):
-        bridge = lift_g_arcs(p, g_members[0], branches[j])
-        members.append(frozenset(_h_block(p, h_members[j], r1, r2) | bridge))
+    The line is row ``line`` with seed columns ``s1``, ``s2`` when ``a`` is the
+    first factor, and column ``line`` with seed rows ``s1``, ``s2`` when ``a``
+    is the second; ``lift_a``/``lift_b`` map each factor's arcs to the product.
+    """
+    other = 0 if line != 0 else 1
+    a_members = _factor_family(a, (line, other), a2)[:a2]
+    b_members = _factor_family(b, (s1, s2), b2)
+    branches = _choose_branches(a_members, line, avoid=None)
+    members = [lift_b(p, b_members[j], line) for j in range(b2)]
+    for i in range(a2):
+        bridge = lift_b(p, b_members[0], branches[i])
+        members.append(lift_a(p, a_members[i], s1) | lift_a(p, a_members[i], s2) | bridge)
     return tuple(members)
 
 
@@ -767,61 +749,40 @@ def _lift_general(
     cols = _choose_branches(h_members, c1, avoid=c2)
     forced_g = next((i for i, t in enumerate(rows) if t == r2), None)
     forced_h = next((j for j, w in enumerate(cols) if w == c2), None)
-
-    def g_side(i: int, bridge_arcs: frozenset[Arc]) -> frozenset[Arc]:
-        return frozenset(
-            _g_block(p, g_members[i], c1, c2) | lift_h_arcs(p, bridge_arcs, rows[i])
-        )
-
-    def h_side(j: int, bridge_arcs: frozenset[Arc]) -> frozenset[Arc]:
-        return frozenset(
-            _h_block(p, h_members[j], r1, r2) | lift_g_arcs(p, bridge_arcs, cols[j])
-        )
-
-    if forced_g is not None and forced_h is not None:
-        swapped_g = frozenset(
-            lift_g_arcs(p, g_members[forced_g], c1)
-            | lift_h_arcs(p, h_members[forced_h], r2)
-        )
-        swapped_h = frozenset(
-            lift_h_arcs(p, h_members[forced_h], r1)
-            | lift_g_arcs(p, g_members[forced_g], c2)
-        )
-        members = [
-            swapped_g if i == forced_g else g_side(i, h_members[0]) for i in range(g2)
-        ]
-        members += [
-            swapped_h if j == forced_h else h_side(j, g_members[0]) for j in range(h2)
-        ]
-        return tuple(members)
-
-    if forced_g is not None:
+    g_bridges = [h_members[0]] * g2
+    h_bridges = [g_members[0]] * h2
+    g_kept = range(g2)
+    h_kept = range(h2)
+    # A forced g-side member's bridge in row r2 is h-side member 0's copy of
+    # h-member 0: it takes the spare h-member instead, or h-side member 0 goes
+    # (and the mirror image for a forced h-side member).
+    if forced_g is not None and forced_h is None:
         if len(h_all) > h2:
-            members = [
-                g_side(i, h_all[h2] if i == forced_g else h_members[0])
-                for i in range(g2)
-            ]
-            members += [h_side(j, g_members[0]) for j in range(h2)]
+            g_bridges[forced_g] = h_all[h2]
         else:
-            members = [g_side(i, h_members[0]) for i in range(g2)]
-            members += [h_side(j, g_members[0]) for j in range(1, h2)]
-        return tuple(members)
-
-    if forced_h is not None:
+            h_kept = range(1, h2)
+    if forced_h is not None and forced_g is None:
         if len(g_all) > g2:
-            members = [g_side(i, h_members[0]) for i in range(g2)]
-            members += [
-                h_side(j, g_all[g2] if j == forced_h else g_members[0])
-                for j in range(h2)
-            ]
+            h_bridges[forced_h] = g_all[g2]
         else:
-            members = [g_side(i, h_members[0]) for i in range(1, g2)]
-            members += [h_side(j, g_members[0]) for j in range(h2)]
-        return tuple(members)
-
-    members = [g_side(i, h_members[0]) for i in range(g2)]
-    members += [h_side(j, g_members[0]) for j in range(h2)]
-    return tuple(members)
+            g_kept = range(1, g2)
+    g_sides = [
+        lift_g_arcs(p, g_members[i], c1)
+        | lift_g_arcs(p, g_members[i], c2)
+        | lift_h_arcs(p, g_bridges[i], rows[i])
+        for i in g_kept
+    ]
+    h_sides = [
+        lift_h_arcs(p, h_members[j], r1)
+        | lift_h_arcs(p, h_members[j], r2)
+        | lift_g_arcs(p, h_bridges[j], cols[j])
+        for j in h_kept
+    ]
+    if forced_g is not None and forced_h is not None:
+        i, j = forced_g, forced_h
+        g_sides[i] = lift_g_arcs(p, g_members[i], c1) | lift_h_arcs(p, h_members[j], r2)
+        h_sides[j] = lift_h_arcs(p, h_members[j], r1) | lift_g_arcs(p, g_members[i], c2)
+    return tuple(g_sides) + tuple(h_sides)
 
 
 # ---------------------------------------------------------------------------

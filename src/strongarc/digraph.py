@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Arc = tuple[int, int]
 
@@ -143,33 +143,6 @@ def biorient(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
         arcs.append((u, v))
         arcs.append((v, u))
     return from_arc_list(n, arcs)
-
-
-def induced_subgraph(d: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
-    """Subgraph induced by ``vertices`` plus the old->new vertex mapping."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise DigraphError("induced subgraph needs a non-empty vertex set")
-    if vs[0] < 0 or vs[-1] >= d.n:
-        raise DigraphError(f"vertices {vs} not all inside 0..{d.n - 1}")
-    remap = {old: new for new, old in enumerate(vs)}
-    arcs = [(remap[u], remap[v]) for u, v in d.arcs if u in remap and v in remap]
-    return Digraph(len(vs), frozenset(arcs)), remap
-
-
-def arc_subset_spanning_check(d: Digraph, arcs: Iterable[Arc], seeds: Iterable[int]) -> bool:
-    """True iff ``arcs`` induce a strong subgraph whose vertex set covers ``seeds``.
-
-    ``arcs`` must be a subset of ``d.arcs``.  A seed vertex that is not an
-    endpoint of any chosen arc makes the answer False, never an error.
-    """
-    chosen = frozenset(arcs)
-    if not chosen <= d.arcs:
-        raise DigraphError("arc subset contains arcs not present in the digraph")
-    if not chosen:
-        return False
-    touched = {w for arc in chosen for w in arc}
-    return set(seeds) <= touched and _strong_on_endpoints(chosen)
 
 
 def _strong_on_endpoints(arcs: Iterable[Arc]) -> bool:
@@ -394,11 +367,7 @@ _DOT_PALETTE = (
 )
 
 
-def to_dot(
-    d: Digraph,
-    member_arcs: Sequence[Iterable[Arc]] = (),
-    labels: Mapping[int, str] | None = None,
-) -> str:
+def to_dot(d: Digraph, member_arcs: Sequence[Iterable[Arc]] = ()) -> str:
     """Graphviz text; arcs belonging to the i-th member set get the i-th palette color."""
     color: dict[Arc, str] = {}
     for i, member in enumerate(member_arcs):
@@ -406,10 +375,6 @@ def to_dot(
         for arc in member:
             color[tuple(arc)] = tint
     lines = ["digraph {"]
-    if labels:
-        for v in range(d.n):
-            if v in labels:
-                lines.append(f'  {v} [label="{labels[v]}"];')
     for u, v in d.sorted_arcs:
         attr = f' [color={color[(u, v)]}]' if (u, v) in color else ""
         lines.append(f"  {u} -> {v}{attr};")

@@ -534,11 +534,13 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
     search runs out of its fixed node budget, the generators verified so far
     still merge pairs; the sweep stays exact and merely visits more of them.
 
-    Each visited pair is screened for feasibility at the running minimum
-    before paying for an exact computation, which reuses the screen's
-    packer.  Sampled sweeps visit every sampled pair (``(0, 1)`` need not
-    be one, so they take no floor exit) and yield an upper bound, flagged
-    inexact unless the sample holds every pair.  The returned witness is
+    Each visited pair whose seed degree reaches the running minimum is
+    screened for feasibility at that minimum before paying for an exact
+    computation, capped one below it, which reuses the pair's packer.  Below
+    the minimum the cap does nothing: ``_seed_bounds`` caps both flows at
+    the seed degree.  Sampled sweeps visit every sampled pair (``(0, 1)``
+    need not be one, so they take no floor exit) and yield an upper bound,
+    flagged inexact unless the sample holds every pair.  The returned witness is
     verified before return; a witness that fails raises ``RuntimeError``.
     """
     if d.n < 2:
@@ -565,14 +567,10 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
     for x, y in pairs:
         if best.value == 0:
             break
-        deg_bound = _seed_degree(d, x, y)
-        if deg_bound >= best.value:
-            packer = _SeedPacker(d, tables, x, y)
-            if packer.feasible(best.value) is not None:
-                continue
-            result = _exact(d, tables, x, y, cap=best.value - 1, packer=packer)
-        else:
-            result = _exact(d, tables, x, y, cap=deg_bound)
+        packer = _SeedPacker(d, tables, x, y)
+        if _seed_degree(d, x, y) >= best.value and packer.feasible(best.value) is not None:
+            continue
+        result = _exact(d, tables, x, y, cap=best.value - 1, packer=packer)
         if result.value < best.value:
             best, best_pair = result, (x, y)
     if not verify_certificate(d, best.witness).valid:

@@ -271,6 +271,11 @@ class TestConstructCommand:
         code, _, err = run(capsys, ["construct", "p51", "-n", "4", "-m", "4", "-S", "5,5:1,1"])
         assert code == 2
 
+    def test_undersized_cycle_factor_names_both_orders(self, capsys):
+        code, _, err = run(capsys, ["construct", "p51", "-n", "1", "-m", "4", "-S", "0,0:0,1"])
+        assert code == 2
+        assert "cycle factors need order >= 3, got 1 and 4" in err
+
 
 class TestExportCommand:
     def test_dot_output(self, capsys):

@@ -128,11 +128,6 @@ class TestBounds:
         assert (r.lower, r.observed, r.upper) == (3, 4, 4)
         assert r.sandwich_ok
 
-    def test_skip_exact(self):
-        r = check_bounds(complete_digraph(3), complete_digraph(3), compute_exact=False)
-        assert (r.lower, r.upper) == (3, 4)
-        assert r.observed is None and r.sandwich_ok is None
-
 
 class TestClassTable:
     def test_full_grid(self):
@@ -252,6 +247,12 @@ class TestClosedFormFamilies:
             cycle_cycle_family(2, 3, (0, 0), (1, 1))
         with pytest.raises(DigraphError):
             cycle_complete_family(3, 1, (0, 0), (1, 0))
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (4, 1)])
+    def test_cycle_cycle_checks_orders_before_building(self, n, m):
+        # an order-1 cycle cannot even be built, so the family's own message must come first
+        with pytest.raises(DigraphError, match=f"cycle factors need order >= 3, got {n} and {m}$"):
+            cycle_cycle_family(n, m, (0, 0), (0, 1))
 
 
 class TestLift:

@@ -7,12 +7,10 @@ from strongarc.digraph import (
     Digraph,
     DigraphError,
     _strong_on_endpoints,
-    arc_subset_spanning_check,
     biorient,
     degrees,
     dumps_digraph,
     from_arc_list,
-    induced_subgraph,
     is_strong,
     is_symmetric,
     loads_digraph,
@@ -138,38 +136,6 @@ class TestStrongOnEndpoints:
     @settings(max_examples=300)
     def test_equals_remapped_is_strong(self, arcs):
         assert _strong_on_endpoints(arcs) == _strong_after_remap(arcs)
-
-
-class TestInducedSubgraph:
-    def test_relabels_and_filters(self):
-        d = from_arc_list(4, [(0, 1), (1, 3), (3, 0), (1, 2)])
-        sub, remap = induced_subgraph(d, [0, 1, 3])
-        assert sub.n == 3
-        assert remap == {0: 0, 1: 1, 3: 2}
-        assert sub.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
-
-    def test_rejects_empty(self):
-        with pytest.raises(DigraphError):
-            induced_subgraph(from_arc_list(2, [(0, 1)]), [])
-
-
-class TestArcSubsetSpanningCheck:
-    def test_strong_subset_covering_seeds(self):
-        d = biorient(4, [(0, 1), (1, 2), (2, 3)])
-        assert arc_subset_spanning_check(d, [(0, 1), (1, 0)], [0, 1])
-
-    def test_seed_outside_subset(self):
-        d = biorient(4, [(0, 1), (1, 2), (2, 3)])
-        assert not arc_subset_spanning_check(d, [(0, 1), (1, 0)], [0, 3])
-
-    def test_non_strong_subset(self):
-        d = biorient(3, [(0, 1), (1, 2)])
-        assert not arc_subset_spanning_check(d, [(0, 1), (1, 2)], [0])
-
-    def test_foreign_arcs_rejected(self):
-        d = from_arc_list(3, [(0, 1)])
-        with pytest.raises(DigraphError):
-            arc_subset_spanning_check(d, [(1, 0)], [0])
 
 
 class TestSerialization:
