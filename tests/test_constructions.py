@@ -280,6 +280,10 @@ class TestLift:
         # the triangle is forced and the bidirected square has no spare member
         self.check(directed_cycle(3), bidirected_cycle(4), (0, 0), (1, 2), 2)
 
+    def test_second_factor_forced_drops_one_member(self):
+        # the mirror of the case above: the triangle is now the second factor
+        self.check(bidirected_cycle(4), directed_cycle(3), (0, 0), (2, 1), 2)
+
     def test_one_factor_forced_with_spare_member(self):
         # K23 packs 3 members for the pair (0, 3) although its minimum is 2,
         # so a spare member absorbs the collision and the size stays full
@@ -312,6 +316,24 @@ class TestLift:
             _, fam = lift_certificates(g, h, p.decode(x), p.decode(y))
             assert verify_certificate(p.digraph, fam).valid
             assert len(fam.members) >= lambda_2(g).value + lambda_2(h).value - 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_swapping_factors_mirrors_the_family(self, seed):
+        # both factors' roles go through one routine per layout, so lifting
+        # H x G at the transposed seeds gives the transposed members
+        rng = random.Random(seed)
+        g = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.6, rng.getrandbits(32))
+        h = random_strong_digraph(rng.randint(2, 4), rng.random() * 0.6, rng.getrandbits(32))
+        p = cartesian_product(g, h)
+        for x in range(p.digraph.n):
+            for y in range(x + 1, p.digraph.n):
+                x_pos, y_pos = p.decode(x), p.decode(y)
+                _, fam = lift_certificates(g, h, x_pos, y_pos)
+                q, swapped = lift_certificates(h, g, x_pos[::-1], y_pos[::-1])
+                back = {v: p.encode(*q.decode(v)[::-1]) for v in range(q.digraph.n)}
+                expected = sorted(sorted(member) for member in fam.members)
+                got = sorted(sorted((back[u], back[v]) for u, v in member) for member in swapped.members)
+                assert got == expected
 
     def test_rejects_non_strong_factor(self):
         with pytest.raises(DigraphError):
