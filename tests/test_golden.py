@@ -6,7 +6,8 @@ per-node path enumeration (`lambda2` on a directed torus and on a mixed product)
 before the flow route for symmetric digraphs (`lambda2` on two symmetric products whose
 minimizing pair is not (0, 1)) and before the strong-digraph floor exit (`lambda2` on a
 directed cycle and on a bidirected star, and the first lifted product of the certify
-benchmark)."""
+benchmark) and before the witness-first connectivity scan (`lambda` on a random product
+whose witness is the 110th pivot pair, (55, 0))."""
 
 from pathlib import Path
 
@@ -22,6 +23,7 @@ COMMANDS = {
     "lambda_bcm6_x_bcm6": "lambda bcm:6 x bcm:6",
     "lambda_rand8_x_rand7": "lambda rand:8:0.3:1 x rand:7:0.3:2",
     "lambda_rand30_x_rand20": "lambda rand:30:0.3:1 x rand:20:0.3:2",
+    "lambda_rand9_x_rand8_seed5": "lambda rand:9:0.3:5 x rand:8:0.3:5",
     "check_thm31_trials20_seed1": "check thm31 --trials 20 --seed 1",
     "lambda2_bkm6_x_bkm6": "lambda2 bkm:6 x bkm:6",
     "lambda2_bcm6_x_bcm6": "lambda2 bcm:6 x bcm:6",
