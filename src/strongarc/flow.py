@@ -2,14 +2,19 @@
 
 All flows run on one kernel, ``_unit_flow``: breadth-first augmentation over
 ``Digraph.flow_network`` that stops at a requested number of paths and can
-leave arcs out.  ``arc_connectivity`` takes the least local value around the
-cycle ``0 -> 1 -> ... -> n-1 -> 0`` (Schnorr 1979), capping each flow below the
-best so far; its witness is the cut of the first pair in pivot order ``(0, 1),
-(1, 0), (0, 2), (2, 0), ...`` that attains the minimum.
+leave arcs out.  ``arc_connectivity`` first scans the pivot pairs ``(0, 1),
+(1, 0), (0, 2), (2, 0), ...`` for the first whose local value is at most the
+degree bound ``min(δ⁺, δ⁻)``, proving earlier pairs where it can by a shorter
+flow between the pivot vertex and one of its neighbours.  The vertices before
+that pair's pivot vertex are then pairwise more than the bound apart, so the
+Schnorr (1979) cycle ``0 -> 1 -> ... -> n-1 -> 0`` only runs on from that
+vertex back to 0; if it finds a smaller value, the scan runs again at that
+value.  The witness is the minimal cut of the pair the last scan stopped at.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -63,7 +68,8 @@ class ConnectivityReport:
     """Global arc-strong connectivity with the degree context and a witness cut.
 
     ``strong`` is False when the digraph is not strongly connected; then the
-    value is 0 and the cut is empty.
+    value is 0 and the cut is empty.  ``local_flows`` counts the flow kernel
+    runs that found the value and the cut.
     """
 
     value: int
@@ -71,6 +77,7 @@ class ConnectivityReport:
     delta_in: int
     min_cut: frozenset[Arc]
     strong: bool
+    local_flows: int = field(compare=False)
 
 
 def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int], list[int]]:
@@ -133,32 +140,94 @@ def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalAr
     return LocalArcConnectivity(s, t, value, cut, False, d, residual)
 
 
+def _witness_scan(d: Digraph, bound: int, first: int) -> tuple[LocalArcConnectivity, int, int]:
+    """First pivot pair from vertex ``first`` on whose local value is at most ``bound``.
+
+    Returns its uncapped flow, its pivot vertex and the number of kernel runs.
+    Needs ``λ(0, c) > bound`` and ``λ(c, 0) > bound`` for every ``0 < c < first``;
+    each vertex the scan passes keeps that true.  Then for ``0 < c < u``,
+    ``λ(c, u) > bound`` proves ``λ(0, u) >= min(λ(0, c), λ(c, u)) > bound``, and
+    ``λ(u, c) > bound`` proves ``λ(u, 0) > bound``.  So each side first tries
+    the flow from or to the largest such in- or out-neighbour ``c`` of ``u``,
+    one arc away; the pivot flow, which gives the cut, runs only when that
+    proof fails or ``u`` has no such neighbour.
+    """
+    flows = 0
+    for u in range(first, d.n):
+        for s, t, adj in ((0, u, d.in_adj[u]), (u, 0, d.out_adj[u])):
+            below = bisect_left(adj, u)
+            near = adj[below - 1] if below else 0
+            if near:
+                flows += 1
+                if _unit_flow(d, s or near, t or near, bound + 1)[0] > bound:
+                    continue
+            flows += 1
+            local = max_flow_unit(d, s, t, cap=bound)
+            if not local.capped:
+                return local, u, flows
+    raise AssertionError("every minimum cut separates 0 from some vertex")
+
+
 def arc_connectivity(d: Digraph) -> ConnectivityReport:
-    """Global arc-strong connectivity: min over local values around the cycle 0 -> 1 -> ... -> 0."""
+    """Global arc-strong connectivity, with the minimal cut of the first pivot pair attaining it.
+
+    The witness scan runs first, at ``bound = min(δ⁺, δ⁻)``, which ``λ`` never
+    exceeds.  It stops at the first pair ``w`` with ``λ(w) <= bound``; one
+    exists, because a vertex of least out- or in-degree has a local value of
+    at most ``bound`` to or from 0.  Let ``u*`` be the pivot vertex of ``w``.
+    Every pair before ``w`` is above ``bound``, so any two of ``{0, ..., u*-1}``
+    are more than ``bound``-connected both ways (``λ(a, b) >= min(λ(a, 0),
+    λ(0, b))``), and a cut ``S`` with fewer than ``λ(w)`` arcs keeps them on one
+    side.  Contract them into 0: ``S`` leaves the cycle ``0, u*, u*+1, ..., n-1``
+    along one of its links, and not along ``(0, u*)``, since ``λ(0, u*)`` is
+    ``λ(w)`` when ``w = (0, u*)`` and above ``bound`` otherwise.  So ``λ`` is the
+    least of ``λ(w)`` and the flows ``(u*, u*+1), ..., (n-1, 0)``, each capped
+    below the least so far and stopped at 1, below which no strong digraph
+    goes.  Only ``λ < min(δ⁺, δ⁻)`` can leave ``λ`` below ``λ(w)``; then the
+    scan runs again from ``u*`` at ``λ``.
+
+    Raises ``RuntimeError`` unless the cut has ``λ`` arcs and deleting it
+    leaves the digraph not strong.
+    """
     if d.n < 2:
         raise DigraphError("arc connectivity needs at least two vertices")
     d_out, d_in = degrees(d)
     if not is_strong(d):
-        return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False)
-    value = min(d_out, d_in)
-    for u in range(d.n):
-        if value == 1:  # a strong digraph has at least 1
+        return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False, local_flows=0)
+    witness, first, flows = _witness_scan(d, min(d_out, d_in), 1)
+    value = witness.value
+    for u in range(first, d.n):
+        if value == 1:
             break
-        local = max_flow_unit(d, u, (u + 1) % d.n, cap=value - 1)
-        if not local.capped:
-            value = local.value
-    # the witness pair is the first whose flow capped at ``value`` is not cut short
-    for u in range(1, d.n):
-        for s, t in ((0, u), (u, 0)):
-            local = max_flow_unit(d, s, t, cap=value)
-            if not local.capped:
-                return ConnectivityReport(value, d_out, d_in, local.cut, strong=True)
-    raise AssertionError("every minimum cut separates 0 from some vertex")
+        flows += 1
+        value = min(value, _unit_flow(d, u, (u + 1) % d.n, value)[0])
+    if value < witness.value:
+        witness, _, rescan_flows = _witness_scan(d, value, first)
+        flows += rescan_flows
+    if len(witness.cut) != value or not verify_cut(d, witness.cut):
+        pair = f"{witness.source}->{witness.sink}"
+        raise RuntimeError(f"arc connectivity {value}: the minimum cut of {pair} does not verify")
+    return ConnectivityReport(value, d_out, d_in, witness.cut, strong=True, local_flows=flows)
 
 
 def verify_cut(d: Digraph, cut: Iterable[Arc]) -> bool:
-    """True iff deleting ``cut`` destroys strong connectivity."""
+    """True iff deleting ``cut`` destroys strong connectivity.
+
+    Searches from vertex 0 along out-arcs and then along in-arcs of ``d``,
+    stepping over the arcs of ``cut``; no digraph is built.
+    """
     cut_set = frozenset(cut)
     if not cut_set <= d.arcs:
         raise DigraphError("cut contains arcs not present in the digraph")
-    return not is_strong(d.remove_arcs(cut_set))
+    for adj, forward in ((d.out_adj, True), (d.in_adj, False)):
+        seen = [False] * d.n
+        seen[0] = True
+        stack = [0]
+        for u in stack:
+            for v in adj[u]:
+                if not seen[v] and ((u, v) if forward else (v, u)) not in cut_set:
+                    seen[v] = True
+                    stack.append(v)
+        if not all(seen):
+            return True
+    return False

@@ -4,7 +4,9 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from strongarc import flow
 from strongarc.digraph import Digraph, DigraphError, from_arc_list, is_strong
 from strongarc.flow import _unit_flow, arc_connectivity, max_flow_unit, verify_cut
 from strongarc.generators import (
@@ -28,6 +30,17 @@ def brute_arc_connectivity(d: Digraph) -> int:
             out = sum(1 for u, v in d.arcs if u in inside and v not in inside)
             best = min(best, out)
     return best
+
+
+def brute_local_value(d: Digraph, s: int, t: int) -> int:
+    """Fewest arcs leaving a vertex set that holds s but not t."""
+    others = [v for v in range(d.n) if v not in (s, t)]
+    return min(
+        sum(1 for u, v in d.arcs if u in side and v not in side)
+        for size in range(len(others) + 1)
+        for extra in combinations(others, size)
+        for side in [{s, *extra}]
+    )
 
 
 def brute_max_arc_disjoint_paths(d: Digraph, s: int, t: int, target: int) -> bool:
@@ -119,6 +132,17 @@ class TestLocalFlow:
         assert max_flow_unit(stripped, 0, 3).value == 0
 
 
+@st.composite
+def digraphs(draw, max_n: int = 7):
+    """Any digraph on 2..max_n vertices; half of them get a Hamiltonian cycle, so strong ones come up often."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+    if draw(st.booleans()):
+        arcs += [(v, (v + 1) % n) for v in range(n)]
+    return from_arc_list(n, arcs)
+
+
 def _small_digraphs():
     return [random_digraph(2 + seed % 5, 12, seed) for seed in range(40)]
 
@@ -174,6 +198,15 @@ class TestFlowKernel:
             for s, t in ((0, d.n - 1), (d.n - 1, 0)):
                 assert _unit_flow(d, s, t, d.n, mask)[0] == max_flow_unit(kept, s, t).value
 
+    @given(digraphs(), st.data())
+    @settings(max_examples=300)
+    def test_capped_value_matches_brute_force_without_excluded_arcs(self, d, data):
+        s, t = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
+        need = data.draw(st.integers(0, d.n))
+        mask = data.draw(st.integers(0, (1 << len(d.arcs)) - 1))
+        kept = d.remove_arcs(a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1)
+        assert _unit_flow(d, s, t, need, mask)[0] == min(need, brute_local_value(kept, s, t))
+
     def test_negative_cap_rejected(self):
         with pytest.raises(DigraphError):
             max_flow_unit(directed_cycle(3), 0, 1, cap=-1)
@@ -196,7 +229,7 @@ class TestGlobalConnectivity:
 
     def test_non_strong_is_zero(self):
         report = arc_connectivity(from_arc_list(3, [(0, 1), (1, 2)]))
-        assert report.value == 0 and not report.strong
+        assert report.value == 0 and not report.strong and report.local_flows == 0
 
     def test_degree_fields(self):
         d = from_arc_list(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
@@ -236,6 +269,56 @@ class TestGlobalConnectivity:
         assert len(report.min_cut) == report.value
 
 
+    @given(digraphs())
+    @settings(max_examples=300)
+    def test_value_and_witness_match_brute_force(self, d):
+        report = arc_connectivity(d)
+        assert report.value == brute_arc_connectivity(d)
+        if report.strong:
+            assert report.min_cut == pivot_order_cut(d)
+
+    # (k, links, seed) whose first witness pair sits above the minimum, so the scan runs
+    # again; on (3, 2, 24) only the cycle's first link (u*, u*+1) finds the minimum, and
+    # on (3, 2, 13) the new witness is the reverse of the old one, (u*, 0) after (0, u*)
+    @pytest.mark.parametrize(
+        "k,links,seed",
+        [(4, 1, 0), (5, 2, 1), (6, 1, 2), (4, 2, 15), (5, 2, 55), (6, 3, 55), (3, 2, 24), (3, 2, 13)],
+    )
+    def test_rescan_below_degree_bound(self, monkeypatch, k, links, seed):
+        scans = []
+        scan = flow._witness_scan
+
+        def counting_scan(d, bound, first):
+            scans.append((bound, first))
+            return scan(d, bound, first)
+
+        monkeypatch.setattr(flow, "_witness_scan", counting_scan)
+        d = bottleneck_digraph(k, links, seed)
+        report = arc_connectivity(d)
+        assert scans[0] == (min(report.delta_out, report.delta_in), 1)
+        assert len(scans) == 2 and scans[1][0] == report.value < scans[0][0]
+        assert report.value == brute_arc_connectivity(d)
+        assert report.min_cut == pivot_order_cut(d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_local_flows_counts_kernel_runs(self, monkeypatch, seed):
+        runs = []
+        kernel = flow._unit_flow
+
+        def counting_kernel(*args):
+            runs.append(args[1:3])
+            return kernel(*args)
+
+        monkeypatch.setattr(flow, "_unit_flow", counting_kernel)
+        d = bottleneck_digraph(4, 1, seed) if seed % 2 else random_strong_digraph(8, 0.3, seed)
+        assert arc_connectivity(d).local_flows == len(runs) > 0
+
+    def test_unverified_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(flow, "verify_cut", lambda d, cut: False)
+        with pytest.raises(RuntimeError):
+            arc_connectivity(bidirected_cycle(4))
+
+
 class TestVerifyCut:
     def test_accepts_genuine_cut(self):
         d = bidirected_cycle(4)
@@ -247,5 +330,11 @@ class TestVerifyCut:
 
     def test_rejects_foreign_arcs(self):
         d = directed_cycle(3)
-        with pytest.raises(Exception):
+        with pytest.raises(DigraphError):
             verify_cut(d, [(0, 2)])
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=300)
+    def test_matches_strongness_after_deletion(self, d, data):
+        cut = data.draw(st.sets(st.sampled_from(d.sorted_arcs))) if d.arcs else set()
+        assert verify_cut(d, cut) == (not is_strong(d.remove_arcs(cut)))
