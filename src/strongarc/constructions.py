@@ -13,10 +13,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .digraph import Arc, Digraph, DigraphError, biorient, is_strong
-from .flow import arc_connectivity, verify_cut
+from .flow import arc_connectivity
 from .generators import (
     TreeShape,
     bidirected_cycle,
@@ -64,11 +64,24 @@ class FormulaBreakdown:
     argmin: tuple[str, ...]
 
 
-def _require_strong_factor(name: str, d: Digraph) -> None:
+_Measured = TypeVar("_Measured")
+
+
+def _strong_factor(
+    what: str, d: Digraph, measure: Callable[[Digraph], _Measured], strong: str = "strong"
+) -> _Measured:
+    """``measure(d)``, insisting that ``d`` has two or more vertices and is strong.
+
+    ``measure`` is ``arc_connectivity`` or ``lambda_2``; on two or more
+    vertices each is 0 exactly when ``d`` is not strong, so its value
+    decides strongness and no separate search runs.
+    """
     if d.n < 2:
-        raise DigraphError(f"{name} factor must have at least 2 vertices, got {d.n}")
-    if not is_strong(d):
-        raise DigraphError(f"{name} factor must be strong")
+        raise DigraphError(f"{what} must have at least 2 vertices, got {d.n}")
+    result = measure(d)
+    if result.value == 0:
+        raise DigraphError(f"{what} must be {strong}")
+    return result
 
 
 def product_lambda_formula(g: Digraph, h: Digraph) -> FormulaBreakdown:
@@ -78,10 +91,8 @@ def product_lambda_formula(g: Digraph, h: Digraph) -> FormulaBreakdown:
     by the other factor's order, the sum of minimum out-degrees, and the sum
     of minimum in-degrees.
     """
-    _require_strong_factor("first", g)
-    _require_strong_factor("second", h)
-    rep_g = arc_connectivity(g)
-    rep_h = arc_connectivity(h)
+    rep_g = _strong_factor("first factor", g, arc_connectivity)
+    rep_h = _strong_factor("second factor", h, arc_connectivity)
     terms = {
         "g-scaled": rep_g.value * h.n,
         "h-scaled": rep_h.value * g.n,
@@ -104,7 +115,12 @@ def product_lambda_formula(g: Digraph, h: Digraph) -> FormulaBreakdown:
 
 @dataclass(frozen=True)
 class FormulaCheck:
-    """Comparison of the four-term formula against a flow computation."""
+    """Comparison of the four-term formula against a flow computation.
+
+    ``cut_ok`` is always True: ``arc_connectivity`` raises unless its
+    minimum cut has ``computed`` arcs and deleting it leaves the product
+    not strong.
+    """
 
     holds: bool
     formula: FormulaBreakdown
@@ -115,16 +131,14 @@ class FormulaCheck:
 def check_product_formula(g: Digraph, h: Digraph) -> FormulaCheck:
     """Check the four-term formula against the product's actual connectivity.
 
-    The actual value comes from max-flow; the reported minimum cut is
-    re-verified by deletion.  ``holds`` requires both the equality and a
-    sound cut of matching size.
+    The actual value comes from max-flow, whose minimum cut
+    ``arc_connectivity`` verifies by deletion before it returns.  ``holds``
+    is the equality.
     """
     breakdown = product_lambda_formula(g, h)
-    prod = cartesian_product(g, h)
-    report = arc_connectivity(prod.digraph)
-    cut_ok = len(report.min_cut) == report.value and verify_cut(prod.digraph, report.min_cut)
-    holds = breakdown.value == report.value and cut_ok
-    return FormulaCheck(holds=holds, formula=breakdown, computed=report.value, cut_ok=cut_ok)
+    report = arc_connectivity(cartesian_product(g, h).digraph)
+    holds = breakdown.value == report.value
+    return FormulaCheck(holds=holds, formula=breakdown, computed=report.value, cut_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +169,12 @@ def undirected_product_lambda(
     three terms: each factor's edge connectivity scaled by the other factor's
     order, and the sum of minimum degrees.
     """
-    bg = biorient(n_g, edges_g)
-    bh = biorient(n_h, edges_h)
-    for name, b in (("first", bg), ("second", bh)):
-        if b.n < 2:
-            raise DigraphError(f"{name} graph must have at least 2 vertices, got {b.n}")
-        if not is_strong(b):
-            raise DigraphError(f"{name} graph must be connected")
-    lam_g = arc_connectivity(bg).value
-    lam_h = arc_connectivity(bh).value
-    deg_g = min(bg.out_degree(v) for v in range(n_g))
-    deg_h = min(bh.out_degree(v) for v in range(n_h))
+    rep_g = _strong_factor("first graph", biorient(n_g, edges_g), arc_connectivity, "connected")
+    rep_h = _strong_factor("second graph", biorient(n_h, edges_h), arc_connectivity, "connected")
     terms = {
-        "g-scaled": lam_g * n_h,
-        "h-scaled": lam_h * n_g,
-        "degrees": deg_g + deg_h,
+        "g-scaled": rep_g.value * n_h,
+        "h-scaled": rep_h.value * n_g,
+        "degrees": rep_g.delta_out + rep_h.delta_out,
     }
     value = min(terms.values())
     argmin = tuple(name for name, term in terms.items() if term == value)
@@ -249,7 +254,11 @@ def all_connected_graphs(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Sandwich bounds lambda2(G) + lambda2(H) - 1 <= lambda2(product) <= formula."""
+    """Sandwich bounds lambda2(G) + lambda2(H) - 1 <= lambda2(product) <= formula.
+
+    ``pair`` and ``witness`` are the product's least minimizing seed pair
+    and its verified packing family.
+    """
 
     lower: int
     upper: int
@@ -259,6 +268,8 @@ class BoundsReport:
     lower_tight: bool
     upper_tight: bool
     sandwich_ok: bool
+    pair: tuple[int, int]
+    witness: CertificateFamily
 
 
 def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
@@ -267,8 +278,8 @@ def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
     g2 = lambda_2(g).value
     h2 = lambda_2(h).value
     lower = g2 + h2 - 1
-    prod = cartesian_product(g, h)
-    observed = lambda_2(prod.digraph).value
+    product = lambda_2(cartesian_product(g, h).digraph)
+    observed = product.value
     return BoundsReport(
         lower=lower,
         upper=upper,
@@ -278,6 +289,8 @@ def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
         lower_tight=observed == lower,
         upper_tight=observed == upper,
         sandwich_ok=lower <= observed <= upper,
+        pair=product.pair,
+        witness=product.witness,
     )
 
 
@@ -667,17 +680,18 @@ def lift_certificates(
     Produces at least ``lambda2(g) + lambda2(h) - 1`` arc-disjoint seed-strong
     subgraphs of the product, which is why that expression lower-bounds the
     product's pair-packing number.  Seeds sharing a row or column always get
-    the full ``lambda2(g) + lambda2(h)`` members; in general position one
-    member is dropped only when both factor families are forced to branch
-    through the opposite seed line and no spare member is available.
+    the full ``lambda2(g) + lambda2(h)`` members.  In general position a
+    factor family is forced when one of its members can only branch through
+    the other seed's line.  When exactly one family is forced, its forced
+    member bridges through a spare member of the other factor's family, or
+    one member is dropped when the other factor has no spare.  When both
+    are forced, the two forced members swap halves and every member is kept.
     """
-    _require_strong_factor("first", g)
-    _require_strong_factor("second", h)
+    g2 = _strong_factor("first factor", g, lambda_2).value
+    h2 = _strong_factor("second factor", h, lambda_2).value
     p = cartesian_product(g, h)
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
-    g2 = lambda_2(g).value
-    h2 = lambda_2(h).value
     lower = g2 + h2 - 1
     if r1 == r2:
         members = _lift_same_line(p, g, h, lift_g_arcs, lift_h_arcs, r1, c1, c2, g2, h2)
@@ -835,10 +849,10 @@ def _validate_trials(trials: int, max_order: int) -> None:
 def hunt_tightness(config: HuntConfig) -> HuntReport:
     """Sample random strong factor pairs, looking for products that meet the lower bound.
 
-    For each trial the gap ``lambda2(product) - lower`` is tallied;
-    zero-gap trials are returned in full with their optimal pair and
-    witness family.  ``sandwich_ok`` confirms every trial stayed inside
-    both bounds.
+    Each trial is one ``check_bounds`` call.  The gap ``lambda2(product) -
+    lower`` is tallied; zero-gap trials are returned in full with their
+    optimal pair and witness family.  ``sandwich_ok`` confirms every trial
+    stayed inside both bounds.
     """
     _validate_trials(config.trials, config.max_order)
     if not 0 <= config.extra_arc_prob <= 1:
@@ -852,13 +866,9 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
         n_h = rng.randint(2, config.max_order)
         g = random_strong_digraph(n_g, rng.random() * config.extra_arc_prob, rng.getrandbits(32))
         h = random_strong_digraph(n_h, rng.random() * config.extra_arc_prob, rng.getrandbits(32))
-        lower = lambda_2(g).value + lambda_2(h).value - 1
-        upper = product_lambda_formula(g, h).value
-        prod = cartesian_product(g, h)
-        result = lambda_2(prod.digraph)
-        if not lower <= result.value <= upper:
-            sandwich_ok = False
-        gap = result.value - lower
+        rep = check_bounds(g, h)
+        sandwich_ok = sandwich_ok and rep.sandwich_ok
+        gap = rep.observed - rep.lower
         tally[gap] = tally.get(gap, 0) + 1
         if gap == 0:
             hits.append(
@@ -866,11 +876,11 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
                     trial=trial,
                     g=g,
                     h=h,
-                    lower=lower,
-                    observed=result.value,
-                    upper=upper,
-                    pair=result.pair,
-                    witness=result.witness,
+                    lower=rep.lower,
+                    observed=rep.observed,
+                    upper=rep.upper,
+                    pair=rep.pair,
+                    witness=rep.witness,
                 )
             )
     return HuntReport(

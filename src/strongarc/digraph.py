@@ -7,7 +7,7 @@ rejected at construction; vertices are always ``0 .. n-1``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -71,9 +71,6 @@ class Digraph:
     def reverse(self) -> "Digraph":
         return Digraph(self.n, frozenset((v, u) for u, v in self.arcs))
 
-    def remove_arcs(self, trash: Iterable[Arc]) -> "Digraph":
-        return Digraph(self.n, self.arcs - frozenset(trash))
-
     def __repr__(self) -> str:  # keep hypothesis failure output readable
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
@@ -93,24 +90,40 @@ def from_arc_list(n: int, arcs: Iterable[Arc]) -> Digraph:
     return Digraph(n, frozenset(clean))
 
 
-def _reachable(n: int, adj: Sequence[Sequence[int]], start: int) -> list[bool]:
-    seen = [False] * n
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
+def _strong_without(d: Digraph, cut: Iterable[Arc] = ()) -> bool:
+    """True iff every vertex reaches every other once the arcs of ``cut`` are gone.
+
+    Searches from vertex 0 along out-arcs and then along in-arcs of ``d``.
+    Only the neighbour rows of cut-arc ends are filtered, through a map from
+    each tail to its cut heads (head to cut tails for the in-arc search);
+    no digraph is built.
+    """
+    cut_heads: dict[int, set[int]] = {}
+    cut_tails: dict[int, set[int]] = {}
+    for u, v in cut:
+        cut_heads.setdefault(u, set()).add(v)
+        cut_tails.setdefault(v, set()).add(u)
+    for adj, skip in ((d.out_adj, cut_heads), (d.in_adj, cut_tails)):
+        if skip:
+            adj = list(adj)
+            for u, gone in skip.items():
+                adj[u] = [v for v in adj[u] if v not in gone]
+        seen = [False] * d.n
+        seen[0] = True
+        stack = [0]
+        for u in stack:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        if len(stack) < d.n:
+            return False
+    return True
 
 
 def is_strong(d: Digraph) -> bool:
     """True iff every vertex reaches every other (a 1-vertex digraph is strong)."""
-    if d.n == 1:
-        return True
-    return all(_reachable(d.n, d.out_adj, 0)) and all(_reachable(d.n, d.in_adj, 0))
+    return _strong_without(d)
 
 
 def is_symmetric(d: Digraph) -> bool:

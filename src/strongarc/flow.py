@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .digraph import Arc, Digraph, DigraphError, degrees, is_strong
+from .digraph import Arc, Digraph, DigraphError, _strong_without, degrees, is_strong
 
 
 @dataclass(frozen=True)
@@ -211,23 +211,8 @@ def arc_connectivity(d: Digraph) -> ConnectivityReport:
 
 
 def verify_cut(d: Digraph, cut: Iterable[Arc]) -> bool:
-    """True iff deleting ``cut`` destroys strong connectivity.
-
-    Searches from vertex 0 along out-arcs and then along in-arcs of ``d``,
-    stepping over the arcs of ``cut``; no digraph is built.
-    """
+    """True iff deleting ``cut`` destroys strong connectivity; no digraph is built."""
     cut_set = frozenset(cut)
     if not cut_set <= d.arcs:
         raise DigraphError("cut contains arcs not present in the digraph")
-    for adj, forward in ((d.out_adj, True), (d.in_adj, False)):
-        seen = [False] * d.n
-        seen[0] = True
-        stack = [0]
-        for u in stack:
-            for v in adj[u]:
-                if not seen[v] and ((u, v) if forward else (v, u)) not in cut_set:
-                    seen[v] = True
-                    stack.append(v)
-        if not all(seen):
-            return True
-    return False
+    return not _strong_without(d, cut_set)

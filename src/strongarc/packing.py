@@ -363,11 +363,6 @@ def _seed_bounds(d: Digraph, x: int, y: int) -> tuple[int, int]:
     return deg, min(max_flow_unit(d, x, y, cap=deg).value, max_flow_unit(d, y, x, cap=deg).value)
 
 
-def lambda_s_upper_bound(d: Digraph, seed: Iterable[int]) -> int:
-    """Cheap upper bound: seed degrees and both local connectivities."""
-    return _seed_bounds(d, *_validate_pair(d, seed))[1]
-
-
 def _exact(
     d: Digraph,
     tables: _ArcTables,

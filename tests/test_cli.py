@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import strongarc
-from strongarc import cli
+from strongarc import cli, constructions, flow, packing
 from strongarc.constructions import HuntConfig, HuntHit, HuntReport, class_table_value, lift_certificates
 from strongarc.digraph import from_arc_list, write_digraph
 from strongarc.generators import directed_cycle
@@ -110,11 +110,12 @@ class TestLambdaCommand:
         ids=["wrong-size", "not-a-cut"],
     )
     def test_unverified_cut_fails(self, capsys, monkeypatch, cut):
-        real = cli.arc_connectivity
-        monkeypatch.setattr(cli, "arc_connectivity", lambda d: dataclasses.replace(real(d), min_cut=cut))
+        # the bad cut enters as the witness flow's cut, so arc_connectivity's own check rejects it
+        real = flow.max_flow_unit
+        monkeypatch.setattr(flow, "max_flow_unit", lambda *a, **k: dataclasses.replace(real(*a, **k), cut=cut))
         code, out, err = run(capsys, ["lambda", "bkm:4"])
         assert code == 1 and out == ""
-        assert "does not verify" in err
+        assert "does not verify" in err and "Traceback" not in err
 
 
 class TestLambdaTwoCommand:
@@ -130,6 +131,16 @@ class TestLambdaTwoCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0 and f"lambda2: {value}" in out
         assert "upper bound" not in out
+
+    @pytest.mark.parametrize("spec", [["cn:3", "x", "cn:3"], ["bkm:3", "x", "bkm:3"]], ids=["search", "flow"])
+    def test_unverified_witness_fails(self, capsys, monkeypatch, spec):
+        real = packing.verify_certificate
+        monkeypatch.setattr(
+            packing, "verify_certificate", lambda d, fam: dataclasses.replace(real(d, fam), valid=False)
+        )
+        code, out, err = run(capsys, ["lambda2", *spec])
+        assert code == 1 and out == ""
+        assert "does not verify" in err and "Traceback" not in err
 
     def test_member_lines_listed(self, capsys):
         code, out, _ = run(capsys, ["lambda2", "cn:3", "x", "cn:3"])
@@ -253,6 +264,15 @@ class TestConstructCommand:
         assert "origin: lift" in out
         count = int(next(line for line in out.splitlines() if line.startswith("members:")).split()[1])
         assert count >= 1
+
+    def test_unverified_family_fails(self, capsys, monkeypatch):
+        real = constructions.verify_certificate
+        monkeypatch.setattr(
+            constructions, "verify_certificate", lambda d, fam: dataclasses.replace(real(d, fam), valid=False)
+        )
+        code, out, err = run(capsys, ["construct", "p51", "-n", "4", "-m", "4", "-S", "0,0:1,1"])
+        assert code == 1 and out == ""
+        assert "failed verification" in err and "Traceback" not in err
 
     def test_solver_fallback_labeled(self, capsys):
         code, out, _ = run(capsys, ["construct", "p51", "-n", "4", "-m", "4", "-S", "0,0:0,2"])

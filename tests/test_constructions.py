@@ -1,15 +1,18 @@
 """Product connectivity formulas, closed-form certificate families, lifting, hunts."""
 
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
+from strongarc import constructions
 from strongarc.constructions import (
     CLASS_TOKENS,
     ConstructionError,
     HuntConfig,
+    HuntHit,
     all_connected_graphs,
     check_bounds,
     check_product_formula,
@@ -64,6 +67,27 @@ class TestFormula:
         with pytest.raises(DigraphError):
             product_lambda_formula(from_arc_list(1, []), directed_cycle(3))
 
+    @pytest.mark.parametrize("build", ["formula", "lift"])
+    @pytest.mark.parametrize(
+        "weak,message",
+        [
+            (from_arc_list(1, []), "must have at least 2 vertices, got 1"),
+            (from_arc_list(3, [(0, 1), (1, 2)]), "must be strong"),
+            (from_arc_list(4, [(0, 1), (1, 0), (2, 3), (3, 2)]), "must be strong"),
+        ],
+        ids=["trivial", "path", "two-digons"],
+    )
+    def test_rejection_names_the_factor(self, build, weak, message):
+        # strongness comes from the factor's lambda (formula) or lambda_2 (lift), both 0 exactly when not strong
+        call = {
+            "formula": lambda g, h: product_lambda_formula(g, h),
+            "lift": lambda g, h: lift_certificates(g, h, (0, 0), (1, 1)),
+        }[build]
+        with pytest.raises(DigraphError, match=f"^first factor {message}$"):
+            call(weak, directed_cycle(3))
+        with pytest.raises(DigraphError, match=f"^second factor {message}$"):
+            call(directed_cycle(3), weak)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_formula_matches_flow_on_random_products(self, seed):
         rng = random.Random(seed)
@@ -85,6 +109,12 @@ class TestUndirectedFormula:
     def test_rejects_disconnected(self):
         with pytest.raises(DigraphError):
             undirected_product_lambda(3, ((0, 1),), 2, ((0, 1),))
+
+    def test_rejection_names_the_graph(self):
+        with pytest.raises(DigraphError, match="^second graph must be connected$"):
+            undirected_product_lambda(2, ((0, 1),), 3, ((0, 1),))
+        with pytest.raises(DigraphError, match="^first graph must have at least 2 vertices, got 1$"):
+            undirected_product_lambda(1, (), 2, ((0, 1),))
 
 
 class TestSymmetricIdentity:
@@ -127,6 +157,14 @@ class TestBounds:
         r = check_bounds(complete_digraph(3), complete_digraph(3))
         assert (r.lower, r.observed, r.upper) == (3, 4, 4)
         assert r.sandwich_ok
+
+    @pytest.mark.parametrize("g,h", [(directed_cycle(3), K23), (complete_digraph(3), directed_cycle(4))])
+    def test_pair_and_witness_are_the_products_lambda2(self, g, h):
+        r = check_bounds(g, h)
+        prod = cartesian_product(g, h).digraph
+        best = lambda_2(prod)
+        assert (r.observed, r.pair, r.witness) == (best.value, best.pair, best.witness)
+        assert verify_certificate(prod, r.witness).valid and len(r.witness.members) == r.observed
 
 
 class TestClassTable:
@@ -416,3 +454,26 @@ class TestHunt:
         assert all(gap >= 0 for gap, _ in report.gap_counts)
         for hit in report.hits:
             assert hit.observed == hit.lower
+
+    def test_tally_and_hits_come_from_check_bounds(self, monkeypatch):
+        # random small products never meet the lower bound, so every third report is made to
+        reports = []
+
+        def recording(g, h):
+            r = check_bounds(g, h)
+            if len(reports) % 3 == 0:
+                r = dataclasses.replace(r, lower=r.observed)
+            reports.append((g, h, r))
+            return r
+
+        monkeypatch.setattr(constructions, "check_bounds", recording)
+        report = hunt_tightness(HuntConfig(trials=15, max_order=3, seed=1))
+        gaps = [r.observed - r.lower for _, _, r in reports]
+        assert report.gap_counts == tuple(sorted((gap, gaps.count(gap)) for gap in set(gaps)))
+        assert report.sandwich_ok == all(r.sandwich_ok for _, _, r in reports)
+        expected = [
+            HuntHit(trial, g, h, r.lower, r.observed, r.upper, r.pair, r.witness)
+            for trial, (g, h, r) in enumerate(reports)
+            if r.observed == r.lower
+        ]
+        assert len(expected) == 5 and list(report.hits) == expected

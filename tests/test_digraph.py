@@ -62,10 +62,6 @@ class TestConstruction:
         r = d.reverse()
         assert r.has_arc(1, 0) and r.has_arc(2, 0) and not r.has_arc(0, 1)
 
-    def test_remove_arcs(self):
-        d = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
-        assert d.remove_arcs([(0, 1)]).arcs == frozenset({(1, 2), (2, 0)})
-
 
 class TestStrongness:
     def test_cycle_is_strong(self):

@@ -128,7 +128,7 @@ class TestLocalFlow:
         d = complete_digraph(4)
         local = max_flow_unit(d, 0, 3)
         assert local.value == 3
-        stripped = d.remove_arcs(local.cut)
+        stripped = Digraph(d.n, d.arcs - local.cut)
         assert max_flow_unit(stripped, 0, 3).value == 0
 
 
@@ -141,6 +141,16 @@ def digraphs(draw):
     if draw(st.booleans()):
         arcs += [(v, (v + 1) % n) for v in range(n)]
     return from_arc_list(n, arcs)
+
+
+def closure_strong(n: int, arcs) -> bool:
+    """Strongness by transitive closure (Warshall): every ordered pair joined by a path."""
+    reach = [[u == v or (u, v) in arcs for v in range(n)] for u in range(n)]
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                reach[u] = [a or b for a, b in zip(reach[u], reach[k])]
+    return all(all(row) for row in reach)
 
 
 def _small_digraphs():
@@ -194,7 +204,7 @@ class TestFlowKernel:
         rng = random.Random(d.n * 1000 + len(d.arcs))
         for _ in range(5):
             mask = rng.getrandbits(len(d.arcs)) if d.arcs else 0
-            kept = d.remove_arcs(a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1)
+            kept = Digraph(d.n, d.arcs - {a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1})
             for s, t in ((0, d.n - 1), (d.n - 1, 0)):
                 assert _unit_flow(d, s, t, d.n, mask)[0] == max_flow_unit(kept, s, t).value
 
@@ -204,7 +214,7 @@ class TestFlowKernel:
         s, t = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
         need = data.draw(st.integers(0, d.n))
         mask = data.draw(st.integers(0, (1 << len(d.arcs)) - 1))
-        kept = d.remove_arcs(a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1)
+        kept = Digraph(d.n, d.arcs - {a for i, a in enumerate(d.sorted_arcs) if mask >> i & 1})
         assert _unit_flow(d, s, t, need, mask)[0] == min(need, brute_local_value(kept, s, t))
 
     def test_negative_cap_rejected(self):
@@ -336,4 +346,12 @@ class TestVerifyCut:
     @settings(max_examples=300)
     def test_matches_strongness_after_deletion(self, d, data):
         cut = data.draw(st.sets(st.sampled_from(d.sorted_arcs))) if d.arcs else set()
-        assert verify_cut(d, cut) == (not is_strong(d.remove_arcs(cut)))
+        assert verify_cut(d, cut) == (not is_strong(Digraph(d.n, d.arcs - cut)))
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=300)
+    def test_strongness_and_cuts_match_transitive_closure(self, d, data):
+        # is_strong and verify_cut share one search; this reference shares none of it
+        cut = data.draw(st.sets(st.sampled_from(d.sorted_arcs))) if d.arcs else set()
+        assert is_strong(d) == closure_strong(d.n, d.arcs)
+        assert verify_cut(d, cut) == (not closure_strong(d.n, d.arcs - cut))

@@ -30,7 +30,7 @@ from strongarc.packing import (
     lambda_s_oracle_subsets,
     _pair_orbit_representatives,
     _search_sweep,
-    lambda_s_upper_bound,
+    _seed_bounds,
     verify_certificate,
 )
 from strongarc.product import cartesian_product
@@ -178,7 +178,7 @@ class TestExactSearch:
     def test_value_never_exceeds_cheap_upper_bound(self, seed):
         d = random_digraph(4, 9, seed)
         r = lambda_s_exact(d, (0, 1))
-        assert r.value <= lambda_s_upper_bound(d, (0, 1))
+        assert r.value <= _seed_bounds(d, 0, 1)[1]
 
 
 class TestLambdaTwo:
@@ -623,9 +623,9 @@ class TestCertificates:
 class TestUpperBound:
     def test_bound_is_degree_and_flow_limited(self):
         d = complete_digraph(4)
-        assert lambda_s_upper_bound(d, (0, 1)) == 3
+        assert _seed_bounds(d, 0, 1)[1] == 3
 
     def test_strong_member_requires_seed_degrees(self):
         # seed vertex 0 has a single out-arc, so at most one member can use it
         d = from_arc_list(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0)])
-        assert lambda_s_upper_bound(d, (0, 1)) == 1
+        assert _seed_bounds(d, 0, 1)[1] == 1
