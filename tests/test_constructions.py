@@ -67,7 +67,11 @@ class TestFormula:
         with pytest.raises(DigraphError):
             product_lambda_formula(from_arc_list(1, []), directed_cycle(3))
 
-    @pytest.mark.parametrize("build", ["formula", "lift"])
+    @pytest.mark.parametrize(
+        "build",
+        [product_lambda_formula, lambda g, h: lift_certificates(g, h, (0, 0), (1, 1))],
+        ids=["formula", "lift"],
+    )
     @pytest.mark.parametrize(
         "weak,message",
         [
@@ -79,14 +83,10 @@ class TestFormula:
     )
     def test_rejection_names_the_factor(self, build, weak, message):
         # strongness comes from the factor's lambda (formula) or lambda_2 (lift), both 0 exactly when not strong
-        call = {
-            "formula": lambda g, h: product_lambda_formula(g, h),
-            "lift": lambda g, h: lift_certificates(g, h, (0, 0), (1, 1)),
-        }[build]
         with pytest.raises(DigraphError, match=f"^first factor {message}$"):
-            call(weak, directed_cycle(3))
+            build(weak, directed_cycle(3))
         with pytest.raises(DigraphError, match=f"^second factor {message}$"):
-            call(directed_cycle(3), weak)
+            build(directed_cycle(3), weak)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_formula_matches_flow_on_random_products(self, seed):
