@@ -159,8 +159,6 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
     d, _ = parse_operand(args.spec)
-    if args.samples is not None and args.seed is None:
-        raise UsageError("--samples needs an explicit --seed")
     result = lambda_2(d, samples=args.samples, seed=args.seed)
     if not result.exact:
         print("mode: sampled pairs, value is an upper bound")
@@ -279,8 +277,7 @@ def _check_eq2(args: argparse.Namespace) -> int:
                         failures += 1
                         print(
                             f"product n={n_g} edges={edges_g} by n={n_h} edges={edges_h}: "
-                            f"undirected={res.undirected_value} directed={res.directed_value} "
-                            f"observed={res.observed_lambda2} FAIL"
+                            f"formula={res.formula_value} observed={res.observed_lambda2} FAIL"
                         )
     print(f"checked {count} bidirected products: all orders <= {product_cap}")
     print(f"checked {args.trials + count} identities: {failures} failure(s)")
@@ -395,7 +392,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             stem = out_dir / f"hit{hit.trial:04d}"
             Path(f"{stem}_g.dg").write_text(dumps_digraph(hit.g), encoding="utf-8")
             Path(f"{stem}_h.dg").write_text(dumps_digraph(hit.h), encoding="utf-8")
-            Path(f"{stem}_cert.json").write_text(certificate_to_json(hit.witness), encoding="utf-8")
+            Path(f"{stem}_cert.json").write_text(certificate_to_json(hit.bounds.witness), encoding="utf-8")
             print(f"wrote {stem}_g.dg {stem}_h.dg {stem}_cert.json")
     if not report.sandwich_ok:
         print("FAIL: a trial escaped the sandwich bounds")

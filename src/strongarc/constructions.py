@@ -1,4 +1,8 @@
-"""Connectivity of Cartesian products: formulas, certificate families, bounds.
+"""Connectivity of Cartesian products: the formula, certificate families, bounds.
+
+Each result has one routine.  Xu and Yang's edge-connectivity formula for
+undirected products is the four-term formula on biorientations, where
+``δ⁺ = δ⁻ = δ``; the closed-form families share one seed dispatcher.
 
 Conventions used throughout: the product of ``g`` (order ``n``) and ``h``
 (order ``m``) has vertices ``encode(i, j) = i * m + j``.  We call the copy of
@@ -67,9 +71,7 @@ class FormulaBreakdown:
 _Measured = TypeVar("_Measured")
 
 
-def _strong_factor(
-    what: str, d: Digraph, measure: Callable[[Digraph], _Measured], strong: str = "strong"
-) -> _Measured:
+def _strong_factor(what: str, d: Digraph, measure: Callable[[Digraph], _Measured]) -> _Measured:
     """``measure(d)``, insisting that ``d`` has two or more vertices and is strong.
 
     ``measure`` is ``arc_connectivity`` or ``lambda_2``; on two or more
@@ -80,7 +82,7 @@ def _strong_factor(
         raise DigraphError(f"{what} must have at least 2 vertices, got {d.n}")
     result = measure(d)
     if result.value == 0:
-        raise DigraphError(f"{what} must be {strong}")
+        raise DigraphError(f"{what} must be strong")
     return result
 
 
@@ -89,7 +91,7 @@ def product_lambda_formula(g: Digraph, h: Digraph) -> FormulaBreakdown:
 
     The value is the minimum of four terms: each factor's connectivity scaled
     by the other factor's order, the sum of minimum out-degrees, and the sum
-    of minimum in-degrees.
+    of minimum in-degrees.  On biorientations it is Xu and Yang's formula.
     """
     rep_g = _strong_factor("first factor", g, arc_connectivity)
     rep_h = _strong_factor("second factor", h, arc_connectivity)
@@ -142,63 +144,21 @@ def check_product_formula(g: Digraph, h: Digraph) -> FormulaCheck:
 
 
 # ---------------------------------------------------------------------------
-# Undirected companion formula and the bidirected-product identity
+# The bidirected-product identity (Xu–Yang as the biorientation case)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UndirectedFormula:
-    """Three-term edge-connectivity formula for an undirected Cartesian product."""
-
-    value: int
-    term_g_scaled: int
-    term_h_scaled: int
-    term_degree: int
-    argmin: tuple[str, ...]
-
-
-def undirected_product_lambda(
-    n_g: int,
-    edges_g: tuple[tuple[int, int], ...],
-    n_h: int,
-    edges_h: tuple[tuple[int, int], ...],
-) -> UndirectedFormula:
-    """Edge connectivity of the Cartesian product of two connected graphs.
-
-    Graphs are given as orders plus edge lists.  The value is the minimum of
-    three terms: each factor's edge connectivity scaled by the other factor's
-    order, and the sum of minimum degrees.
-    """
-    rep_g = _strong_factor("first graph", biorient(n_g, edges_g), arc_connectivity, "connected")
-    rep_h = _strong_factor("second graph", biorient(n_h, edges_h), arc_connectivity, "connected")
-    terms = {
-        "g-scaled": rep_g.value * n_h,
-        "h-scaled": rep_h.value * n_g,
-        "degrees": rep_g.delta_out + rep_h.delta_out,
-    }
-    value = min(terms.values())
-    argmin = tuple(name for name, term in terms.items() if term == value)
-    return UndirectedFormula(
-        value=value,
-        term_g_scaled=terms["g-scaled"],
-        term_h_scaled=terms["h-scaled"],
-        term_degree=terms["degrees"],
-        argmin=argmin,
-    )
 
 
 @dataclass(frozen=True)
 class SymmetricIdentityCheck:
     """For bidirected factors the pair-packing number collapses to the formula.
 
-    Three routes must agree: the undirected three-term formula, the directed
-    four-term formula on the biorientations, and the pair-packing number
-    computed by search on the bidirected product.
+    Two routes must agree: the four-term formula on the biorientations, which
+    is Xu and Yang's edge-connectivity formula there since ``δ⁺ = δ⁻ = δ``,
+    and the pair-packing number computed by search on the bidirected product.
     """
 
     holds: bool
-    undirected_value: int
-    directed_value: int
+    formula_value: int
     observed_lambda2: int
 
 
@@ -215,19 +175,11 @@ def check_symmetric_identity(
     symmetric digraphs is a flow computation; the check then stays
     independent of the flows the formula rests on.
     """
-    und = undirected_product_lambda(n_g, edges_g, n_h, edges_h)
     bg = biorient(n_g, edges_g)
     bh = biorient(n_h, edges_h)
-    directed = product_lambda_formula(bg, bh).value
-    prod = cartesian_product(bg, bh)
-    observed = _search_sweep(prod.digraph).value
-    holds = und.value == directed == observed
-    return SymmetricIdentityCheck(
-        holds=holds,
-        undirected_value=und.value,
-        directed_value=directed,
-        observed_lambda2=observed,
-    )
+    formula = product_lambda_formula(bg, bh).value
+    observed = _search_sweep(cartesian_product(bg, bh).digraph).value
+    return SymmetricIdentityCheck(formula == observed, formula, observed)
 
 
 def all_connected_graphs(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -445,14 +397,37 @@ def _sealed_family(
     return fam
 
 
-def _solver_family(p: ProductDigraph, x: int, y: int, size: int) -> CertificateFamily:
-    """Fallback for seed positions the closed forms do not cover: search, then trim."""
-    return _sealed_family(p, x, y, _factor_family(p.digraph, (x, y), size)[:size], size, "solver")
-
-
 # ---------------------------------------------------------------------------
 # Closed-form families, one per product class
 # ---------------------------------------------------------------------------
+
+
+# the members of a closed-form family for seeds in general position: (p, r1, c1, r2, c2) -> members
+_Members = Callable[[ProductDigraph, int, int, int, int], tuple[frozenset[Arc], ...]]
+
+
+def _closed_form(
+    g: Digraph,
+    h: Digraph,
+    x_pos: tuple[int, int],
+    y_pos: tuple[int, int],
+    size: int,
+    members: _Members,
+) -> tuple[ProductDigraph, CertificateFamily]:
+    """Build ``g □ h`` and a family of ``size`` members for the seeds at ``x_pos``, ``y_pos``.
+
+    Seeds in distinct rows and columns get ``members``; seeds that share a
+    row or column fall back to search, trimmed to ``size``.  Either family
+    must verify at ``size`` members.
+    """
+    p = cartesian_product(g, h)
+    x, y = _positions(p, x_pos, y_pos)
+    (r1, c1), (r2, c2) = x_pos, y_pos
+    if r1 == r2 or c1 == c2:
+        found, origin = _factor_family(p.digraph, (x, y), size)[:size], "solver"
+    else:
+        found, origin = members(p, r1, c1, r2, c2), "construction"
+    return p, _sealed_family(p, x, y, found, size, origin)
 
 
 def cycle_cycle_family(
@@ -466,16 +441,13 @@ def cycle_cycle_family(
     """
     if n < 3 or m < 3:
         raise DigraphError(f"cycle factors need order >= 3, got {n} and {m}")
-    p = cartesian_product(directed_cycle(n), directed_cycle(m))
-    x, y = _positions(p, x_pos, y_pos)
-    (r1, c1), (r2, c2) = x_pos, y_pos
-    if r1 == r2 or c1 == c2:
-        return p, _solver_family(p, x, y, 2)
-    if (r2 - r1) % n == 1 and (c2 - c1) % m == 1 and n >= 4:
-        members = _cycle_cycle_adjacent(p, n, m, r1, c1)
-    else:
-        members = _cycle_cycle_rectangle(p, n, m, r1, c1, r2, c2)
-    return p, _sealed_family(p, x, y, members, 2, "construction")
+
+    def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
+        if (r2 - r1) % n == 1 and (c2 - c1) % m == 1 and n >= 4:
+            return _cycle_cycle_adjacent(p, n, m, r1, c1)
+        return _cycle_cycle_rectangle(p, n, m, r1, c1, r2, c2)
+
+    return _closed_form(directed_cycle(n), directed_cycle(m), x_pos, y_pos, 2, members)
 
 
 def _row_path(p: ProductDigraph, m: int, i: int, a: int, b: int) -> frozenset[Arc]:
@@ -502,7 +474,7 @@ def _cycle_cycle_rectangle(
         | _col_path(p, n, c2, r2, r1)
         | _row_path(p, m, r1, c2, c1)
     )
-    return (frozenset(d1), frozenset(d2))
+    return (d1, d2)
 
 
 def _cycle_cycle_adjacent(
@@ -529,7 +501,7 @@ def _cycle_cycle_adjacent(
         | _col_path(p, n, c2, r2, rd)
         | _row_path(p, m, rd, c2, c1)
     )
-    return (frozenset(d1), frozenset(d2))
+    return (d1, d2)
 
 
 def cycle_bicycle_family(
@@ -543,25 +515,23 @@ def cycle_bicycle_family(
     """
     if n < 3 or m < 3:
         raise DigraphError(f"cycle factors need order >= 3, got {n} and {m}")
-    p = cartesian_product(directed_cycle(n), bidirected_cycle(m))
-    x, y = _positions(p, x_pos, y_pos)
-    (r1, c1), (r2, c2) = x_pos, y_pos
-    if r1 == r2 or c1 == c2:
-        return p, _solver_family(p, x, y, 3)
-    if (c1 - c2) % m >= 2:
-        side_a = _cycle_seq(m, c1, c2, 1)
-        side_b = _cycle_seq(m, c1, c2, -1)
-    else:
-        side_a = _cycle_seq(m, c1, c2, -1)
-        side_b = _cycle_seq(m, c1, c2, 1)
-    w = side_b[1]
-    col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
-    row = lambda seq, i: lift_h_arcs(p, _bidir_path_arcs(seq), i)
-    d1 = col(c2) | row(side_a, r1)
-    d2 = col(c1) | row(side_a, r2)
-    d3 = row(side_b[:2], r1) | col(w) | row(side_b[1:], r2)
-    members = (frozenset(d1), frozenset(d2), frozenset(d3))
-    return p, _sealed_family(p, x, y, members, 3, "construction")
+
+    def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
+        if (c1 - c2) % m >= 2:
+            side_a = _cycle_seq(m, c1, c2, 1)
+            side_b = _cycle_seq(m, c1, c2, -1)
+        else:
+            side_a = _cycle_seq(m, c1, c2, -1)
+            side_b = _cycle_seq(m, c1, c2, 1)
+        w = side_b[1]
+        col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
+        row = lambda seq, i: lift_h_arcs(p, _bidir_path_arcs(seq), i)
+        d1 = col(c2) | row(side_a, r1)
+        d2 = col(c1) | row(side_a, r2)
+        d3 = row(side_b[:2], r1) | col(w) | row(side_b[1:], r2)
+        return (d1, d2, d3)
+
+    return _closed_form(directed_cycle(n), bidirected_cycle(m), x_pos, y_pos, 3, members)
 
 
 def cycle_tree_family(
@@ -576,28 +546,26 @@ def cycle_tree_family(
     if n < 3:
         raise DigraphError(f"cycle factor needs order >= 3, got {n}")
     tree = bidirected_tree(shape)
-    p = cartesian_product(directed_cycle(n), tree)
-    x, y = _positions(p, x_pos, y_pos)
-    (r1, c1), (r2, c2) = x_pos, y_pos
-    if r1 == r2 or c1 == c2:
-        return p, _solver_family(p, x, y, 2)
-    seq = _tree_path_seq(tree, c1, c2)
-    forward = _one_way_path_arcs(seq)
-    reverse = _one_way_path_arcs(tuple(reversed(seq)))
-    d1 = (
-        _col_path(p, n, c1, r1, r2)
-        | lift_h_arcs(p, forward, r2)
-        | _col_path(p, n, c2, r2, r1)
-        | lift_h_arcs(p, reverse, r1)
-    )
-    d2 = (
-        lift_h_arcs(p, forward, r1)
-        | _col_path(p, n, c2, r1, r2)
-        | lift_h_arcs(p, reverse, r2)
-        | _col_path(p, n, c1, r2, r1)
-    )
-    members = (frozenset(d1), frozenset(d2))
-    return p, _sealed_family(p, x, y, members, 2, "construction")
+
+    def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
+        seq = _tree_path_seq(tree, c1, c2)
+        forward = _one_way_path_arcs(seq)
+        reverse = _one_way_path_arcs(tuple(reversed(seq)))
+        d1 = (
+            _col_path(p, n, c1, r1, r2)
+            | lift_h_arcs(p, forward, r2)
+            | _col_path(p, n, c2, r2, r1)
+            | lift_h_arcs(p, reverse, r1)
+        )
+        d2 = (
+            lift_h_arcs(p, forward, r1)
+            | _col_path(p, n, c2, r1, r2)
+            | lift_h_arcs(p, reverse, r2)
+            | _col_path(p, n, c1, r2, r1)
+        )
+        return (d1, d2)
+
+    return _closed_form(directed_cycle(n), tree, x_pos, y_pos, 2, members)
 
 
 def cycle_complete_family(
@@ -614,27 +582,17 @@ def cycle_complete_family(
         raise DigraphError(f"cycle factor needs order >= 3, got {n}")
     if m < 2:
         raise DigraphError(f"complete factor needs order >= 2, got {m}")
-    p = cartesian_product(directed_cycle(n), complete_digraph(m))
-    x, y = _positions(p, x_pos, y_pos)
-    (r1, c1), (r2, c2) = x_pos, y_pos
-    if r1 == r2 or c1 == c2:
-        return p, _solver_family(p, x, y, m)
-    col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
-    members = [
-        frozenset(lift_h_arcs(p, _digon(c1, c2), r1) | col(c2)),
-        frozenset(col(c1) | lift_h_arcs(p, _digon(c1, c2), r2)),
-    ]
-    for j in range(m):
-        if j in (c1, c2):
-            continue
-        members.append(
-            frozenset(
-                lift_h_arcs(p, _digon(c1, j), r1)
-                | col(j)
-                | lift_h_arcs(p, _digon(c2, j), r2)
-            )
+
+    def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
+        col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
+        via = lambda j: lift_h_arcs(p, _digon(c1, j), r1) | col(j) | lift_h_arcs(p, _digon(c2, j), r2)
+        return (
+            lift_h_arcs(p, _digon(c1, c2), r1) | col(c2),
+            col(c1) | lift_h_arcs(p, _digon(c1, c2), r2),
+            *(via(j) for j in range(m) if j not in (c1, c2)),
         )
-    return p, _sealed_family(p, x, y, tuple(members), m, "construction")
+
+    return _closed_form(directed_cycle(n), complete_digraph(m), x_pos, y_pos, m, members)
 
 
 # ---------------------------------------------------------------------------
@@ -816,16 +774,12 @@ class HuntConfig:
 
 @dataclass(frozen=True)
 class HuntHit:
-    """One random product whose pair-packing number meets the lower bound."""
+    """One random product that meets the lower bound, with its ``check_bounds`` report."""
 
     trial: int
     g: Digraph
     h: Digraph
-    lower: int
-    observed: int
-    upper: int
-    pair: tuple[int, int]
-    witness: CertificateFamily
+    bounds: BoundsReport
 
 
 @dataclass(frozen=True)
@@ -871,18 +825,7 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
         gap = rep.observed - rep.lower
         tally[gap] = tally.get(gap, 0) + 1
         if gap == 0:
-            hits.append(
-                HuntHit(
-                    trial=trial,
-                    g=g,
-                    h=h,
-                    lower=rep.lower,
-                    observed=rep.observed,
-                    upper=rep.upper,
-                    pair=rep.pair,
-                    witness=rep.witness,
-                )
-            )
+            hits.append(HuntHit(trial, g, h, rep))
     return HuntReport(
         trials=config.trials,
         sandwich_ok=sandwich_ok,

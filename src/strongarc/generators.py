@@ -131,13 +131,3 @@ def random_connected_graph(n: int, extra_edge_prob: float, seed: int) -> tuple[t
             if (u, v) not in edges and rng.random() < extra_edge_prob:
                 edges.add((u, v))
     return tuple(sorted(edges))
-
-
-def random_digraph(n: int, max_arcs: int, seed: int) -> Digraph:
-    """Uniformly sample at most ``max_arcs`` arcs; not necessarily strong."""
-    if n < 2:
-        raise DigraphError(f"random digraph needs order >= 2, got {n}")
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    count = rng.randint(0, min(max_arcs, len(pairs)))
-    return from_arc_list(n, rng.sample(pairs, count))

@@ -6,9 +6,7 @@ such subgraph can be shrunk to the union of one x->y path and one y->x path,
 so the exact solver packs path-pair unions: classes are built one at a time,
 each from paths in the arcs the earlier classes left unused, tried
 shortest-first in a fixed lexicographic order, and failed states are memoized
-on the bitmask of consumed arcs.  Two independent brute-force oracles
-(arc-subset enumeration and path-union enumeration) cross check the solver on
-small instances.
+on the bitmask of consumed arcs.
 """
 
 from __future__ import annotations
@@ -16,15 +14,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .digraph import (
     Arc,
     Digraph,
     DigraphError,
     _automorphism_generators,
-    _closure,
     _strong_on_endpoints,
     is_strong,
     is_symmetric,
@@ -32,10 +28,6 @@ from .digraph import (
 from .flow import _unit_flow, max_flow_unit
 
 _INF = float("inf")
-
-
-class OracleRefusal(RuntimeError):
-    """An oracle declined because the instance exceeds its brute-force budget."""
 
 
 class _BudgetExhausted(Exception):
@@ -571,131 +563,6 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
     if not verify_certificate(d, best.witness).valid:
         raise RuntimeError(f"lambda_2 witness for pair {best_pair} does not verify")
     return Lambda2Result(best.value, best_pair, best.witness, exact)
-
-
-# --- brute-force oracles -------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _strong_arc_masks(d: Digraph) -> tuple[tuple[int, int], ...]:
-    """All non-empty arc subsets (as bitmasks) inducing strong subgraphs.
-
-    Returns (arc mask, endpoint-vertex mask) pairs; pure brute force over
-    every subset, so callers must keep |A(D)| small.
-    """
-    arcs = d.sorted_arcs
-    a = len(arcs)
-    end_bits = [(1 << u) | (1 << v) for u, v in arcs]
-    out: list[tuple[int, int]] = []
-    for mask in range(1, 1 << a):
-        verts = 0
-        out_map: dict[int, int] = {}
-        in_map: dict[int, int] = {}
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            u, v = arcs[i]
-            verts |= end_bits[i]
-            out_map[u] = out_map.get(u, 0) | (1 << v)
-            in_map[v] = in_map.get(v, 0) | (1 << u)
-            m ^= low
-        start_v = (verts & -verts).bit_length() - 1
-        if _closure(out_map, start_v) == verts and _closure(in_map, start_v) == verts:
-            out.append((mask, verts))
-    return tuple(out)
-
-
-def _minimal_antichain(masks: Sequence[int]) -> list[int]:
-    """Inclusion-minimal masks, input order irrelevant."""
-    minimal: list[int] = []
-    for mask in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(kept & mask == kept for kept in minimal):
-            minimal.append(mask)
-    return minimal
-
-
-def _max_disjoint_packing(members: Sequence[int]) -> int:
-    """Largest number of pairwise disjoint masks, exhaustively."""
-    members = sorted(members, key=lambda m: (m.bit_count(), m))
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(i: int, used: int) -> int:
-        key = (i, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = 0
-        for j in range(i, len(members)):
-            if members[j] & used == 0:
-                cand = 1 + rec(j + 1, used | members[j])
-                if cand > best:
-                    best = cand
-        memo[key] = best
-        return best
-
-    return rec(0, 0)
-
-
-def lambda_s_oracle_subsets(d: Digraph, seeds: Iterable[int], max_arcs: int = 16) -> int:
-    """Oracle: enumerate every arc subset inducing a strong subgraph over the seeds.
-
-    Exact for any seed set of size >= 2; refuses digraphs with more than
-    ``max_arcs`` arcs.
-    """
-    seed_set = sorted(set(seeds))
-    if len(seed_set) < 2:
-        raise DigraphError(f"seed set needs at least two vertices, got {seed_set}")
-    if not all(0 <= v < d.n for v in seed_set):
-        raise DigraphError(f"seed set {seed_set} outside 0..{d.n - 1}")
-    if len(d.arcs) > max_arcs:
-        raise OracleRefusal(f"{len(d.arcs)} arcs exceed the subset-oracle cap of {max_arcs}")
-    want = 0
-    for v in seed_set:
-        want |= 1 << v
-    candidates = [mask for mask, verts in _strong_arc_masks(d) if verts & want == want]
-    return _max_disjoint_packing(_minimal_antichain(candidates))
-
-
-def _all_simple_path_masks(d: Digraph, s: int, t: int, cap: int) -> list[int]:
-    arcs = d.sorted_arcs
-    bit_of = {a: 1 << i for i, a in enumerate(arcs)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-    for a in arcs:
-        adj[a[0]].append((a[1], bit_of[a]))
-    for row in adj:
-        row.sort()
-    out: list[int] = []
-    on_path = [False] * d.n
-
-    def dfs(v: int, mask: int) -> None:
-        if v == t:
-            out.append(mask)
-            if len(out) > cap:
-                raise OracleRefusal(f"more than {cap} simple paths between seed vertices")
-            return
-        on_path[v] = True
-        for head, bit in adj[v]:
-            if not on_path[head]:
-                dfs(head, mask | bit)
-        on_path[v] = False
-
-    dfs(s, 0)
-    return out
-
-
-def lambda_s_oracle_paths(d: Digraph, seed: Iterable[int], path_cap: int = 100_000) -> int:
-    """Oracle: pack unions of one x->y and one y->x simple path, exhaustively.
-
-    Refuses when either simple-path count exceeds ``path_cap``.
-    """
-    x, y = _validate_pair(d, seed)
-    forward = _all_simple_path_masks(d, x, y, path_cap)
-    backward = _all_simple_path_masks(d, y, x, path_cap)
-    if len(forward) * len(backward) > 2_000_000:
-        raise OracleRefusal("path-pair universe too large to enumerate")
-    unions = {p | q for p in forward for q in backward}
-    return _max_disjoint_packing(_minimal_antichain(sorted(unions)))
 
 
 # --- certificate serialization --------------------------------------------------

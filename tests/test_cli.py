@@ -12,7 +12,14 @@ import pytest
 
 import strongarc
 from strongarc import cli, constructions, flow, packing
-from strongarc.constructions import HuntConfig, HuntHit, HuntReport, class_table_value, lift_certificates
+from strongarc.constructions import (
+    BoundsReport,
+    HuntConfig,
+    HuntHit,
+    HuntReport,
+    class_table_value,
+    lift_certificates,
+)
 from strongarc.digraph import from_arc_list, write_digraph
 from strongarc.generators import directed_cycle
 from strongarc.packing import certificate_from_json
@@ -366,7 +373,11 @@ class TestHuntCommand:
     def test_out_directory_written_on_hits(self, capsys, tmp_path, monkeypatch):
         g = h = directed_cycle(3)
         p, fam = lift_certificates(g, h, (0, 0), (0, 1))
-        hit = HuntHit(trial=3, g=g, h=h, lower=1, observed=1, upper=2, pair=(0, 1), witness=fam)
+        bounds = BoundsReport(
+            lower=1, upper=2, lambda2_g=1, lambda2_h=1, observed=1,
+            lower_tight=True, upper_tight=False, sandwich_ok=True, pair=(0, 1), witness=fam,
+        )
+        hit = HuntHit(trial=3, g=g, h=h, bounds=bounds)
         fake = HuntReport(trials=4, sandwich_ok=True, gap_counts=((0, 1), (1, 3)), hits=(hit,))
         monkeypatch.setattr(cli, "hunt_tightness", lambda config: fake)
         out_dir = tmp_path / "hits"

@@ -26,7 +26,6 @@ from strongarc.constructions import (
     hunt_tightness,
     lift_certificates,
     product_lambda_formula,
-    undirected_product_lambda,
 )
 from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong
 from strongarc.generators import (
@@ -99,29 +98,36 @@ class TestFormula:
 
 
 class TestUndirectedFormula:
+    # Xu and Yang's edge-connectivity formula is the four-term formula on biorientations
+
     def test_triangle_times_square(self):
-        u = undirected_product_lambda(
-            3, ((0, 1), (0, 2), (1, 2)), 4, ((0, 1), (1, 2), (2, 3), (3, 0))
+        u = product_lambda_formula(
+            biorient(3, ((0, 1), (0, 2), (1, 2))), biorient(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         )
-        # min(2*4, 2*3, 2+2) = 4
-        assert u.value == 4 and u.argmin == ("degrees",)
+        # min(2*4, 2*3, 2+2, 2+2) = 4: the out- and in-degree terms are both Xu-Yang's degree term
+        assert u.value == 4 and u.argmin == ("out-degrees", "in-degrees")
 
     def test_rejects_disconnected(self):
-        with pytest.raises(DigraphError):
-            undirected_product_lambda(3, ((0, 1),), 2, ((0, 1),))
-
-    def test_rejection_names_the_graph(self):
-        with pytest.raises(DigraphError, match="^second graph must be connected$"):
-            undirected_product_lambda(2, ((0, 1),), 3, ((0, 1),))
-        with pytest.raises(DigraphError, match="^first graph must have at least 2 vertices, got 1$"):
-            undirected_product_lambda(1, (), 2, ((0, 1),))
+        with pytest.raises(DigraphError, match="^first factor must be strong$"):
+            product_lambda_formula(biorient(3, ((0, 1),)), biorient(2, ((0, 1),)))
 
 
 class TestSymmetricIdentity:
     def test_triangle_times_path(self):
         check = check_symmetric_identity(3, ((0, 1), (0, 2), (1, 2)), 3, ((0, 1), (1, 2)))
         assert check.holds
-        assert check.undirected_value == check.directed_value == check.observed_lambda2 == 3
+        assert check.formula_value == check.observed_lambda2 == 3
+
+    def test_two_flows_per_product(self, monkeypatch):
+        # one arc_connectivity per biorientation: no second route reruns the formula's flows
+        calls = []
+        real = constructions.arc_connectivity
+        monkeypatch.setattr(constructions, "arc_connectivity", lambda d: calls.append(d) or real(d))
+        catalog = [(n, edges) for n in (2, 3) for edges in all_connected_graphs(n)]
+        for n_g, edges_g in catalog:
+            for n_h, edges_h in catalog:
+                assert check_symmetric_identity(n_g, edges_g, n_h, edges_h).holds
+        assert len(catalog) ** 2 == 25 and len(calls) == 50
 
     def test_single_graph_identity(self):
         # the pair-packing number of a biorientation equals the graph's edge connectivity
@@ -453,7 +459,7 @@ class TestHunt:
         assert sum(count for _, count in report.gap_counts) == 15
         assert all(gap >= 0 for gap, _ in report.gap_counts)
         for hit in report.hits:
-            assert hit.observed == hit.lower
+            assert hit.bounds.observed == hit.bounds.lower
 
     def test_tally_and_hits_come_from_check_bounds(self, monkeypatch):
         # random small products never meet the lower bound, so every third report is made to
@@ -472,7 +478,7 @@ class TestHunt:
         assert report.gap_counts == tuple(sorted((gap, gaps.count(gap)) for gap in set(gaps)))
         assert report.sandwich_ok == all(r.sandwich_ok for _, _, r in reports)
         expected = [
-            HuntHit(trial, g, h, r.lower, r.observed, r.upper, r.pair, r.witness)
+            HuntHit(trial, g, h, r)
             for trial, (g, h, r) in enumerate(reports)
             if r.observed == r.lower
         ]

@@ -13,10 +13,11 @@ from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
     directed_cycle,
-    random_digraph,
     random_strong_digraph,
 )
 from strongarc.product import cartesian_product
+
+from oracles import random_digraph
 
 
 def brute_arc_connectivity(d: Digraph) -> int:

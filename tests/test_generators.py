@@ -11,10 +11,11 @@ from strongarc.generators import (
     complete_digraph,
     directed_cycle,
     random_connected_graph,
-    random_digraph,
     random_strong_digraph,
     tree_edges,
 )
+
+from oracles import random_digraph
 
 
 class TestDirectedCycle:

@@ -1,11 +1,14 @@
 """The package root: what it exports, and that the benchmark's names are among them."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import strongarc
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+WORKLOADS = BENCHMARKS / "workloads.py"
+TRACING = BENCHMARKS / "tracing.py"
 
 
 def _names_read_by_workloads() -> set[str]:
@@ -31,6 +34,25 @@ def test_benchmark_names_are_exported():
     names = _names_read_by_workloads()
     assert {"lift_certificates", "cycle_cycle_family", "lambda_2", "verify_cut"} <= names
     assert names <= set(strongarc.__all__)
+
+
+def _traced_names() -> dict[str, tuple[str, ...]]:
+    """``LAYERS`` of ``benchmarks/tracing.py``: function names per ``strongarc`` submodule."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS in {TRACING}")
+
+
+def test_traced_names_resolve():
+    # ``--trace 1`` looks up every traced name in its layer's module
+    layers = _traced_names()
+    assert "constructions" in layers and "product_lambda_formula" in layers["constructions"]
+    for layer, funcs in layers.items():
+        module = importlib.import_module(f"strongarc.{layer}")
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"strongarc.{layer}.{func}"
 
 
 def test_every_exported_name_resolves():

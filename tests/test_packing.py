@@ -15,25 +15,23 @@ from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
     directed_cycle,
-    random_digraph,
     random_strong_digraph,
 )
 from strongarc.packing import (
     CertificateFamily,
     CertificateReport,
-    OracleRefusal,
     certificate_from_json,
     certificate_to_json,
     lambda_2,
     lambda_s_exact,
-    lambda_s_oracle_paths,
-    lambda_s_oracle_subsets,
     _pair_orbit_representatives,
     _search_sweep,
     _seed_bounds,
     verify_certificate,
 )
 from strongarc.product import cartesian_product
+
+from oracles import OracleRefusal, lambda_s_oracle_paths, lambda_s_oracle_subsets, random_digraph
 
 
 class TestExactSearch:
