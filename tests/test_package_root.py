@@ -1,4 +1,4 @@
-"""The package root: what it exports, and that the benchmark's names are among them."""
+"""The package root: what it exports, and that the names the benchmark reads or traces resolve."""
 
 import ast
 import importlib
