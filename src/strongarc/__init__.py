@@ -20,6 +20,7 @@ from .constructions import (
     cycle_cycle_family,
     cycle_tree_family,
     lift_certificates,
+    product_lambda_2,
     product_lambda_formula,
 )
 from .digraph import Digraph, DigraphError
@@ -48,6 +49,7 @@ __all__ = [
     "lambda_2",
     "lambda_s_exact",
     "lift_certificates",
+    "product_lambda_2",
     "product_lambda_formula",
     "random_strong_digraph",
     "verify_certificate",

@@ -31,6 +31,7 @@ from .constructions import (
     _validate_trials,
     hunt_tightness,
     lift_certificates,
+    product_lambda_2,
 )
 from .digraph import (
     Digraph,
@@ -97,11 +98,11 @@ def parse_class_spec(token: str) -> Digraph:
     raise UsageError(f"unknown class token {token!r}")
 
 
-def parse_operand(tokens: list[str]) -> tuple[Digraph, tuple[int, int] | None]:
+def parse_operand(tokens: list[str]) -> tuple[Digraph, tuple[Digraph, Digraph] | None]:
     """One class token, or ``A x B`` for a Cartesian product.
 
-    Returns the digraph together with the product dimensions when the operand
-    is a product expression.
+    Returns the digraph together with the two factors when the operand is a
+    product expression.
     """
     if not tokens:
         raise UsageError("missing digraph operand")
@@ -110,8 +111,8 @@ def parse_operand(tokens: list[str]) -> tuple[Digraph, tuple[int, int] | None]:
         left, right = tokens[:split], tokens[split + 1 :]
         if len(left) != 1 or len(right) != 1 or "x" in right:
             raise UsageError(f"bad product expression {' '.join(tokens)!r}, expected 'A x B'")
-        prod = cartesian_product(parse_class_spec(left[0]), parse_class_spec(right[0]))
-        return prod.digraph, (prod.g_order, prod.h_order)
+        g, h = parse_class_spec(left[0]), parse_class_spec(right[0])
+        return cartesian_product(g, h).digraph, (g, h)
     if len(tokens) != 1:
         raise UsageError(f"expected one operand or 'A x B', got {tokens!r}")
     return parse_class_spec(tokens[0]), None
@@ -158,8 +159,11 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
-    d, _ = parse_operand(args.spec)
-    result = lambda_2(d, samples=args.samples, seed=args.seed)
+    d, factors = parse_operand(args.spec)
+    if factors is not None and args.samples is None:
+        result = product_lambda_2(*factors)
+    else:
+        result = lambda_2(d, samples=args.samples, seed=args.seed)
     if not result.exact:
         print("mode: sampled pairs, value is an upper bound")
     print(f"lambda2: {result.value}")
@@ -347,7 +351,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
             raise UsageError(f"cannot load certificate {args.cert!r}: {exc}") from exc
     dims = None
     if args.spec:
-        d, dims = parse_operand(args.spec)
+        d, factors = parse_operand(args.spec)
+        dims = None if factors is None else (factors[0].n, factors[1].n)
         if cert is not None and cert.n != d.n:
             raise UsageError(
                 f"certificate is over {cert.n} vertices but the digraph has {d.n}"

@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
-from .digraph import Arc, Digraph, DigraphError, biorient, is_strong
+from .digraph import Arc, Digraph, DigraphError, biorient, is_strong, is_symmetric
 from .flow import arc_connectivity
 from .generators import (
     TreeShape,
@@ -31,6 +32,7 @@ from .generators import (
 )
 from .packing import (
     CertificateFamily,
+    Lambda2Result,
     _ArcTables,
     _exact,
     _search_sweep,
@@ -225,12 +227,24 @@ class BoundsReport:
 
 
 def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
-    """Evaluate both bounds and settle the product's pair-packing number by search."""
+    """Evaluate both bounds and settle the product's pair-packing number by search.
+
+    The product's value comes from the product-aware sweep (see
+    ``product_lambda_2``), which skips, once the running minimum is at most
+    ``λ₂(G) + λ₂(H)``, every pair that is not a drop layout.  Such a pair
+    has at least ``λ₂(G) + λ₂(H)`` arc-disjoint strong subgraphs through it
+    by the lifting construction, so it cannot strictly lower the minimum,
+    and only a strict improvement moves the reported pair: value, pair and
+    witness are those of ``lambda_2`` on the bare product.  For those pairs
+    the sandwich's lower side therefore rests on the construction, which
+    ``lift_certificates`` verifies on every family it builds, rather than on
+    a search of the product.
+    """
     upper = product_lambda_formula(g, h).value
     g2 = lambda_2(g).value
     h2 = lambda_2(h).value
     lower = g2 + h2 - 1
-    product = lambda_2(cartesian_product(g, h).digraph)
+    product = _lift_settled_sweep(g, h, g2, h2)
     observed = product.value
     return BoundsReport(
         lower=lower,
@@ -244,6 +258,43 @@ def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
         pair=product.pair,
         witness=product.witness,
     )
+
+
+def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
+    """``lambda_2`` of ``g □ h``, skipping the seed pairs the lifting construction settles.
+
+    With two strong factors of order two or more, the exhaustive sweep is
+    told ``λ₂(G) + λ₂(H)`` and the drop-layout test (see
+    ``_search_sweep``), so pairs that are not drop layouts go unscreened
+    once the running minimum is at most that sum; the result is the one
+    ``lambda_2`` returns on the bare product.  Otherwise the bare product
+    goes to ``lambda_2``.
+    """
+    if g.n >= 2 and h.n >= 2:
+        g2 = lambda_2(g).value
+        h2 = lambda_2(h).value
+        if g2 and h2:
+            return _lift_settled_sweep(g, h, g2, h2)
+    return lambda_2(cartesian_product(g, h).digraph)
+
+
+def _lift_settled_sweep(g: Digraph, h: Digraph, g2: int, h2: int) -> Lambda2Result:
+    """``lambda_2(g □ h)`` for strong factors with ``λ₂`` values ``g2`` and ``h2``.
+
+    A symmetric product keeps the flow route of ``lambda_2``, which runs no
+    pair search.  Otherwise each pair's drop-layout test reads the factor
+    packings of this call's memo, one per factor.
+    """
+    d = cartesian_product(g, h).digraph
+    if is_symmetric(g) and is_symmetric(h):
+        return lambda_2(d)
+    g_fams, h_fams = _FactorPackings(g, g2), _FactorPackings(h, h2)
+    m = h.n
+
+    def drops(x: int, y: int) -> bool:
+        return _drop_layout(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
+
+    return _search_sweep(d, lift_settled=(g2 + h2, drops))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +475,7 @@ def _closed_form(
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
     if r1 == r2 or c1 == c2:
-        found, origin = _factor_family(p.digraph, (x, y), size)[:size], "solver"
+        found, origin = _factor_family(p.digraph, _ArcTables(p.digraph), (x, y), size)[:size], "solver"
     else:
         found, origin = members(p, r1, c1, r2, c2), "construction"
     return p, _sealed_family(p, x, y, found, size, origin)
@@ -600,14 +651,67 @@ def cycle_complete_family(
 # ---------------------------------------------------------------------------
 
 
-def _factor_family(d: Digraph, pair: tuple[int, int], need: int) -> tuple[frozenset[Arc], ...]:
+def _factor_family(
+    d: Digraph, tables: _ArcTables, pair: tuple[int, int], need: int
+) -> tuple[frozenset[Arc], ...]:
     # the search itself, not ``lambda_s_exact``: every caller verifies the lifted or sealed family
-    result = _exact(d, _ArcTables(d), *_validate_pair(d, pair))
+    result = _exact(d, tables, *_validate_pair(d, pair))
     if result.value < need:
         raise ConstructionError(
             f"packing for seed {pair} gave {result.value} members, expected >= {need}"
         )
     return result.witness.members
+
+
+class _FactorPackings:
+    """One factor's seed-pair packings within one call, each searched once on one set of arc tables.
+
+    ``least`` is the factor's ``λ₂``: the first ``least`` members of a
+    packing are lifted, and a further member is a spare.  The forced/spare
+    reading of a seed layout (see ``_drop_layout``) is kept per ordered pair
+    of factor vertices.  A memo lives as long as the lift or the product
+    sweep that built it, never longer.
+    """
+
+    def __init__(self, d: Digraph, least: int) -> None:
+        self.d, self.least = d, least
+        self._found: dict[tuple[int, int], tuple[frozenset[Arc], ...]] = {}
+        self._branched: dict[tuple[int, int], tuple[list[int], int | None]] = {}
+
+    def at(self, a: int, b: int) -> tuple[frozenset[Arc], ...]:
+        """The packer's first maximum packing through ``a`` and ``b``."""
+        pair = (a, b) if a < b else (b, a)
+        found = self._found.get(pair)
+        if found is None:
+            found = self._found[pair] = _factor_family(self.d, self._tables, pair, self.least)
+        return found
+
+    @cached_property
+    def _tables(self) -> _ArcTables:
+        # built on the first search: a product sweep may never need one
+        return _ArcTables(self.d)
+
+    def branches(self, a: int, b: int) -> tuple[list[int], int | None]:
+        """The branch vertex at ``a`` of each lifted member, dodging ``b``, and the first forced member.
+
+        A member is forced when it leaves ``a`` only by the arc to ``b``;
+        the index is None when no member is.
+        """
+        branched = self._branched.get((a, b))
+        if branched is None:
+            picks = _choose_branches(self.at(a, b)[: self.least], a, avoid=b)
+            forced = next((i for i, t in enumerate(picks) if t == b), None)
+            branched = self._branched[(a, b)] = (picks, forced)
+        return branched
+
+    def forced(self, a: int, b: int) -> bool:
+        """Some lifted member at ``{a, b}`` leaves ``a`` only towards ``b``; never without arc ``a -> b``."""
+        return self.d.has_arc(a, b) and self.branches(a, b)[1] is not None
+
+    def spare(self, a: int, b: int) -> frozenset[Arc] | None:
+        """The packing's member after the lifted ones, or None when it has only ``least``."""
+        found = self.at(a, b)
+        return found[self.least] if len(found) > self.least else None
 
 
 def _choose_branches(
@@ -630,6 +734,27 @@ def _choose_branches(
     return picks
 
 
+def _drop_layout(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
+) -> bool:
+    """True when ``lift_certificates`` drops a member for seeds at ``(r1, c1)`` and ``(r2, c2)``.
+
+    That is a drop layout: the seeds lie in distinct rows and columns,
+    exactly one factor family is forced (some lifted g-member leaves ``r1``
+    only towards ``r2``, or some h-member leaves ``c1`` only towards
+    ``c2``), and the other factor's packing at its seed line has no spare
+    member.  The lifted family then has ``λ₂(G) + λ₂(H) − 1`` members, and
+    otherwise ``λ₂(G) + λ₂(H)``.  Without the arc ``r1 -> r2`` in G and
+    ``c1 -> c2`` in H nothing is forced, and no factor packing is searched.
+    """
+    if r1 == r2 or c1 == c2:
+        return False
+    forced_g = g_fams.forced(r1, r2)
+    if forced_g == h_fams.forced(c1, c2):
+        return False
+    return h_fams.spare(c1, c2) is None if forced_g else g_fams.spare(r1, r2) is None
+
+
 def lift_certificates(
     g: Digraph, h: Digraph, x_pos: tuple[int, int], y_pos: tuple[int, int]
 ) -> tuple[ProductDigraph, CertificateFamily]:
@@ -642,8 +767,9 @@ def lift_certificates(
     factor family is forced when one of its members can only branch through
     the other seed's line.  When exactly one family is forced, its forced
     member bridges through a spare member of the other factor's family, or
-    one member is dropped when the other factor has no spare.  When both
-    are forced, the two forced members swap halves and every member is kept.
+    one member is dropped when the other factor has no spare (a drop
+    layout, see ``_drop_layout``).  When both are forced, the two forced
+    members swap halves and every member is kept.
     """
     g2 = _strong_factor("first factor", g, lambda_2).value
     h2 = _strong_factor("second factor", h, lambda_2).value
@@ -651,12 +777,13 @@ def lift_certificates(
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
     lower = g2 + h2 - 1
+    g_fams, h_fams = _FactorPackings(g, g2), _FactorPackings(h, h2)
     if r1 == r2:
-        members = _lift_same_line(p, g, h, lift_g_arcs, lift_h_arcs, r1, c1, c2, g2, h2)
+        members = _lift_same_line(p, g_fams, h_fams, lift_g_arcs, lift_h_arcs, r1, c1, c2)
     elif c1 == c2:
-        members = _lift_same_line(p, h, g, lift_h_arcs, lift_g_arcs, c1, r1, r2, h2, g2)
+        members = _lift_same_line(p, h_fams, g_fams, lift_h_arcs, lift_g_arcs, c1, r1, r2)
     else:
-        members = _lift_general(p, g, h, r1, c1, r2, c2, g2, h2)
+        members = _lift_general(p, g_fams, h_fams, r1, c1, r2, c2)
     fam = _sealed_family(p, x, y, members, len(members), "lift")
     if len(fam.members) < lower:
         raise ConstructionError(f"lifted family has {len(fam.members)} members, needs >= {lower}")
@@ -665,15 +792,13 @@ def lift_certificates(
 
 def _lift_same_line(
     p: ProductDigraph,
-    a: Digraph,
-    b: Digraph,
+    a_fams: _FactorPackings,
+    b_fams: _FactorPackings,
     lift_a: _LiftArcs,
     lift_b: _LiftArcs,
     line: int,
     s1: int,
     s2: int,
-    a2: int,
-    b2: int,
 ) -> tuple[frozenset[Arc], ...]:
     """Seeds share a line of factor ``b``: copy b-members there, bridge a-members elsewhere.
 
@@ -681,9 +806,10 @@ def _lift_same_line(
     first factor, and column ``line`` with seed rows ``s1``, ``s2`` when ``a``
     is the second; ``lift_a``/``lift_b`` map each factor's arcs to the product.
     """
+    a2, b2 = a_fams.least, b_fams.least
     other = 0 if line != 0 else 1
-    a_members = _factor_family(a, (line, other), a2)[:a2]
-    b_members = _factor_family(b, (s1, s2), b2)
+    a_members = a_fams.at(line, other)[:a2]
+    b_members = b_fams.at(s1, s2)
     branches = _choose_branches(a_members, line, avoid=None)
     members = [lift_b(p, b_members[j], line) for j in range(b2)]
     for i in range(a2):
@@ -694,14 +820,12 @@ def _lift_same_line(
 
 def _lift_general(
     p: ProductDigraph,
-    g: Digraph,
-    h: Digraph,
+    g_fams: _FactorPackings,
+    h_fams: _FactorPackings,
     r1: int,
     c1: int,
     r2: int,
     c2: int,
-    g2: int,
-    h2: int,
 ) -> tuple[frozenset[Arc], ...]:
     """Seeds in general position: bridge each factor family through the other.
 
@@ -713,14 +837,12 @@ def _lift_general(
     repaired by swapping halves, substituting a spare member, or dropping
     one member.
     """
-    g_all = _factor_family(g, (r1, r2), g2)
-    h_all = _factor_family(h, (c1, c2), h2)
-    g_members = g_all[:g2]
-    h_members = h_all[:h2]
-    rows = _choose_branches(g_members, r1, avoid=r2)
-    cols = _choose_branches(h_members, c1, avoid=c2)
-    forced_g = next((i for i, t in enumerate(rows) if t == r2), None)
-    forced_h = next((j for j, w in enumerate(cols) if w == c2), None)
+    g2, h2 = g_fams.least, h_fams.least
+    g_members = g_fams.at(r1, r2)[:g2]
+    h_members = h_fams.at(c1, c2)[:h2]
+    rows, forced_g = g_fams.branches(r1, r2)
+    cols, forced_h = h_fams.branches(c1, c2)
+    drops = _drop_layout(g_fams, h_fams, r1, c1, r2, c2)
     g_bridges = [h_members[0]] * g2
     h_bridges = [g_members[0]] * h2
     g_kept = range(g2)
@@ -729,15 +851,15 @@ def _lift_general(
     # h-member 0: it takes the spare h-member instead, or h-side member 0 goes
     # (and the mirror image for a forced h-side member).
     if forced_g is not None and forced_h is None:
-        if len(h_all) > h2:
-            g_bridges[forced_g] = h_all[h2]
-        else:
+        if drops:
             h_kept = range(1, h2)
-    if forced_h is not None and forced_g is None:
-        if len(g_all) > g2:
-            h_bridges[forced_h] = g_all[g2]
         else:
+            g_bridges[forced_g] = h_fams.spare(c1, c2)
+    if forced_h is not None and forced_g is None:
+        if drops:
             g_kept = range(1, g2)
+        else:
+            h_bridges[forced_h] = g_fams.spare(r1, r2)
     g_sides = [
         lift_g_arcs(p, g_members[i], c1)
         | lift_g_arcs(p, g_members[i], c2)

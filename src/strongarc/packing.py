@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .digraph import (
     Arc,
@@ -25,7 +25,7 @@ from .digraph import (
     is_strong,
     is_symmetric,
 )
-from .flow import _unit_flow, max_flow_unit
+from .flow import _unit_flow
 
 _INF = float("inf")
 
@@ -347,12 +347,13 @@ def _seed_degree(d: Digraph, x: int, y: int) -> int:
 def _seed_bounds(d: Digraph, x: int, y: int) -> tuple[int, int]:
     """The seed-degree bound and the flow bound ``min(degree, λ(x, y), λ(y, x))``.
 
-    Both flows are capped at the degree bound, above which they never matter.
+    Both flows stop at the degree bound, above which they never matter, and
+    only their values are read: no cut is built.
     """
     deg = _seed_degree(d, x, y)
     if deg == 0:
         return 0, 0
-    return deg, min(max_flow_unit(d, x, y, cap=deg).value, max_flow_unit(d, y, x, cap=deg).value)
+    return deg, min(_unit_flow(d, x, y, deg)[0], _unit_flow(d, y, x, deg)[0])
 
 
 def _exact(
@@ -499,7 +500,12 @@ def _flow_sweep(d: Digraph) -> Lambda2Result:
     return Lambda2Result(value, (0, target), result.witness, True)
 
 
-def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
+def _search_sweep(
+    d: Digraph,
+    samples: int | None = None,
+    seed: int | None = None,
+    lift_settled: tuple[int, Callable[[int, int], bool]] | None = None,
+) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
     The exhaustive sweep first solves ``(0, 1)``, the least pair.  When its
@@ -529,6 +535,19 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
     need not be one, so they take no floor exit) and yield an upper bound,
     flagged inexact unless the sample holds every pair.  The returned witness is
     verified before return; a witness that fails raises ``RuntimeError``.
+
+    ``lift_settled`` is ``(bound, drops)`` for a product ``d = G □ H`` of
+    strong factors, with ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the
+    drop-layout test of ``constructions``: the lifting construction gives
+    every pair that is not a drop layout ``bound`` arc-disjoint strong
+    subgraphs through it, so ``λ_{x,y}(D) ≥ bound`` there.  Once the running
+    minimum is at most ``bound``, such a pair is skipped unscreened: its
+    value is at least the minimum, and only a strictly smaller value ever
+    replaces the best pair, so the skip never passes over the least
+    minimizing pair, and the value, that pair and its witness stay exactly
+    those of the full sweep.  For skipped pairs the bound rests on the
+    construction (checked by ``lift_certificates`` on every family it
+    builds), not on a search of ``d``.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
@@ -551,9 +570,12 @@ def _search_sweep(d: Digraph, samples: int | None = None, seed: int | None = Non
         exact = len(pairs) == len(all_pairs)
         best_pair, pairs = pairs[0], pairs[1:]
         best = _exact(d, tables, *best_pair)
+    bound, drops = lift_settled if lift_settled is not None else (0, None)
     for x, y in pairs:
         if best.value == 0:
             break
+        if best.value <= bound and not drops(x, y):
+            continue
         packer = _SeedPacker(d, tables, x, y)
         if _seed_degree(d, x, y) >= best.value and packer.feasible(best.value) is not None:
             continue

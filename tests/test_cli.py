@@ -21,8 +21,10 @@ from strongarc.constructions import (
     lift_certificates,
 )
 from strongarc.digraph import from_arc_list, write_digraph
-from strongarc.generators import directed_cycle
+from strongarc.generators import bidirected_cycle, directed_cycle
 from strongarc.packing import certificate_from_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -65,12 +67,12 @@ class TestOperandParsing:
             cli.parse_class_spec(token)
 
     def test_product_operand(self):
-        d, dims = cli.parse_operand(["cn:3", "x", "bcm:3"])
-        assert d.n == 9 and dims == (3, 3)
+        d, factors = cli.parse_operand(["cn:3", "x", "bcm:3"])
+        assert d.n == 9 and factors == (directed_cycle(3), bidirected_cycle(3))
 
     def test_single_operand(self):
-        d, dims = cli.parse_operand(["bkm:3"])
-        assert d.n == 3 and dims is None
+        d, factors = cli.parse_operand(["bkm:3"])
+        assert d.n == 3 and factors is None
 
     @pytest.mark.parametrize("tokens", [[], ["cn:3", "cn:3"], ["cn:3", "x"]])
     def test_malformed_operands(self, tokens):
@@ -199,6 +201,66 @@ class TestLambdaTwoCommand:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines()[0] == "lambda2: 2" == f"lambda2: {class_table_value('cn', 'cn', 20, 20)}"
+
+
+def _logged_sweeps(monkeypatch):
+    """Record each pair sweep as ("search", lift rule given) or ("flow", False)."""
+    calls = []
+    search, flow_sweep = packing._search_sweep, packing._flow_sweep
+
+    def logged_search(d, *args, **kwargs):
+        calls.append(("search", kwargs.get("lift_settled") is not None))
+        return search(d, *args, **kwargs)
+
+    def logged_flow(d):
+        calls.append(("flow", False))
+        return flow_sweep(d)
+
+    monkeypatch.setattr(packing, "_search_sweep", logged_search)
+    monkeypatch.setattr(constructions, "_search_sweep", logged_search)
+    monkeypatch.setattr(packing, "_flow_sweep", logged_flow)
+    return calls
+
+
+class TestLambdaTwoProductRoute:
+    """`lambda2 A x B` skips lift-settled pairs only with two strong factors and no --samples;
+    every other operand takes the bare-product route, with the output it printed before."""
+
+    def test_strong_factors_take_the_lift_rule(self, capsys, monkeypatch):
+        calls = _logged_sweeps(monkeypatch)
+        code, out, _ = run(capsys, "lambda2 rand:6:0.4:3 x rand:4:0.5:7".split())
+        assert code == 0 and out == (GOLDEN / "lambda2_rand6_x_rand4.out").read_text(encoding="utf-8")
+        assert calls[-1] == ("search", True)
+
+    def test_non_strong_factor(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "path.dg"
+        write_digraph(str(path), from_arc_list(3, [(0, 1), (1, 2)]))
+        calls = _logged_sweeps(monkeypatch)
+        code, out, _ = run(capsys, ["lambda2", f"file:{path}", "x", "cn:3"])
+        assert code == 0 and out == "lambda2: 0\npair: 0 3\nmembers: 0\n"
+        assert calls == [("search", False)] * 3  # the two factors, then the bare product
+
+    def test_samples(self, capsys, monkeypatch):
+        calls = _logged_sweeps(monkeypatch)
+        code, out, _ = run(capsys, "lambda2 rand:6:0.4:3 x bcm:4 --samples 12 --seed 3".split())
+        expected = (GOLDEN / "lambda2_rand6_x_bcm4_samples12_seed3.out").read_text(encoding="utf-8")
+        assert code == 0 and out == expected
+        assert calls == [("search", False)]
+
+    def test_file_operand(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "product.dg"
+        d, (g, h) = cli.parse_operand("rand:6:0.4:3 x rand:4:0.5:7".split())
+        write_digraph(str(path), d, (g.n, h.n))
+        calls = _logged_sweeps(monkeypatch)
+        code, out, _ = run(capsys, ["lambda2", f"file:{path}"])
+        assert code == 0 and out == (GOLDEN / "lambda2_rand6_x_rand4.out").read_text(encoding="utf-8")
+        assert calls == [("search", False)]
+
+    def test_symmetric_product_stays_on_the_flow_sweep(self, capsys, monkeypatch):
+        calls = _logged_sweeps(monkeypatch)
+        code, out, _ = run(capsys, "lambda2 bcm:6 x bcm:6".split())
+        assert code == 0 and out == (GOLDEN / "lambda2_bcm6_x_bcm6.out").read_text(encoding="utf-8")
+        assert calls == [("flow", False)] * 3  # the two factors, then the product
 
 
 class TestCheckCommands:

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongarc import constructions
 from strongarc.constructions import (
@@ -25,6 +26,7 @@ from strongarc.constructions import (
     cycle_tree_family,
     hunt_tightness,
     lift_certificates,
+    product_lambda_2,
     product_lambda_formula,
 )
 from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong
@@ -35,7 +37,7 @@ from strongarc.generators import (
     directed_cycle,
     random_strong_digraph,
 )
-from strongarc.packing import certificate_to_json, lambda_2, verify_certificate
+from strongarc.packing import _search_sweep, certificate_to_json, lambda_2, verify_certificate
 from strongarc.product import cartesian_product
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,6 +173,77 @@ class TestBounds:
         best = lambda_2(prod)
         assert (r.observed, r.pair, r.witness) == (best.value, best.pair, best.witness)
         assert verify_certificate(prod, r.witness).valid and len(r.witness.members) == r.observed
+
+
+def _random_factor_pair(seed, max_order):
+    """Two random strong factors of order 2 to ``max_order``, drawn like `check bounds` draws them."""
+    rng = random.Random(seed)
+    return tuple(
+        random_strong_digraph(rng.randint(2, max_order), rng.random() * 0.5, rng.getrandbits(32))
+        for _ in range(2)
+    )
+
+
+def _bare_bounds(g, h):
+    """``check_bounds`` as it reads with ``lambda_2`` on the bare product, no pair skipped."""
+    upper = product_lambda_formula(g, h).value
+    g2, h2 = lambda_2(g).value, lambda_2(h).value
+    product = lambda_2(cartesian_product(g, h).digraph)
+    lower = g2 + h2 - 1
+    return constructions.BoundsReport(
+        lower=lower,
+        upper=upper,
+        lambda2_g=g2,
+        lambda2_h=h2,
+        observed=product.value,
+        lower_tight=product.value == lower,
+        upper_tight=product.value == upper,
+        sandwich_ok=lower <= product.value <= upper,
+        pair=product.pair,
+        witness=product.witness,
+    )
+
+
+class TestLiftSettledSweep:
+    """The product sweep skips pairs by the drop-layout test; each gate is checked against the long way."""
+
+    def test_drop_test_counts_the_lifted_members(self):
+        # every seed pair, in both orders, of random factor pairs of order 2-5
+        drops = settled = 0
+        for seed in range(12):
+            g, h = _random_factor_pair(seed, 5)
+            g2, h2 = lambda_2(g).value, lambda_2(h).value
+            g_fams = constructions._FactorPackings(g, g2)
+            h_fams = constructions._FactorPackings(h, h2)
+            p = cartesian_product(g, h)
+            for x in range(p.digraph.n):
+                for y in range(p.digraph.n):
+                    if x == y:
+                        continue
+                    (r1, c1), (r2, c2) = p.decode(x), p.decode(y)
+                    dropped = constructions._drop_layout(g_fams, h_fams, r1, c1, r2, c2)
+                    _, fam = lift_certificates(g, h, (r1, c1), (r2, c2))
+                    assert len(fam.members) == g2 + h2 - dropped, (seed, x, y)
+                    drops += dropped
+                    settled += r1 != r2 and c1 != c2 and not dropped
+        assert drops > 0 and settled > 0
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.floats(0, 0.6), st.floats(0, 0.6), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_product_sweep_equals_the_orbit_sweep(self, n, m, p_g, p_h, seed):
+        g = random_strong_digraph(n, p_g, seed)
+        h = random_strong_digraph(m, p_h, seed + 1)
+        assert product_lambda_2(g, h) == _search_sweep(cartesian_product(g, h).digraph)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_bounds_equals_the_bare_product_reference(self, seed):
+        g, h = _random_factor_pair(seed, 6)
+        assert check_bounds(g, h) == _bare_bounds(g, h)
+
+    def test_non_strong_factor_takes_the_bare_product(self):
+        path = from_arc_list(3, [(0, 1), (1, 2)])
+        cycle = directed_cycle(3)
+        assert product_lambda_2(path, cycle) == lambda_2(cartesian_product(path, cycle).digraph)
 
 
 class TestClassTable:

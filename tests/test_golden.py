@@ -7,13 +7,15 @@ before the flow route for symmetric digraphs (`lambda2` on two symmetric product
 minimizing pair is not (0, 1)) and before the strong-digraph floor exit (`lambda2` on a
 directed cycle and on a bidirected star, and the first lifted product of the certify
 benchmark) and before the witness-first connectivity scan (`lambda` on a random product
-whose witness is the 110th pivot pair, (55, 0))."""
+whose witness is the 110th pivot pair, (55, 0)) and before the product-aware pair sweep
+(`check bounds` with factors of order up to 6, and `lambda2` on a product of two order-8
+random factors; both skip lift-settled pairs and screen drop-layout pairs)."""
 
 from pathlib import Path
 
 import pytest
 
-from strongarc import cli
+from strongarc import cli, constructions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,6 +50,8 @@ COMMANDS = {
     "lambda2_cn7": "lambda2 cn:7",
     "lambda2_btmstar6": "lambda2 btm:star:6",
     "construct_lift_cn5_btmstar6_s00_12": "construct lift --g cn:5 --h btm:star:6 -S 0,0:1,2",
+    "check_bounds_trials50_seed2_maxorder6": "check bounds --trials 50 --seed 2 --max-order 6",
+    "lambda2_rand8_x_rand8": "lambda2 rand:8:0.4:1 x rand:8:0.4:2",
 }
 
 
@@ -55,3 +59,20 @@ COMMANDS = {
 def test_stdout_matches_golden(capsys, name):
     assert cli.main(COMMANDS[name].split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["check_bounds_trials50_seed2_maxorder6", "lambda2_rand8_x_rand8"])
+def test_product_goldens_skip_settled_pairs_and_screen_drop_layouts(capsys, monkeypatch, name):
+    # the sweep asks the drop-layout test only once its minimum is at most λ₂(G) + λ₂(H),
+    # so a False answer is a skipped pair and a True answer a screened one
+    answers = []
+    drop_layout = constructions._drop_layout
+
+    def logged(*args):
+        answers.append(drop_layout(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(constructions, "_drop_layout", logged)
+    assert cli.main(COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert True in answers and False in answers
