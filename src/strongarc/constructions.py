@@ -229,22 +229,23 @@ class BoundsReport:
 def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
     """Evaluate both bounds and settle the product's pair-packing number by search.
 
-    The product's value comes from the product-aware sweep (see
-    ``product_lambda_2``), which skips, once the running minimum is at most
-    ``λ₂(G) + λ₂(H)``, every pair that is not a drop layout.  Such a pair
-    has at least ``λ₂(G) + λ₂(H)`` arc-disjoint strong subgraphs through it
-    by the lifting construction, so it cannot strictly lower the minimum,
-    and only a strict improvement moves the reported pair: value, pair and
-    witness are those of ``lambda_2`` on the bare product.  For those pairs
-    the sandwich's lower side therefore rests on the construction, which
+    Each factor's ``λ₂`` comes from its ``_FactorPackings`` record, which
+    the product-aware sweep (see ``product_lambda_2``) then reads.  That
+    sweep skips, once the running minimum is at most ``λ₂(G) + λ₂(H)``,
+    every pair that is not a drop layout.  Such a pair has at least
+    ``λ₂(G) + λ₂(H)`` arc-disjoint strong subgraphs through it by the
+    lifting construction, so it cannot strictly lower the minimum, and only
+    a strict improvement moves the reported pair: value, pair and witness
+    are those of ``lambda_2`` on the bare product.  For those pairs the
+    sandwich's lower side therefore rests on the construction, which
     ``lift_certificates`` verifies on every family it builds, rather than on
     a search of the product.
     """
     upper = product_lambda_formula(g, h).value
-    g2 = lambda_2(g).value
-    h2 = lambda_2(h).value
+    g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
+    g2, h2 = g_fams.least, h_fams.least
     lower = g2 + h2 - 1
-    product = _lift_settled_sweep(g, h, g2, h2)
+    product = _lift_settled_sweep(g_fams, h_fams)
     observed = product.value
     return BoundsReport(
         lower=lower,
@@ -263,38 +264,39 @@ def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
 def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
     """``lambda_2`` of ``g □ h``, skipping the seed pairs the lifting construction settles.
 
-    With two strong factors of order two or more, the exhaustive sweep is
-    told ``λ₂(G) + λ₂(H)`` and the drop-layout test (see
-    ``_search_sweep``), so pairs that are not drop layouts go unscreened
-    once the running minimum is at most that sum; the result is the one
-    ``lambda_2`` returns on the bare product.  Otherwise the bare product
-    goes to ``lambda_2``.
+    When both factors pass their ``_FactorPackings`` record (two or more
+    vertices, strong), the exhaustive sweep is told ``λ₂(G) + λ₂(H)`` and
+    the drop-layout test (see ``_search_sweep``), so pairs that are not
+    drop layouts go unscreened once the running minimum is at most that
+    sum; the result is the one ``lambda_2`` returns on the bare product.
+    When the record rejects a factor, the bare product goes to
+    ``lambda_2``.
     """
-    if g.n >= 2 and h.n >= 2:
-        g2 = lambda_2(g).value
-        h2 = lambda_2(h).value
-        if g2 and h2:
-            return _lift_settled_sweep(g, h, g2, h2)
-    return lambda_2(cartesian_product(g, h).digraph)
+    try:
+        g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
+    except DigraphError:
+        return lambda_2(cartesian_product(g, h).digraph)
+    return _lift_settled_sweep(g_fams, h_fams)
 
 
-def _lift_settled_sweep(g: Digraph, h: Digraph, g2: int, h2: int) -> Lambda2Result:
-    """``lambda_2(g □ h)`` for strong factors with ``λ₂`` values ``g2`` and ``h2``.
+def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lambda2Result:
+    """``lambda_2(g □ h)`` from the records of two strong factors.
 
     A symmetric product keeps the flow route of ``lambda_2``, which runs no
-    pair search.  Otherwise each pair's drop-layout test reads the factor
-    packings of this call's memo, one per factor.
+    pair search.  Otherwise each pair's drop-layout test reads the two
+    records, whose memos already hold each factor's packing at its own
+    ``λ₂`` pair.
     """
+    g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
     if is_symmetric(g) and is_symmetric(h):
         return lambda_2(d)
-    g_fams, h_fams = _FactorPackings(g, g2), _FactorPackings(h, h2)
     m = h.n
 
     def drops(x: int, y: int) -> bool:
         return _drop_layout(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
 
-    return _search_sweep(d, lift_settled=(g2 + h2, drops))
+    return _search_sweep(d, lift_settled=(g_fams.least + h_fams.least, drops))
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +307,7 @@ CLASS_TOKENS = ("cn", "bcm", "btm", "bkm")
 
 _CLASS_MIN = {"cn": 3, "bcm": 3, "btm": 2, "bkm": 2}
 
-_CLASS_TABLE = {
-    ("cn", "cn"): lambda n, m: 2,
-    ("cn", "bcm"): lambda n, m: 3,
-    ("cn", "btm"): lambda n, m: 2,
-    ("cn", "bkm"): lambda n, m: m,
-    ("bcm", "cn"): lambda n, m: 3,
-    ("bcm", "bcm"): lambda n, m: 4,
-    ("bcm", "btm"): lambda n, m: 3,
-    ("bcm", "bkm"): lambda n, m: m + 1,
-    ("btm", "cn"): lambda n, m: 2,
-    ("btm", "bcm"): lambda n, m: 3,
-    ("btm", "btm"): lambda n, m: 2,
-    ("btm", "bkm"): lambda n, m: m,
-    ("bkm", "cn"): lambda n, m: n,
-    ("bkm", "bcm"): lambda n, m: n + 1,
-    ("bkm", "btm"): lambda n, m: n,
-    ("bkm", "bkm"): lambda n, m: n + m - 2,
-}
+_CLASS_LAMBDA_2 = {"cn": lambda n: 1, "bcm": lambda n: 2, "btm": lambda n: 1, "bkm": lambda n: n - 1}
 
 
 def class_table_value(row: str, col: str, n: int, m: int) -> int:
@@ -330,7 +315,10 @@ def class_table_value(row: str, col: str, n: int, m: int) -> int:
 
     ``row``/``col`` name the first/second factor class: ``cn`` directed cycle,
     ``bcm`` bidirected cycle, ``btm`` bidirected tree, ``bkm`` bidirected
-    complete digraph.  ``n``/``m`` are the factor orders.  Tree entries do not
+    complete digraph.  ``n``/``m`` are the factor orders.  Every entry is the
+    sum ``λ₂(G) + λ₂(H)`` of the factors' own values (1 for ``cn``, 2 for
+    ``bcm``, 1 for ``btm``, order − 1 for ``bkm``), so these products sit one
+    above the paper's lower bound ``λ₂(G) + λ₂(H) − 1``.  Tree entries do not
     depend on the tree's shape.
     """
     if row not in CLASS_TOKENS or col not in CLASS_TOKENS:
@@ -339,7 +327,7 @@ def class_table_value(row: str, col: str, n: int, m: int) -> int:
         raise DigraphError(f"class {row!r} needs order >= {_CLASS_MIN[row]}, got {n}")
     if m < _CLASS_MIN[col]:
         raise DigraphError(f"class {col!r} needs order >= {_CLASS_MIN[col]}, got {m}")
-    return _CLASS_TABLE[(row, col)](n, m)
+    return _CLASS_LAMBDA_2[row](n) + _CLASS_LAMBDA_2[col](m)
 
 
 def class_digraph(cls: str, order: int, tree: TreeShape | None = None) -> Digraph:
@@ -664,18 +652,25 @@ def _factor_family(
 
 
 class _FactorPackings:
-    """One factor's seed-pair packings within one call, each searched once on one set of arc tables.
+    """All a product routine learns about one factor: its ``λ₂`` and its seed-pair packings.
 
-    ``least`` is the factor's ``λ₂``: the first ``least`` members of a
-    packing are lifted, and a further member is a spare.  The forced/spare
-    reading of a seed layout (see ``_drop_layout``) is kept per ordered pair
-    of factor vertices.  A memo lives as long as the lift or the product
-    sweep that built it, never longer.
+    ``lambda_2`` runs once, through ``_strong_factor``, so a factor not
+    strong or on fewer than two vertices raises ``DigraphError`` naming
+    ``what``.  ``least`` is that ``λ₂``: the first ``least`` members of a
+    packing are lifted, and a further member is a spare.  Each packing is
+    searched once on one set of arc tables, and the memo starts with
+    ``λ₂``'s witness at its pair, the packing a search there finds: both
+    ``lambda_2`` routes return the packer's first maximum packing at that
+    pair, as a capped ``_exact`` does.  The forced/spare reading of a seed
+    layout (see ``_drop_layout``) is kept per ordered pair of factor
+    vertices.  A record lives as long as the lift or product sweep that
+    built it, never longer.
     """
 
-    def __init__(self, d: Digraph, least: int) -> None:
-        self.d, self.least = d, least
-        self._found: dict[tuple[int, int], tuple[frozenset[Arc], ...]] = {}
+    def __init__(self, what: str, d: Digraph) -> None:
+        result = _strong_factor(what, d, lambda_2)
+        self.d, self.least = d, result.value
+        self._found = {result.pair: result.witness.members}
         self._branched: dict[tuple[int, int], tuple[list[int], int | None]] = {}
 
     def at(self, a: int, b: int) -> tuple[frozenset[Arc], ...]:
@@ -771,13 +766,11 @@ def lift_certificates(
     layout, see ``_drop_layout``).  When both are forced, the two forced
     members swap halves and every member is kept.
     """
-    g2 = _strong_factor("first factor", g, lambda_2).value
-    h2 = _strong_factor("second factor", h, lambda_2).value
+    g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
     p = cartesian_product(g, h)
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
-    lower = g2 + h2 - 1
-    g_fams, h_fams = _FactorPackings(g, g2), _FactorPackings(h, h2)
+    lower = g_fams.least + h_fams.least - 1
     if r1 == r2:
         members = _lift_same_line(p, g_fams, h_fams, lift_g_arcs, lift_h_arcs, r1, c1, c2)
     elif c1 == c2:

@@ -6,7 +6,10 @@ such subgraph can be shrunk to the union of one x->y path and one y->x path,
 so the exact solver packs path-pair unions: classes are built one at a time,
 each from paths in the arcs the earlier classes left unused, tried
 shortest-first in a fixed lexicographic order, and failed states are memoized
-on the bitmask of consumed arcs.
+on the bitmask of consumed arcs.  Each class takes exactly one arc from each
+of out(x), in(x), out(y) and in(y) (its x->y path leaves x once and never
+enters it, its y->x path the reverse, likewise at y), so the seed-degree test
+is needed only at the root and the consumed arcs fix the classes still to place.
 """
 
 from __future__ import annotations
@@ -243,14 +246,21 @@ class _SeedPacker:
     Each search node lists its own candidates in the arcs not yet used: its
     x->y paths after the key of the previous class's x->y path (which lies
     in ``used``, so no later path is lost), and its y->x paths once, shared
-    by all of them.  No path list outlives its node.  A node first applies
-    the seed-degree counts and the failure memo, which keeps the least
-    start key that failed for each (used arcs, classes still to place).  A
-    node with no y->x path in the unused arcs fails at once.  The flow bound
-    (both local connectivities in the unused arcs are at least
-    ``remaining``) is deferred: a node pays for its two flows only after
-    its first child fails, so a node that succeeds on its first try runs
-    no flow.  The deferral stays cheap: if a node is flow-infeasible
+    by all of them.  No path list outlives its node.
+
+    Every class takes one arc from each of out(x), in(x), out(y) and in(y),
+    so after j classes each seed count is its degree minus j and
+    ``remaining`` is k minus j.  So the seed-degree test fails at a node
+    exactly when it fails at the root, where ``feasible`` makes it once;
+    and the failure memo (the least start key that failed) is keyed on
+    ``used`` alone and emptied at each ``feasible`` call, since under
+    another k the same ``used`` has another ``remaining``.  A node first
+    applies the memo, and a node with no y->x path left fails at once.
+
+    The flow bound (both local connectivities in the unused arcs are at
+    least ``remaining``) is deferred: a node pays for its two flows only
+    after its first child fails, so a node that succeeds on its first try
+    runs no flow.  The deferral stays cheap: if a node is flow-infeasible
     (``λ(x, y) < remaining`` in the unused arcs), so is every child,
     because a member crosses every minimum x->y cut at least once, so λ
     falls by at least 1 while ``remaining`` falls by exactly 1.  A
@@ -268,9 +278,8 @@ class _SeedPacker:
         self.arcs = d.sorted_arcs
         self.tables = tables
         self.ticker = [0, budget if budget is not None else float("inf")]
-        self.out_x, self.in_x = tables.out_mask[x], tables.in_mask[x]
-        self.out_y, self.in_y = tables.out_mask[y], tables.in_mask[y]
-        self.fail_memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self.out_x = tables.out_mask[x]
+        self.fail_memo: dict[int, tuple[int, int]] = {}
         self.stack: list[int] = []
         self.best_partial: list[int] = []
 
@@ -288,6 +297,9 @@ class _SeedPacker:
 
     def feasible(self, k: int) -> list[int] | None:
         """The arc masks of a packing of exactly k classes, or None when impossible."""
+        if k > _seed_degree(self.d, self.x, self.y):
+            return None
+        self.fail_memo = {}
         return self._rec(0, k, (0, 0))
 
     def _flow_short(self, used: int, remaining: int) -> bool:
@@ -304,15 +316,7 @@ class _SeedPacker:
         self.ticker[0] += 1
         if self.ticker[0] > self.ticker[1]:
             raise _BudgetExhausted
-        if (self.out_x & ~used).bit_count() < remaining:
-            return None
-        if (self.in_x & ~used).bit_count() < remaining:
-            return None
-        if (self.out_y & ~used).bit_count() < remaining:
-            return None
-        if (self.in_y & ~used).bit_count() < remaining:
-            return None
-        memo_start = self.fail_memo.get((used, remaining))
+        memo_start = self.fail_memo.get(used)
         if memo_start is not None and memo_start <= start:
             return None
         flows_checked = False
@@ -335,7 +339,7 @@ class _SeedPacker:
                 flows_checked = True
             if not back_seen:
                 return None
-        self.fail_memo[(used, remaining)] = start  # below any stored key, or the memo would have hit
+        self.fail_memo[used] = start  # below any stored key, or the memo would have hit
         return None
 
 
@@ -363,22 +367,21 @@ def _exact(
     y: int,
     cap: int | None = None,
     budget: int | None = None,
-    packer: _SeedPacker | None = None,
 ) -> PackingResult:
     """Largest feasible packing size, iterating k downward from the upper bound.
 
     With ``cap`` set the result value is min(true value, cap); callers use the
-    cap only when the true value is already known to lie below it.  A
-    ``packer`` for the same pair may be passed in to keep its failure memo;
-    the memo holds only true failures, so the packings found do not change.
+    cap only when the true value is already known to lie below it.  Each
+    ``feasible(k)`` starts with an empty failure memo and every k above the
+    value fails, so a cap at or above the value finds the uncapped packing,
+    whose members each have one arc in each of out(x), in(x), out(y), in(y).
     """
     deg_bound, flow_bound = _seed_bounds(d, x, y)
     ub = flow_bound if cap is None else min(flow_bound, cap)
     if ub == 0:
         empty = CertificateFamily(d.n, (x, y), ())
         return PackingResult(0, empty, "unreachable", True, 0, 0)
-    if packer is None:
-        packer = _SeedPacker(d, tables, x, y, budget)
+    packer = _SeedPacker(d, tables, x, y, budget)
     for k in range(ub, 0, -1):
         try:
             masks = packer.feasible(k)
@@ -527,14 +530,14 @@ def _search_sweep(
     search runs out of its fixed node budget, the generators verified so far
     still merge pairs; the sweep stays exact and merely visits more of them.
 
-    Each visited pair whose seed degree reaches the running minimum is
-    screened for feasibility at that minimum before paying for an exact
-    computation, capped one below it, which reuses the pair's packer.  Below
-    the minimum the cap does nothing: ``_seed_bounds`` caps both flows at
-    the seed degree.  Sampled sweeps visit every sampled pair (``(0, 1)``
-    need not be one, so they take no floor exit) and yield an upper bound,
-    flagged inexact unless the sample holds every pair.  The returned witness is
-    verified before return; a witness that fails raises ``RuntimeError``.
+    Each visited pair is screened for feasibility at the running minimum
+    (a pair whose seed degree is below it fails at the root) before paying
+    for an exact computation, capped one below it.  Below the minimum the
+    cap does nothing: ``_seed_bounds`` caps both flows at the seed degree.
+    Sampled sweeps visit every sampled pair (``(0, 1)`` need not be one, so
+    they take no floor exit) and yield an upper bound, flagged inexact
+    unless the sample holds every pair.  The returned witness is verified
+    before return; a witness that fails raises ``RuntimeError``.
 
     ``lift_settled`` is ``(bound, drops)`` for a product ``d = G □ H`` of
     strong factors, with ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the
@@ -576,10 +579,9 @@ def _search_sweep(
             break
         if best.value <= bound and not drops(x, y):
             continue
-        packer = _SeedPacker(d, tables, x, y)
-        if _seed_degree(d, x, y) >= best.value and packer.feasible(best.value) is not None:
+        if _SeedPacker(d, tables, x, y).feasible(best.value) is not None:
             continue
-        result = _exact(d, tables, x, y, cap=best.value - 1, packer=packer)
+        result = _exact(d, tables, x, y, cap=best.value - 1)
         if result.value < best.value:
             best, best_pair = result, (x, y)
     if not verify_certificate(d, best.witness).valid:

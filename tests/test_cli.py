@@ -238,7 +238,7 @@ class TestLambdaTwoProductRoute:
         calls = _logged_sweeps(monkeypatch)
         code, out, _ = run(capsys, ["lambda2", f"file:{path}", "x", "cn:3"])
         assert code == 0 and out == "lambda2: 0\npair: 0 3\nmembers: 0\n"
-        assert calls == [("search", False)] * 3  # the two factors, then the bare product
+        assert calls == [("search", False)] * 2  # the first factor, rejected, then the bare product
 
     def test_samples(self, capsys, monkeypatch):
         calls = _logged_sweeps(monkeypatch)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongarc import constructions
+from strongarc import constructions, packing
 from strongarc.constructions import (
     CLASS_TOKENS,
     ConstructionError,
@@ -29,7 +29,7 @@ from strongarc.constructions import (
     product_lambda_2,
     product_lambda_formula,
 )
-from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong
+from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong, is_symmetric
 from strongarc.generators import (
     TreeShape,
     bidirected_cycle,
@@ -212,9 +212,9 @@ class TestLiftSettledSweep:
         drops = settled = 0
         for seed in range(12):
             g, h = _random_factor_pair(seed, 5)
-            g2, h2 = lambda_2(g).value, lambda_2(h).value
-            g_fams = constructions._FactorPackings(g, g2)
-            h_fams = constructions._FactorPackings(h, h2)
+            g_fams = constructions._FactorPackings("first factor", g)
+            h_fams = constructions._FactorPackings("second factor", h)
+            g2, h2 = g_fams.least, h_fams.least
             p = cartesian_product(g, h)
             for x in range(p.digraph.n):
                 for y in range(p.digraph.n):
@@ -227,6 +227,19 @@ class TestLiftSettledSweep:
                     drops += dropped
                     settled += r1 != r2 and c1 != c2 and not dropped
         assert drops > 0 and settled > 0
+
+    def test_seeded_packing_is_the_one_a_search_finds(self):
+        """The record's packing at λ₂'s pair equals a fresh ``_factor_family`` search, on all three routes."""
+        routes = set()
+        factors = [bidirected_cycle(5), complete_digraph(4), K23, directed_cycle(4)]
+        factors += [random_strong_digraph(2 + seed % 5, 0.1 * (seed % 7), seed) for seed in range(60)]
+        for d in factors:
+            fams = constructions._FactorPackings("factor", d)
+            (pair, seeded), = fams._found.items()
+            fresh = constructions._factor_family(d, packing._ArcTables(d), pair, fams.least)
+            assert seeded == fresh and len(seeded) == fams.least
+            routes.add("flow" if is_symmetric(d) else "search" if pair == (0, 1) else "capped")
+        assert routes == {"flow", "search", "capped"}
 
     @given(st.integers(2, 5), st.integers(2, 5), st.floats(0, 0.6), st.floats(0, 0.6), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -272,6 +285,15 @@ class TestClassTable:
                 m = 3
                 p = cartesian_product(class_digraph(a, n), class_digraph(b, m))
                 assert lambda_2(p.digraph).value == class_table_value(a, b, n, m)
+
+    def test_every_entry_is_the_sum_of_the_factor_values(self):
+        """λ₂(G) + λ₂(H) by search on each class digraph, both tree shapes included, orders up to 6."""
+        factors = [(cls, n, None) for cls in CLASS_TOKENS for n in range(constructions._CLASS_MIN[cls], 7)]
+        factors += [("btm", n, TreeShape("star", n)) for n in range(3, 7)]
+        own = {(cls, n, shape): lambda_2(class_digraph(cls, n, tree=shape)).value for cls, n, shape in factors}
+        for (a, n, shape_a), value_a in own.items():
+            for (b, m, shape_b), value_b in own.items():
+                assert class_table_value(a, b, n, m) == value_a + value_b, (a, n, shape_a, b, m, shape_b)
 
     def test_tree_entry_ignores_shape(self):
         for shape in [TreeShape("path", 4), TreeShape("star", 4), TreeShape("random", 4, seed=5)]:

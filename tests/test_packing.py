@@ -506,21 +506,75 @@ class TestSymmetricRoute:
 
 class TestScreenPackerReuse:
     def test_exact_after_failed_screen_is_unchanged(self):
-        """``_exact`` on the packer of a failed screen finds what a fresh packer finds."""
-        screens_with_memo = 0
+        """After a failed screen one above the value, ``_exact`` capped at the value finds the uncapped packing."""
         for seed in range(160):
             rng = random.Random(seed)
             d = random_strong_digraph(rng.randint(4, 7), rng.random() * 0.6, rng.getrandbits(32))
             tables = packing._ArcTables(d)
             for x, y in itertools.combinations(range(d.n), 2):
                 fresh = packing._exact(d, tables, x, y)
-                screen = packing._SeedPacker(d, tables, x, y)
-                assert screen.feasible(fresh.value + 1) is None
-                screens_with_memo += bool(screen.fail_memo)
-                reused = packing._exact(d, tables, x, y, cap=fresh.value, packer=screen)
-                assert reused == packing._exact(d, tables, x, y, cap=fresh.value)
-                assert (reused.value, reused.witness) == (fresh.value, fresh.witness)
-        assert screens_with_memo > 10
+                assert packing._SeedPacker(d, tables, x, y).feasible(fresh.value + 1) is None
+                capped = packing._exact(d, tables, x, y, cap=fresh.value)
+                assert (capped.value, capped.witness) == (fresh.value, fresh.witness)
+
+
+class TestSeedArcInvariant:
+    """Every class takes one arc from each of out(x), in(x), out(y) and in(y)."""
+
+    def test_each_witness_member_has_one_arc_at_each_seed_side(self):
+        members = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            d = random_strong_digraph(rng.randint(2, 7), rng.random() * 0.7, rng.getrandbits(32))
+            tables = packing._ArcTables(d)
+            for x, y in itertools.combinations(range(d.n), 2):
+                for member in packing._exact(d, tables, x, y).witness.members:
+                    tails = [u for u, _ in member]
+                    heads = [v for _, v in member]
+                    assert (tails.count(x), heads.count(x), tails.count(y), heads.count(y)) == (1, 1, 1, 1)
+                    members += 1
+        assert members > 5000
+
+    def test_feasible_above_the_seed_degree_makes_no_search_node(self, monkeypatch):
+        nodes = []
+        rec = packing._SeedPacker._rec
+
+        def counted_rec(self, *args):
+            nodes.append(args)
+            return rec(self, *args)
+
+        monkeypatch.setattr(packing._SeedPacker, "_rec", counted_rec)
+        for d in (complete_digraph(4), bidirected_cycle(5), random_strong_digraph(6, 0.4, 3)):
+            tables = packing._ArcTables(d)
+            for x, y in itertools.combinations(range(d.n), 2):
+                assert packing._SeedPacker(d, tables, x, y).feasible(packing._seed_degree(d, x, y) + 1) is None
+        assert nodes == []
+        packing._SeedPacker(d, tables, 0, 1).feasible(1)
+        assert nodes
+
+    def test_each_feasible_call_starts_with_an_empty_memo(self, monkeypatch):
+        """A failure under one k is keyed on ``used`` alone, so it must not reach a search under another k."""
+        root_memos = []
+        rec = packing._SeedPacker._rec
+
+        def root_rec(self, used, *args):
+            if used == 0:
+                root_memos.append(dict(self.fail_memo))
+            return rec(self, used, *args)
+
+        monkeypatch.setattr(packing._SeedPacker, "_rec", root_rec)
+        failures_kept = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            d = random_strong_digraph(rng.randint(4, 7), rng.random() * 0.6, rng.getrandbits(32))
+            tables = packing._ArcTables(d)
+            for x, y in itertools.combinations(range(d.n), 2):
+                value = packing._exact(d, tables, x, y).value
+                packer = packing._SeedPacker(d, tables, x, y)
+                assert packer.feasible(value + 1) is None
+                failures_kept += bool(packer.fail_memo)
+                assert packer.feasible(value) is not None
+        assert failures_kept > 0 and root_memos and not any(root_memos)
 
 
 class TestOracles:
