@@ -27,7 +27,6 @@ from .constructions import (
     cycle_complete_family,
     cycle_cycle_family,
     cycle_tree_family,
-    HuntConfig,
     _validate_trials,
     hunt_tightness,
     lift_certificates,
@@ -92,7 +91,7 @@ def parse_class_spec(token: str) -> Digraph:
         if head == "file":
             if not rest:
                 raise UsageError(f"bad file token {token!r}, expected file:<path>")
-            return read_digraph(rest)[0]
+            return read_digraph(rest)
     except (ValueError, OSError, DigraphError) as exc:
         raise UsageError(f"cannot parse operand {token!r}: {exc}") from exc
     raise UsageError(f"unknown class token {token!r}")
@@ -381,11 +380,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    report = hunt_tightness(
-        HuntConfig(
-            trials=args.trials, max_order=args.max_order, extra_arc_prob=args.density, seed=args.seed
-        )
-    )
+    report = hunt_tightness(args.trials, args.max_order, args.density, args.seed)
     print(f"trials: {report.trials}")
     for gap, count in report.gap_counts:
         print(f"gap {gap}: {count}")
@@ -483,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--max-order", dest="max_order", type=int, default=4)
     p_hunt.add_argument("--seed", type=int, required=True)
     p_hunt.add_argument(
-        "--density", type=float, default=HuntConfig.extra_arc_prob,
+        "--density", type=float, default=0.25,
         help="largest extra-arc probability of the random factors (default %(default)s)",
     )
     p_hunt.add_argument("--out", default=None, help="directory for zero-gap witness files")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
@@ -35,6 +35,7 @@ from .packing import (
     Lambda2Result,
     _ArcTables,
     _exact,
+    _flow_sweep,
     _search_sweep,
     _validate_pair,
     lambda_2,
@@ -282,15 +283,15 @@ def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
 def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lambda2Result:
     """``lambda_2(g □ h)`` from the records of two strong factors.
 
-    A symmetric product keeps the flow route of ``lambda_2``, which runs no
-    pair search.  Otherwise each pair's drop-layout test reads the two
-    records, whose memos already hold each factor's packing at its own
-    ``λ₂`` pair.
+    A product is symmetric exactly when both factors are, and then it takes
+    the flow route of ``lambda_2`` directly, which runs no pair search.
+    Otherwise each pair's drop-layout test reads the two records, whose
+    memos already hold each factor's packing at its own ``λ₂`` pair.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
     if is_symmetric(g) and is_symmetric(h):
-        return lambda_2(d)
+        return _flow_sweep(d)
     m = h.n
 
     def drops(x: int, y: int) -> bool:
@@ -484,7 +485,7 @@ def cycle_cycle_family(
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
         if (r2 - r1) % n == 1 and (c2 - c1) % m == 1 and n >= 4:
             return _cycle_cycle_adjacent(p, n, m, r1, c1)
-        return _cycle_cycle_rectangle(p, n, m, r1, c1, r2, c2)
+        return _rectangle(partial(_row_path, p, m), partial(_col_path, p, n), r1, c1, r2, c2)
 
     return _closed_form(directed_cycle(n), directed_cycle(m), x_pos, y_pos, 2, members)
 
@@ -497,23 +498,21 @@ def _col_path(p: ProductDigraph, n: int, j: int, a: int, b: int) -> frozenset[Ar
     return lift_g_arcs(p, _one_way_path_arcs(_cycle_seq(n, a, b, 1)), j)
 
 
-def _cycle_cycle_rectangle(
-    p: ProductDigraph, n: int, m: int, r1: int, c1: int, r2: int, c2: int
+def _rectangle(
+    row: Callable[[int, int, int], frozenset[Arc]], col: Callable[[int, int, int], frozenset[Arc]],
+    r1: int, c1: int, r2: int, c2: int,
 ) -> tuple[frozenset[Arc], ...]:
-    """Split rows r1, r2 and columns c1, c2 into two complementary closed cycles."""
-    d1 = (
-        _row_path(p, m, r1, c1, c2)
-        | _col_path(p, n, c2, r1, r2)
-        | _row_path(p, m, r2, c2, c1)
-        | _col_path(p, n, c1, r2, r1)
+    """Split rows r1, r2 and columns c1, c2 into two complementary closed walks.
+
+    ``row(i, a, b)`` is a path from column ``a`` to column ``b`` in row ``i``,
+    ``col(j, a, b)`` one from row ``a`` to row ``b`` in column ``j``.  The first
+    member leaves the seed at ``(r1, c1)`` along its row, the second along its
+    column.
+    """
+    return (
+        row(r1, c1, c2) | col(c2, r1, r2) | row(r2, c2, c1) | col(c1, r2, r1),
+        col(c1, r1, r2) | row(r2, c1, c2) | col(c2, r2, r1) | row(r1, c2, c1),
     )
-    d2 = (
-        _col_path(p, n, c1, r1, r2)
-        | _row_path(p, m, r2, c1, c2)
-        | _col_path(p, n, c2, r2, r1)
-        | _row_path(p, m, r1, c2, c1)
-    )
-    return (d1, d2)
 
 
 def _cycle_cycle_adjacent(
@@ -579,30 +578,19 @@ def cycle_tree_family(
     """Two arc-disjoint seed-strong subgraphs in (directed cycle) x (bidirected tree).
 
     Each member pairs one orientation of the tree path between the seed
-    columns with complementary halves of the two seed-column cycles.  The
-    pair-packing number of this product is exactly 2.
+    columns with complementary halves of the two seed-column cycles (the
+    ``_rectangle`` members with tree paths on the rows, in swapped order).
+    The pair-packing number of this product is exactly 2.
     """
     if n < 3:
         raise DigraphError(f"cycle factor needs order >= 3, got {n}")
     tree = bidirected_tree(shape)
 
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
-        seq = _tree_path_seq(tree, c1, c2)
-        forward = _one_way_path_arcs(seq)
-        reverse = _one_way_path_arcs(tuple(reversed(seq)))
-        d1 = (
-            _col_path(p, n, c1, r1, r2)
-            | lift_h_arcs(p, forward, r2)
-            | _col_path(p, n, c2, r2, r1)
-            | lift_h_arcs(p, reverse, r1)
-        )
-        d2 = (
-            lift_h_arcs(p, forward, r1)
-            | _col_path(p, n, c2, r1, r2)
-            | lift_h_arcs(p, reverse, r2)
-            | _col_path(p, n, c1, r2, r1)
-        )
-        return (d1, d2)
+        def row(i: int, a: int, b: int) -> frozenset[Arc]:
+            return lift_h_arcs(p, _one_way_path_arcs(_tree_path_seq(tree, a, b)), i)
+
+        return _rectangle(row, partial(_col_path, p, n), r1, c1, r2, c2)[::-1]
 
     return _closed_form(directed_cycle(n), tree, x_pos, y_pos, 2, members)
 
@@ -878,16 +866,6 @@ def _lift_general(
 
 
 @dataclass(frozen=True)
-class HuntConfig:
-    """Settings for the randomized tightness hunt."""
-
-    trials: int
-    max_order: int = 4
-    extra_arc_prob: float = 0.25
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class HuntHit:
     """One random product that meets the lower bound, with its ``check_bounds`` report."""
 
@@ -915,7 +893,7 @@ def _validate_trials(trials: int, max_order: int) -> None:
         raise DigraphError(f"max order must be at least 2, got {max_order}")
 
 
-def hunt_tightness(config: HuntConfig) -> HuntReport:
+def hunt_tightness(trials: int, max_order: int, extra_arc_prob: float, seed: int) -> HuntReport:
     """Sample random strong factor pairs, looking for products that meet the lower bound.
 
     Each trial is one ``check_bounds`` call.  The gap ``lambda2(product) -
@@ -923,18 +901,18 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
     optimal pair and witness family.  ``sandwich_ok`` confirms every trial
     stayed inside both bounds.
     """
-    _validate_trials(config.trials, config.max_order)
-    if not 0 <= config.extra_arc_prob <= 1:
-        raise DigraphError(f"extra arc probability must lie in [0, 1], got {config.extra_arc_prob}")
-    rng = random.Random(config.seed)
+    _validate_trials(trials, max_order)
+    if not 0 <= extra_arc_prob <= 1:
+        raise DigraphError(f"extra arc probability must lie in [0, 1], got {extra_arc_prob}")
+    rng = random.Random(seed)
     tally: dict[int, int] = {}
     hits: list[HuntHit] = []
     sandwich_ok = True
-    for trial in range(config.trials):
-        n_g = rng.randint(2, config.max_order)
-        n_h = rng.randint(2, config.max_order)
-        g = random_strong_digraph(n_g, rng.random() * config.extra_arc_prob, rng.getrandbits(32))
-        h = random_strong_digraph(n_h, rng.random() * config.extra_arc_prob, rng.getrandbits(32))
+    for trial in range(trials):
+        n_g = rng.randint(2, max_order)
+        n_h = rng.randint(2, max_order)
+        g = random_strong_digraph(n_g, rng.random() * extra_arc_prob, rng.getrandbits(32))
+        h = random_strong_digraph(n_h, rng.random() * extra_arc_prob, rng.getrandbits(32))
         rep = check_bounds(g, h)
         sandwich_ok = sandwich_ok and rep.sandwich_ok
         gap = rep.observed - rep.lower
@@ -942,7 +920,7 @@ def hunt_tightness(config: HuntConfig) -> HuntReport:
         if gap == 0:
             hits.append(HuntHit(trial, g, h, rep))
     return HuntReport(
-        trials=config.trials,
+        trials=trials,
         sandwich_ok=sandwich_ok,
         gap_counts=tuple(sorted(tally.items())),
         hits=tuple(hits),

@@ -68,9 +68,6 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
-    def reverse(self) -> "Digraph":
-        return Digraph(self.n, frozenset((v, u) for u, v in self.arcs))
-
     def __repr__(self) -> str:  # keep hypothesis failure output readable
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
@@ -317,35 +314,20 @@ def _automorphism_generators(d: Digraph) -> list[tuple[int, ...]]:
 
 # --- text and DOT formats ---------------------------------------------------
 
-_PRODUCT_TAG = "# product"
-
-
-def dumps_digraph(d: Digraph, product: tuple[int, int] | None = None) -> str:
-    """Serialize to the line format: optional product header, ``n <order>``, one arc per line."""
-    lines: list[str] = []
-    if product is not None:
-        lines.append(f"{_PRODUCT_TAG} n={product[0]} m={product[1]}")
-    lines.append(f"n {d.n}")
+def dumps_digraph(d: Digraph) -> str:
+    """Serialize to the line format: ``n <order>``, then one arc per line."""
+    lines = [f"n {d.n}"]
     lines.extend(f"{u} {v}" for u, v in d.sorted_arcs)
     return "\n".join(lines) + "\n"
 
 
-def loads_digraph(text: str) -> tuple[Digraph, tuple[int, int] | None]:
-    """Parse the line format; returns the digraph and product dimensions if present."""
-    product: tuple[int, int] | None = None
+def loads_digraph(text: str) -> Digraph:
+    """Parse the line format; blank lines and ``#`` comments are skipped."""
     order: int | None = None
     arcs: list[Arc] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith(_PRODUCT_TAG):
-                try:
-                    fields = dict(tok.split("=") for tok in line[len(_PRODUCT_TAG):].split())
-                    product = (int(fields["n"]), int(fields["m"]))
-                except (ValueError, KeyError) as exc:
-                    raise DigraphError(f"bad product header: {line!r}") from exc
+        if not line or line.startswith("#"):
             continue
         toks = line.split()
         if order is None:
@@ -358,20 +340,12 @@ def loads_digraph(text: str) -> tuple[Digraph, tuple[int, int] | None]:
         arcs.append((int(toks[0]), int(toks[1])))
     if order is None:
         raise DigraphError("missing 'n <order>' line")
-    d = from_arc_list(order, arcs)
-    if product is not None and product[0] * product[1] != d.n:
-        raise DigraphError(f"product header {product} inconsistent with order {d.n}")
-    return d, product
+    return from_arc_list(order, arcs)
 
 
-def read_digraph(path: str) -> tuple[Digraph, tuple[int, int] | None]:
+def read_digraph(path: str) -> Digraph:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_digraph(fh.read())
-
-
-def write_digraph(path: str, d: Digraph, product: tuple[int, int] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_digraph(d, product=product))
 
 
 _DOT_PALETTE = (

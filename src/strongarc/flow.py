@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .digraph import Arc, Digraph, DigraphError, _strong_without, degrees, is_strong
@@ -24,11 +23,11 @@ from .digraph import Arc, Digraph, DigraphError, _strong_without, degrees, is_st
 
 @dataclass(frozen=True)
 class LocalArcConnectivity:
-    """Max arc-disjoint s->t paths: their number, a minimum cut, and the paths.
+    """Max arc-disjoint s->t paths: their number and a minimum cut.
 
     ``capped``: the flow stopped at the caller's cap, more paths exist and ``cut``
     is empty.  Otherwise ``cut`` holds the arcs leaving the residual-reachable
-    side, the unique minimal minimum cut.  ``paths`` is built on first access.
+    side, the unique minimal minimum cut.
     """
 
     source: int
@@ -36,31 +35,6 @@ class LocalArcConnectivity:
     value: int
     cut: frozenset[Arc]
     capped: bool
-    _d: Digraph = field(repr=False, compare=False)
-    _residual: list[int] = field(repr=False, compare=False)
-
-    @cached_property
-    def paths(self) -> tuple[tuple[int, ...], ...]:
-        # decompose the flow into s->t paths, excising any flow cycles on the way
-        flow_out: list[list[int]] = [[] for _ in range(self._d.n)]
-        for i, (u, v) in enumerate(self._d.sorted_arcs):
-            if self._residual[2 * i + 1]:
-                flow_out[u].append(v)
-        paths: list[tuple[int, ...]] = []
-        for _ in range(self.value):
-            walk = [self.source]
-            pos = {self.source: 0}
-            while walk[-1] != self.sink:
-                v = flow_out[walk[-1]].pop()
-                if v in pos:
-                    # a flow cycle: drop it and continue from its entry point
-                    walk = walk[: pos[v] + 1]
-                    pos = {w: k for k, w in enumerate(walk)}
-                else:
-                    pos[v] = len(walk)
-                    walk.append(v)
-            paths.append(tuple(walk))
-        return tuple(paths)
 
 
 @dataclass(frozen=True)
@@ -80,12 +54,12 @@ class ConnectivityReport:
     local_flows: int = field(compare=False)
 
 
-def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int], list[int]]:
+def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int]]:
     """Augment along shortest residual s->t paths until ``need`` are found or none is left.
 
     Arc ``i`` of ``d.sorted_arcs`` is left out when bit ``i`` of ``excluded`` is
-    set.  Returns the path count, the residual capacities and the labels of
-    the last search; if it failed, -1 marks the side ``s`` cannot reach.
+    set.  Returns the path count and the labels of the last search; if it
+    failed, -1 marks the side ``s`` cannot reach.
     """
     head, edges = d.flow_network
     residual = [1, 0] * (len(head) // 2)
@@ -117,11 +91,11 @@ def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tupl
             residual[e ^ 1] += 1
             v = head[e ^ 1]
         value += 1
-    return value, residual, via
+    return value, via
 
 
 def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalArcConnectivity:
-    """Maximum number of arc-disjoint s->t paths, with minimum cut and path list.
+    """Maximum number of arc-disjoint s->t paths, with a minimum cut.
 
     With ``cap`` below the maximum the result is ``cap``, ``capped`` and an
     empty cut; with ``cap`` at or above it, the uncapped result.
@@ -133,11 +107,11 @@ def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalAr
     if cap is not None and cap < 0:
         raise DigraphError(f"flow cap must be >= 0, got {cap}")
     # a flow never exceeds the out-degree of s, which is below n
-    value, residual, via = _unit_flow(d, s, t, d.n if cap is None else cap + 1)
+    value, via = _unit_flow(d, s, t, d.n if cap is None else cap + 1)
     if cap is not None and value > cap:
-        return LocalArcConnectivity(s, t, cap, frozenset(), True, d, residual)
+        return LocalArcConnectivity(s, t, cap, frozenset(), True)
     cut = frozenset((u, v) for u, v in d.sorted_arcs if via[u] != -1 and via[v] == -1)
-    return LocalArcConnectivity(s, t, value, cut, False, d, residual)
+    return LocalArcConnectivity(s, t, value, cut, False)
 
 
 def _witness_scan(d: Digraph, bound: int, first: int) -> tuple[LocalArcConnectivity, int, int]:

@@ -14,13 +14,12 @@ import strongarc
 from strongarc import cli, constructions, flow, packing
 from strongarc.constructions import (
     BoundsReport,
-    HuntConfig,
     HuntHit,
     HuntReport,
     class_table_value,
     lift_certificates,
 )
-from strongarc.digraph import from_arc_list, write_digraph
+from strongarc.digraph import dumps_digraph, from_arc_list
 from strongarc.generators import bidirected_cycle, directed_cycle
 from strongarc.packing import certificate_from_json
 
@@ -54,7 +53,7 @@ class TestOperandParsing:
 
     def test_file_token(self, tmp_path):
         path = tmp_path / "g.dg"
-        write_digraph(str(path), directed_cycle(4), product=None)
+        path.write_text(dumps_digraph(directed_cycle(4)))
         d = cli.parse_class_spec(f"file:{path}")
         assert d.arcs == directed_cycle(4).arcs
 
@@ -107,7 +106,7 @@ class TestLambdaCommand:
 
     def test_non_strong_input_warns_and_reports_zero(self, capsys, tmp_path):
         path = tmp_path / "weak.dg"
-        write_digraph(str(path), from_arc_list(3, [(0, 1), (1, 2)]), product=None)
+        path.write_text(dumps_digraph(from_arc_list(3, [(0, 1), (1, 2)])))
         code, out, _ = run(capsys, ["lambda", f"file:{path}"])
         assert code == 0
         assert "warning: digraph is not strong" in out
@@ -219,6 +218,7 @@ def _logged_sweeps(monkeypatch):
     monkeypatch.setattr(packing, "_search_sweep", logged_search)
     monkeypatch.setattr(constructions, "_search_sweep", logged_search)
     monkeypatch.setattr(packing, "_flow_sweep", logged_flow)
+    monkeypatch.setattr(constructions, "_flow_sweep", logged_flow)
     return calls
 
 
@@ -234,7 +234,7 @@ class TestLambdaTwoProductRoute:
 
     def test_non_strong_factor(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "path.dg"
-        write_digraph(str(path), from_arc_list(3, [(0, 1), (1, 2)]))
+        path.write_text(dumps_digraph(from_arc_list(3, [(0, 1), (1, 2)])))
         calls = _logged_sweeps(monkeypatch)
         code, out, _ = run(capsys, ["lambda2", f"file:{path}", "x", "cn:3"])
         assert code == 0 and out == "lambda2: 0\npair: 0 3\nmembers: 0\n"
@@ -250,7 +250,8 @@ class TestLambdaTwoProductRoute:
     def test_file_operand(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "product.dg"
         d, (g, h) = cli.parse_operand("rand:6:0.4:3 x rand:4:0.5:7".split())
-        write_digraph(str(path), d, (g.n, h.n))
+        # a product header from older files loads as a comment
+        path.write_text(f"# product n={g.n} m={h.n}\n" + dumps_digraph(d))
         calls = _logged_sweeps(monkeypatch)
         code, out, _ = run(capsys, ["lambda2", f"file:{path}"])
         assert code == 0 and out == (GOLDEN / "lambda2_rand6_x_rand4.out").read_text(encoding="utf-8")
@@ -418,13 +419,13 @@ class TestHuntCommand:
         assert code == 0 and "trials: 5" in out and "gap " in out
 
     def test_density_sets_extra_arc_prob(self, capsys, monkeypatch):
-        config = HuntConfig(trials=30, seed=11, extra_arc_prob=0.1)
+        settings = (30, 4, 0.1, 11)  # trials, max order, extra arc probability, seed
         seen = []
         real = cli.hunt_tightness
-        monkeypatch.setattr(cli, "hunt_tightness", lambda c: seen.append(c) or real(c))
+        monkeypatch.setattr(cli, "hunt_tightness", lambda *a: seen.append(a) or real(*a))
         code, out, _ = run(capsys, ["hunt", "--trials", "30", "--seed", "11", "--density", "0.1"])
-        assert code == 0 and seen == [config]
-        tallies = [f"gap {gap}: {count}" for gap, count in real(config).gap_counts]
+        assert code == 0 and seen == [settings]
+        tallies = [f"gap {gap}: {count}" for gap, count in real(*settings).gap_counts]
         assert [line for line in out.splitlines() if line.startswith("gap ")] == tallies
 
     @pytest.mark.parametrize("density", ["1.5", "-0.1"])
@@ -441,7 +442,7 @@ class TestHuntCommand:
         )
         hit = HuntHit(trial=3, g=g, h=h, bounds=bounds)
         fake = HuntReport(trials=4, sandwich_ok=True, gap_counts=((0, 1), (1, 3)), hits=(hit,))
-        monkeypatch.setattr(cli, "hunt_tightness", lambda config: fake)
+        monkeypatch.setattr(cli, "hunt_tightness", lambda *settings: fake)
         out_dir = tmp_path / "hits"
         code, out, _ = run(
             capsys, ["hunt", "--trials", "4", "--seed", "1", "--out", str(out_dir)]
@@ -454,7 +455,7 @@ class TestHuntCommand:
 
     def test_sandwich_violation_fails(self, capsys, monkeypatch):
         fake = HuntReport(trials=1, sandwich_ok=False, gap_counts=((-1, 1),), hits=())
-        monkeypatch.setattr(cli, "hunt_tightness", lambda config: fake)
+        monkeypatch.setattr(cli, "hunt_tightness", lambda *settings: fake)
         code, out, _ = run(capsys, ["hunt", "--trials", "1", "--seed", "1"])
         assert code == 1 and "FAIL" in out
 

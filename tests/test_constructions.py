@@ -12,7 +12,6 @@ from strongarc import constructions, packing
 from strongarc.constructions import (
     CLASS_TOKENS,
     ConstructionError,
-    HuntConfig,
     HuntHit,
     all_connected_graphs,
     check_bounds,
@@ -535,21 +534,20 @@ class TestLiftDigests:
 
 class TestHunt:
     def test_deterministic(self):
-        cfg = HuntConfig(trials=12, max_order=3, seed=5)
-        assert hunt_tightness(cfg) == hunt_tightness(cfg)
+        assert hunt_tightness(12, 3, 0.25, 5) == hunt_tightness(12, 3, 0.25, 5)
 
     @pytest.mark.parametrize("prob", [1.5, -0.1])
     def test_extra_arc_prob_checked_before_any_trial(self, prob):
         with pytest.raises(DigraphError, match=f"got {prob}$"):
-            hunt_tightness(HuntConfig(trials=20, extra_arc_prob=prob, seed=0))
+            hunt_tightness(20, 4, prob, 0)
 
     def test_zero_trials(self):
-        report = hunt_tightness(HuntConfig(trials=0, seed=0))
+        report = hunt_tightness(0, 4, 0.25, 0)
         assert report.trials == 0 and report.sandwich_ok
         assert report.gap_counts == () and report.hits == ()
 
     def test_sandwich_holds_and_gaps_tally(self):
-        report = hunt_tightness(HuntConfig(trials=15, max_order=3, seed=1))
+        report = hunt_tightness(15, 3, 0.25, 1)
         assert report.sandwich_ok
         assert sum(count for _, count in report.gap_counts) == 15
         assert all(gap >= 0 for gap, _ in report.gap_counts)
@@ -568,7 +566,7 @@ class TestHunt:
             return r
 
         monkeypatch.setattr(constructions, "check_bounds", recording)
-        report = hunt_tightness(HuntConfig(trials=15, max_order=3, seed=1))
+        report = hunt_tightness(15, 3, 0.25, 1)
         gaps = [r.observed - r.lower for _, _, r in reports]
         assert report.gap_counts == tuple(sorted((gap, gaps.count(gap)) for gap in set(gaps)))
         assert report.sandwich_ok == all(r.sandwich_ok for _, _, r in reports)

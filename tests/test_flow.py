@@ -98,17 +98,6 @@ def pivot_order_cut(d: Digraph) -> frozenset:
     return best.cut
 
 
-def assert_disjoint_paths(d: Digraph, local) -> None:
-    """The paths are arc-disjoint simple source->sink paths inside ``d``."""
-    used = set()
-    for path in local.paths:
-        assert path[0] == local.source and path[-1] == local.sink
-        assert len(set(path)) == len(path)
-        for arc in zip(path, path[1:]):
-            assert d.has_arc(*arc) and arc not in used
-            used.add(arc)
-
-
 class TestLocalFlow:
     def test_known_product_instance(self):
         p = cartesian_product(directed_cycle(3), bidirected_cycle(3))
@@ -116,14 +105,12 @@ class TestLocalFlow:
         local = max_flow_unit(p.digraph, s, t)
         assert local.value == 3
         assert len(local.cut) == 3
-        assert len(local.paths) == 3
-        assert_disjoint_paths(p.digraph, local)
         assert brute_max_arc_disjoint_paths(p.digraph, s, t, 3)
 
     def test_no_path(self):
         d = from_arc_list(3, [(1, 0), (2, 1)])
         local = max_flow_unit(d, 0, 2)
-        assert local.value == 0 and local.paths == ()
+        assert local.value == 0 and local.cut == frozenset()
 
     def test_cut_separates(self):
         d = complete_digraph(4)
@@ -180,8 +167,6 @@ class TestFlowKernel:
         for s, t in ((0, d.n - 1), (d.n - 1, 0), (0, 1)):
             local = max_flow_unit(d, s, t)
             assert not local.capped
-            assert len(local.paths) == local.value
-            assert_disjoint_paths(d, local)
             assert brute_max_arc_disjoint_paths(d, s, t, local.value)
             assert not brute_max_arc_disjoint_paths(d, s, t, local.value + 1)
             assert local.cut == brute_min_cut(d, s, t)
@@ -197,8 +182,6 @@ class TestFlowKernel:
                 assert (local.value, local.cut, local.capped) == (full.value, full.cut, False)
             else:
                 assert (local.value, local.cut, local.capped) == (cap, frozenset(), True)
-            assert len(local.paths) == local.value
-            assert_disjoint_paths(d, local)
 
     @pytest.mark.parametrize("d", _small_digraphs()[:20], ids=repr)
     def test_excluded_arcs_are_left_out(self, d):

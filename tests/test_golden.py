@@ -9,7 +9,9 @@ directed cycle and on a bidirected star, and the first lifted product of the cer
 benchmark) and before the witness-first connectivity scan (`lambda` on a random product
 whose witness is the 110th pivot pair, (55, 0)) and before the product-aware pair sweep
 (`check bounds` with factors of order up to 6, and `lambda2` on a product of two order-8
-random factors; both skip lift-settled pairs and screen drop-layout pairs)."""
+random factors; both skip lift-settled pairs and screen drop-layout pairs) and before
+one routine built the rectangle members of both cycle families (`construct p51` and
+`construct p53` with seeds in general position)."""
 
 from pathlib import Path
 
@@ -52,6 +54,8 @@ COMMANDS = {
     "construct_lift_cn5_btmstar6_s00_12": "construct lift --g cn:5 --h btm:star:6 -S 0,0:1,2",
     "check_bounds_trials50_seed2_maxorder6": "check bounds --trials 50 --seed 2 --max-order 6",
     "lambda2_rand8_x_rand8": "lambda2 rand:8:0.4:1 x rand:8:0.4:2",
+    "construct_p51_n5_m4_s00_23": "construct p51 -n 5 -m 4 -S 0,0:2,3",
+    "construct_p53_n4_m6_random3_s12_35": "construct p53 -n 4 -m 6 -S 1,2:3,5 --shape random --shape-seed 3",
 }
 
 

@@ -1,7 +1,10 @@
-"""The package root: what it exports, and that the names the benchmark reads or traces resolve."""
+"""The package root: what it exports, that the names the benchmark reads or traces resolve,
+and that a few instances of every benchmark workload pass the benchmark's own output checks."""
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import strongarc
@@ -59,3 +62,19 @@ def test_every_exported_name_resolves():
     assert len(set(strongarc.__all__)) == len(strongarc.__all__)
     for name in strongarc.__all__:
         assert getattr(strongarc, name) is not None
+
+
+def test_benchmark_workloads_pass_their_checks(monkeypatch):
+    # the first three seed-1 instances of each workload, checked as the first benchmark
+    # pass is: against the recorded reference values and by the independent checks
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    bench = importlib.import_module("run")
+    problems = {}
+    for name, workload in bench.WORKLOADS.items():
+        instances = workload.build(strongarc, 1)[:3]
+        outputs = [workload.run(strongarc, bench.fresh_args(strongarc, inst.args)) for inst in instances]
+        references = bench.load_references(name)
+        problems[name] = bench.check_pass(strongarc, workload, instances, references, outputs, True, Counter())
+    assert set(problems) == {"class-table", "random-products", "flow-products", "certify"}
+    assert problems == {name: [] for name in problems}
