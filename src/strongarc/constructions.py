@@ -35,7 +35,6 @@ from .packing import (
     Lambda2Result,
     _ArcTables,
     _exact,
-    _flow_sweep,
     _search_sweep,
     _validate_pair,
     lambda_2,
@@ -283,15 +282,15 @@ def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
 def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lambda2Result:
     """``lambda_2(g □ h)`` from the records of two strong factors.
 
-    A product is symmetric exactly when both factors are, and then it takes
-    the flow route of ``lambda_2`` directly, which runs no pair search.
-    Otherwise each pair's drop-layout test reads the two records, whose
-    memos already hold each factor's packing at its own ``λ₂`` pair.
+    A symmetric product keeps the flow route of ``lambda_2``, which runs no
+    pair search.  Otherwise each pair's drop-layout test reads the two
+    records, whose memos already hold each factor's packing at its own
+    ``λ₂`` pair.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
     if is_symmetric(g) and is_symmetric(h):
-        return _flow_sweep(d)
+        return lambda_2(d)
     m = h.n
 
     def drops(x: int, y: int) -> bool:
@@ -587,9 +586,9 @@ def cycle_tree_family(
     tree = bidirected_tree(shape)
 
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
-        def row(i: int, a: int, b: int) -> frozenset[Arc]:
-            return lift_h_arcs(p, _one_way_path_arcs(_tree_path_seq(tree, a, b)), i)
-
+        seq = _tree_path_seq(tree, c1, c2)
+        paths = {(c1, c2): _one_way_path_arcs(seq), (c2, c1): _one_way_path_arcs(seq[::-1])}
+        row = lambda i, a, b: lift_h_arcs(p, paths[a, b], i)
         return _rectangle(row, partial(_col_path, p, n), r1, c1, r2, c2)[::-1]
 
     return _closed_form(directed_cycle(n), tree, x_pos, y_pos, 2, members)

@@ -218,7 +218,6 @@ def _logged_sweeps(monkeypatch):
     monkeypatch.setattr(packing, "_search_sweep", logged_search)
     monkeypatch.setattr(constructions, "_search_sweep", logged_search)
     monkeypatch.setattr(packing, "_flow_sweep", logged_flow)
-    monkeypatch.setattr(constructions, "_flow_sweep", logged_flow)
     return calls
 
 

@@ -64,12 +64,23 @@ def test_every_exported_name_resolves():
         assert getattr(strongarc, name) is not None
 
 
+BENCHMARK_MODULES = ("run", "workloads", "tracing", "calibration")
+
+
 def test_benchmark_workloads_pass_their_checks(monkeypatch):
     # the first three seed-1 instances of each workload, checked as the first benchmark
     # pass is: against the recorded reference values and by the independent checks
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    bench = importlib.import_module("run")
+    # the benchmark's modules have generic top-level names: load them fresh and
+    # leave sys.modules as it was when the test ends
+    for name in BENCHMARK_MODULES:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        bench = importlib.import_module("run")
+    finally:
+        for name in BENCHMARK_MODULES:
+            sys.modules.pop(name, None)
     problems = {}
     for name, workload in bench.WORKLOADS.items():
         instances = workload.build(strongarc, 1)[:3]
