@@ -325,12 +325,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     print(f"seed: {fam.seed[0]} {fam.seed[1]}")
     print(f"members: {len(fam.members)}")
     print(f"origin: {fam.origin}")
-    payload = certificate_to_json(fam)
-    if args.out is not None:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
+    _write_or_print(certificate_to_json(fam), args.out)
     return 0
 
 

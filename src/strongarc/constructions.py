@@ -368,19 +368,11 @@ def _one_way_path_arcs(seq: tuple[int, ...]) -> tuple[Arc, ...]:
 
 
 def _bidir_path_arcs(seq: tuple[int, ...]) -> tuple[Arc, ...]:
-    arcs: list[Arc] = []
-    for a, b in zip(seq, seq[1:]):
-        arcs.append((a, b))
-        arcs.append((b, a))
-    return tuple(arcs)
+    return _one_way_path_arcs(seq) + _one_way_path_arcs(seq[::-1])
 
 
 def _full_cycle_arcs(order: int) -> tuple[Arc, ...]:
     return tuple((v, (v + 1) % order) for v in range(order))
-
-
-def _digon(a: int, b: int) -> tuple[Arc, Arc]:
-    return ((a, b), (b, a))
 
 
 def _tree_path_seq(t: Digraph, a: int, b: int) -> tuple[int, ...]:
@@ -474,17 +466,22 @@ def cycle_cycle_family(
 ) -> tuple[ProductDigraph, CertificateFamily]:
     """Two arc-disjoint seed-strong subgraphs in a product of directed cycles.
 
-    For seeds in distinct rows and columns the members are two complementary
-    closed cycles through both seeds; row- or column-aligned seeds fall back
+    For seeds in distinct rows and columns the members are the two
+    complementary closed walks of ``_rectangle`` on the seed rows and
+    columns.  For diagonally adjacent seeds with ``n >= 4`` each member is
+    instead taken from a rectangle with one corner moved back: the first
+    from the one whose first column is ``c1 - 1``, the second from the one
+    whose first row is ``r1 - 2``.  Row- or column-aligned seeds fall back
     to search.  The pair-packing number of this product is exactly 2.
     """
     if n < 3 or m < 3:
         raise DigraphError(f"cycle factors need order >= 3, got {n} and {m}")
 
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
+        rectangle = partial(_rectangle, partial(_row_path, p, m), partial(_col_path, p, n))
         if (r2 - r1) % n == 1 and (c2 - c1) % m == 1 and n >= 4:
-            return _cycle_cycle_adjacent(p, n, m, r1, c1)
-        return _rectangle(partial(_row_path, p, m), partial(_col_path, p, n), r1, c1, r2, c2)
+            return rectangle(r1, (c1 - 1) % m, r2, c2)[0], rectangle((r1 - 2) % n, c1, r2, c2)[1]
+        return rectangle(r1, c1, r2, c2)
 
     return _closed_form(directed_cycle(n), directed_cycle(m), x_pos, y_pos, 2, members)
 
@@ -514,59 +511,24 @@ def _rectangle(
     )
 
 
-def _cycle_cycle_adjacent(
-    p: ProductDigraph, n: int, m: int, r1: int, c1: int
-) -> tuple[frozenset[Arc], ...]:
-    """Diagonally adjacent seeds: two closed cycles that reuse only four lines.
-
-    Requires ``n >= 4``; the second member routes through rows ``r1 - 1`` and
-    ``r1 - 2``, which must be distinct from both seed rows.
-    """
-    r2, c2 = (r1 + 1) % n, (c1 + 1) % m
-    rd, cd = (r1 - 2) % n, (c1 - 1) % m
-    d1 = (
-        _row_path(p, m, r1, c1, c2)
-        | _row_path(p, m, r1, cd, c1)
-        | _col_path(p, n, c2, r1, r2)
-        | _row_path(p, m, r2, c2, cd)
-        | _col_path(p, n, cd, r2, r1)
-    )
-    d2 = (
-        _col_path(p, n, c1, r1, r2)
-        | _col_path(p, n, c1, rd, r1)
-        | _row_path(p, m, r2, c1, c2)
-        | _col_path(p, n, c2, r2, rd)
-        | _row_path(p, m, rd, c2, c1)
-    )
-    return (d1, d2)
-
-
 def cycle_bicycle_family(
     n: int, m: int, x_pos: tuple[int, int], y_pos: tuple[int, int]
 ) -> tuple[ProductDigraph, CertificateFamily]:
     """Three arc-disjoint seed-strong subgraphs in (directed cycle) x (bidirected cycle).
 
-    The two sides of the undirected cycle between the seed columns are split
-    between the members; the longer side donates its first vertex as a third
-    column.  The pair-packing number of this product is exactly 3.
+    The two sides of the undirected cycle between the seed columns are the
+    direct path and the one detour of ``_column_detours``.  The side stepping
+    down from ``c1`` is the detour, donating its first vertex as a third
+    column, unless it is a single arc; then the side stepping up is.  The
+    pair-packing number of this product is exactly 3.
     """
     if n < 3 or m < 3:
         raise DigraphError(f"cycle factors need order >= 3, got {n} and {m}")
 
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
-        if (c1 - c2) % m >= 2:
-            side_a = _cycle_seq(m, c1, c2, 1)
-            side_b = _cycle_seq(m, c1, c2, -1)
-        else:
-            side_a = _cycle_seq(m, c1, c2, -1)
-            side_b = _cycle_seq(m, c1, c2, 1)
-        w = side_b[1]
-        col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
-        row = lambda seq, i: lift_h_arcs(p, _bidir_path_arcs(seq), i)
-        d1 = col(c2) | row(side_a, r1)
-        d2 = col(c1) | row(side_a, r2)
-        d3 = row(side_b[:2], r1) | col(w) | row(side_b[1:], r2)
-        return (d1, d2, d3)
+        up, down = _cycle_seq(m, c1, c2, 1), _cycle_seq(m, c1, c2, -1)
+        direct, detour = (up, down) if len(down) > 2 else (down, up)
+        return _column_detours(p, n, r1, r2, direct, [detour])
 
     return _closed_form(directed_cycle(n), bidirected_cycle(m), x_pos, y_pos, 3, members)
 
@@ -599,10 +561,10 @@ def cycle_complete_family(
 ) -> tuple[ProductDigraph, CertificateFamily]:
     """m arc-disjoint seed-strong subgraphs in (directed cycle) x (bidirected complete).
 
-    Two members pair the seed-column cycles with the digon between the seed
-    columns; every remaining column contributes one member that reaches the
-    seeds through digons at the seed rows.  The pair-packing number of this
-    product is exactly ``m``.
+    The members are those of ``_column_detours`` with the arc between the
+    seed columns as the direct path and one detour ``c1 -> j -> c2`` through
+    every remaining column ``j``.  The pair-packing number of this product
+    is exactly ``m``.
     """
     if n < 3:
         raise DigraphError(f"cycle factor needs order >= 3, got {n}")
@@ -610,15 +572,31 @@ def cycle_complete_family(
         raise DigraphError(f"complete factor needs order >= 2, got {m}")
 
     def members(p: ProductDigraph, r1: int, c1: int, r2: int, c2: int) -> tuple[frozenset[Arc], ...]:
-        col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
-        via = lambda j: lift_h_arcs(p, _digon(c1, j), r1) | col(j) | lift_h_arcs(p, _digon(c2, j), r2)
-        return (
-            lift_h_arcs(p, _digon(c1, c2), r1) | col(c2),
-            col(c1) | lift_h_arcs(p, _digon(c1, c2), r2),
-            *(via(j) for j in range(m) if j not in (c1, c2)),
-        )
+        detours = [(c1, j, c2) for j in range(m) if j not in (c1, c2)]
+        return _column_detours(p, n, r1, r2, (c1, c2), detours)
 
     return _closed_form(directed_cycle(n), complete_digraph(m), x_pos, y_pos, m, members)
+
+
+def _column_detours(
+    p: ProductDigraph, n: int, r1: int, r2: int, direct: tuple[int, ...], detours: Iterable[tuple[int, ...]]
+) -> tuple[frozenset[Arc], ...]:
+    """Members of a (directed cycle) x (bidirected) family made of full columns and row paths.
+
+    ``direct`` and each of ``detours`` run from seed column ``c1`` to seed
+    column ``c2``, and every row path is taken in both directions.  The
+    first two members pair one seed column's cycle with ``direct`` in the
+    other seed's row.  Each detour ``c1 -> w -> ... -> c2`` gives one more
+    member: its first arc in row ``r1``, column ``w``'s cycle, and the rest
+    in row ``r2``.
+    """
+    col = lambda j: lift_g_arcs(p, _full_cycle_arcs(n), j)
+    row = lambda seq, i: lift_h_arcs(p, _bidir_path_arcs(seq), i)
+    return (
+        col(direct[-1]) | row(direct, r1),
+        col(direct[0]) | row(direct, r2),
+        *(row(seq[:2], r1) | col(seq[1]) | row(seq[1:], r2) for seq in detours),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +769,19 @@ def _lift_same_line(
     a_members = a_fams.at(line, other)[:a2]
     b_members = b_fams.at(s1, s2)
     branches = _choose_branches(a_members, line, avoid=None)
-    members = [lift_b(p, b_members[j], line) for j in range(b2)]
-    for i in range(a2):
-        bridge = lift_b(p, b_members[0], branches[i])
-        members.append(lift_a(p, a_members[i], s1) | lift_a(p, a_members[i], s2) | bridge)
-    return tuple(members)
+    return (
+        *(lift_b(p, b_members[j], line) for j in range(b2)),
+        *(_bridged(p, lift_a, lift_b, a, s1, s2, b_members[0], t) for a, t in zip(a_members, branches)),
+    )
+
+
+def _bridged(
+    p: ProductDigraph, lift_a: _LiftArcs, lift_b: _LiftArcs,
+    member: frozenset[Arc], s1: int, s2: int, bridge: frozenset[Arc], branch: int,
+) -> frozenset[Arc]:
+    """A bridged copy: ``member`` of factor ``a`` on both seed lines ``s1`` and ``s2``,
+    joined by ``bridge``, a member of factor ``b``, on line ``branch``."""
+    return lift_a(p, member, s1) | lift_a(p, member, s2) | lift_b(p, bridge, branch)
 
 
 def _lift_general(
@@ -825,8 +811,7 @@ def _lift_general(
     drops = _drop_layout(g_fams, h_fams, r1, c1, r2, c2)
     g_bridges = [h_members[0]] * g2
     h_bridges = [g_members[0]] * h2
-    g_kept = range(g2)
-    h_kept = range(h2)
+    g_kept, h_kept = range(g2), range(h2)
     # A forced g-side member's bridge in row r2 is h-side member 0's copy of
     # h-member 0: it takes the spare h-member instead, or h-side member 0 goes
     # (and the mirror image for a forced h-side member).
@@ -840,18 +825,10 @@ def _lift_general(
             g_kept = range(1, g2)
         else:
             h_bridges[forced_h] = g_fams.spare(r1, r2)
-    g_sides = [
-        lift_g_arcs(p, g_members[i], c1)
-        | lift_g_arcs(p, g_members[i], c2)
-        | lift_h_arcs(p, g_bridges[i], rows[i])
-        for i in g_kept
-    ]
-    h_sides = [
-        lift_h_arcs(p, h_members[j], r1)
-        | lift_h_arcs(p, h_members[j], r2)
-        | lift_g_arcs(p, h_bridges[j], cols[j])
-        for j in h_kept
-    ]
+    g_side = partial(_bridged, p, lift_g_arcs, lift_h_arcs)
+    h_side = partial(_bridged, p, lift_h_arcs, lift_g_arcs)
+    g_sides = [g_side(g_members[i], c1, c2, g_bridges[i], rows[i]) for i in g_kept]
+    h_sides = [h_side(h_members[j], r1, r2, h_bridges[j], cols[j]) for j in h_kept]
     if forced_g is not None and forced_h is not None:
         i, j = forced_g, forced_h
         g_sides[i] = lift_g_arcs(p, g_members[i], c1) | lift_h_arcs(p, h_members[j], r2)

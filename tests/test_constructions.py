@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from strongarc.constructions import (
 )
 from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong, is_symmetric
 from strongarc.generators import (
+    TREE_KINDS,
     TreeShape,
     bidirected_cycle,
     complete_digraph,
@@ -530,6 +532,46 @@ class TestLiftDigests:
     def test_lifted_families_match_recorded_digests(self):
         recorded = (GOLDEN / "lift_digests.txt").read_text(encoding="utf-8").splitlines()
         assert lift_digest_lines() == recorded
+
+
+def _closed_form_digest_families():
+    for n, m in ((3, 3), (4, 3), (4, 4), (4, 5), (5, 4), (5, 5)):
+        yield f"p51 cn:{n} x cn:{m}", partial(cycle_cycle_family, n, m), n, m
+    for n, m in ((3, 3), (3, 4), (3, 6), (4, 5), (5, 3)):
+        yield f"p52 cn:{n} x bcm:{m}", partial(cycle_bicycle_family, n, m), n, m
+    for n, m in ((3, 2), (3, 4), (4, 3), (4, 4)):
+        yield f"p54 cn:{n} x bkm:{m}", partial(cycle_complete_family, n, m), n, m
+    for kind in TREE_KINDS:
+        shape = TreeShape(kind, 5, seed=3 if kind == "random" else None)
+        yield f"p53 cn:3 x btm:{kind}:5", partial(cycle_tree_family, 3, shape), 3, 5
+
+
+def closed_form_digest_lines():
+    """One line per closed-form family at an ordered seed pair in general position:
+    label, seed positions, sha256 prefix of its JSON."""
+    lines = []
+    for label, build, n, m in _closed_form_digest_families():
+        positions = [(r, c) for r in range(n) for c in range(m)]
+        for (r1, c1), (r2, c2) in ((x, y) for x in positions for y in positions):
+            if r1 != r2 and c1 != c2:
+                _, fam = build((r1, c1), (r2, c2))
+                digest = hashlib.sha256(certificate_to_json(fam).encode()).hexdigest()[:16]
+                lines.append(f"{label} {r1},{c1}:{r2},{c2} {digest}")
+    return lines
+
+
+class TestClosedFormDigests:
+    """Every closed-form family at every ordered seed pair in general position on
+    small factors, byte for byte, against digests recorded before the families
+    were built from shared member routines.  The grid holds the diagonally
+    adjacent layouts of ``p51`` with ``n >= 4``, both donor sides of ``p52`` and
+    all four tree kinds of ``p53``.  To re-record after a deliberate change to
+    the families: write ``"\\n".join(closed_form_digest_lines()) + "\\n"`` to
+    ``tests/golden/closed_form_digests.txt``."""
+
+    def test_closed_form_families_match_recorded_digests(self):
+        recorded = (GOLDEN / "closed_form_digests.txt").read_text(encoding="utf-8").splitlines()
+        assert closed_form_digest_lines() == recorded
 
 
 class TestHunt:

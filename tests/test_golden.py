@@ -11,7 +11,9 @@ whose witness is the 110th pivot pair, (55, 0)) and before the product-aware pai
 (`check bounds` with factors of order up to 6, and `lambda2` on a product of two order-8
 random factors; both skip lift-settled pairs and screen drop-layout pairs) and before
 one routine built the rectangle members of both cycle families (`construct p51` and
-`construct p53` with seeds in general position)."""
+`construct p53` with seeds in general position) and before every closed-form family was
+built from shared member routines (`construct p52`, and `construct p51` at the figure's
+diagonally adjacent seeds)."""
 
 from pathlib import Path
 
@@ -56,6 +58,8 @@ COMMANDS = {
     "lambda2_rand8_x_rand8": "lambda2 rand:8:0.4:1 x rand:8:0.4:2",
     "construct_p51_n5_m4_s00_23": "construct p51 -n 5 -m 4 -S 0,0:2,3",
     "construct_p53_n4_m6_random3_s12_35": "construct p53 -n 4 -m 6 -S 1,2:3,5 --shape random --shape-seed 3",
+    "construct_p52_n4_m6_s00_14": "construct p52 -n 4 -m 6 -S 0,0:1,4",
+    "construct_p51_n4_m4_s00_11": "construct p51 -n 4 -m 4 -S 0,0:1,1",
 }
 
 
