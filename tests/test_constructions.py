@@ -552,11 +552,12 @@ def closed_form_digest_lines():
     lines = []
     for label, build, n, m in _closed_form_digest_families():
         positions = [(r, c) for r in range(n) for c in range(m)]
-        for (r1, c1), (r2, c2) in ((x, y) for x in positions for y in positions):
-            if r1 != r2 and c1 != c2:
-                _, fam = build((r1, c1), (r2, c2))
-                digest = hashlib.sha256(certificate_to_json(fam).encode()).hexdigest()[:16]
-                lines.append(f"{label} {r1},{c1}:{r2},{c2} {digest}")
+        for r1, c1 in positions:
+            for r2, c2 in positions:
+                if r1 != r2 and c1 != c2:
+                    _, fam = build((r1, c1), (r2, c2))
+                    digest = hashlib.sha256(certificate_to_json(fam).encode()).hexdigest()[:16]
+                    lines.append(f"{label} {r1},{c1}:{r2},{c2} {digest}")
     return lines
 
 
