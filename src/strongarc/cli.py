@@ -268,13 +268,17 @@ def _check_eq2(args: argparse.Namespace) -> int:
             failures += 1
             _dump_bundle(graph=bg)
     product_cap = min(args.max_order, 3)
-    catalog = {n: all_connected_graphs(n) for n in range(2, product_cap + 1)}
+    # each graph's biorientation and connectivity, computed once for all its products
+    catalog: dict[int, list] = {}
+    for n in range(2, product_cap + 1):
+        bioriented = [(edges, biorient(n, edges)) for edges in all_connected_graphs(n)]
+        catalog[n] = [(edges, b, arc_connectivity(b)) for edges, b in bioriented]
     count = 0
     for n_g, graphs_g in catalog.items():
         for n_h, graphs_h in catalog.items():
-            for edges_g in graphs_g:
-                for edges_h in graphs_h:
-                    res = check_symmetric_identity(n_g, edges_g, n_h, edges_h)
+            for edges_g, bg, lambda_g in graphs_g:
+                for edges_h, bh, lambda_h in graphs_h:
+                    res = check_symmetric_identity(bg, bh, lambda_g, lambda_h)
                     count += 1
                     if not res.holds:
                         failures += 1

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
 from .digraph import Arc, Digraph, DigraphError, biorient, is_strong, is_symmetric
-from .flow import arc_connectivity
+from .flow import ConnectivityReport, arc_connectivity
 from .generators import (
     TreeShape,
     bidirected_cycle,
@@ -35,6 +35,8 @@ from .packing import (
     Lambda2Result,
     _ArcTables,
     _exact,
+    _ordered_pair_orbits,
+    _product_pair_representatives,
     _search_sweep,
     _validate_pair,
     lambda_2,
@@ -97,9 +99,14 @@ def product_lambda_formula(g: Digraph, h: Digraph) -> FormulaBreakdown:
     """
     rep_g = _strong_factor("first factor", g, arc_connectivity)
     rep_h = _strong_factor("second factor", h, arc_connectivity)
+    return _formula(g.n, rep_g, h.n, rep_h)
+
+
+def _formula(n: int, rep_g: ConnectivityReport, m: int, rep_h: ConnectivityReport) -> FormulaBreakdown:
+    """The four-term formula for factors of orders ``n`` and ``m`` with these connectivity reports."""
     terms = {
-        "g-scaled": rep_g.value * h.n,
-        "h-scaled": rep_h.value * g.n,
+        "g-scaled": rep_g.value * m,
+        "h-scaled": rep_h.value * n,
         "out-degrees": rep_g.delta_out + rep_h.delta_out,
         "in-degrees": rep_g.delta_in + rep_h.delta_in,
     }
@@ -165,21 +172,22 @@ class SymmetricIdentityCheck:
 
 
 def check_symmetric_identity(
-    n_g: int,
-    edges_g: tuple[tuple[int, int], ...],
-    n_h: int,
-    edges_h: tuple[tuple[int, int], ...],
+    bg: Digraph, bh: Digraph, lambda_g: ConnectivityReport, lambda_h: ConnectivityReport
 ) -> SymmetricIdentityCheck:
     """Check that the bidirected product's pair-packing number equals the formula.
 
-    The observed value comes from the packing search over pair orbits
+    ``bg`` and ``bh`` are biorientations of connected graphs (see
+    ``biorient``) and ``lambda_g``, ``lambda_h`` their ``arc_connectivity``
+    reports, so a caller that checks every product of a catalogue runs one
+    connectivity computation per graph, not one per product.  The observed
+    value comes from the packing search over pair orbits
     (``packing._search_sweep``), not from ``lambda_2``, whose route for
     symmetric digraphs is a flow computation; the check then stays
     independent of the flows the formula rests on.
     """
-    bg = biorient(n_g, edges_g)
-    bh = biorient(n_h, edges_h)
-    formula = product_lambda_formula(bg, bh).value
+    rep_g = _strong_factor("first factor", bg, lambda _: lambda_g)
+    rep_h = _strong_factor("second factor", bh, lambda _: lambda_h)
+    formula = _formula(bg.n, rep_g, bh.n, rep_h).value
     observed = _search_sweep(cartesian_product(bg, bh).digraph).value
     return SymmetricIdentityCheck(formula == observed, formula, observed)
 
@@ -268,9 +276,12 @@ def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
     vertices, strong), the exhaustive sweep is told ``λ₂(G) + λ₂(H)`` and
     the drop-layout test (see ``_search_sweep``), so pairs that are not
     drop layouts go unscreened once the running minimum is at most that
-    sum; the result is the one ``lambda_2`` returns on the bare product.
-    When the record rejects a factor, the bare product goes to
-    ``lambda_2``.
+    sum.  Past its floor exit the sweep visits one pair per orbit of
+    ``Aut(G) × Aut(H)``, taken from each record's ordered-pair orbits, so
+    no automorphism of the product is searched; that group can be smaller
+    than ``Aut(G □ H)``, and the sweep then visits more pairs.  The result
+    is the one ``lambda_2`` returns on the bare product.  When the record
+    rejects a factor, the bare product goes to ``lambda_2``.
     """
     try:
         g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
@@ -285,7 +296,8 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     A symmetric product keeps the flow route of ``lambda_2``, which runs no
     pair search.  Otherwise each pair's drop-layout test reads the two
     records, whose memos already hold each factor's packing at its own
-    ``λ₂`` pair.
+    ``λ₂`` pair, and the pair-orbit representatives come from the records'
+    orbit tables, built only if the sweep gets past its floor exit.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
@@ -296,7 +308,11 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     def drops(x: int, y: int) -> bool:
         return _drop_layout(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
 
-    return _search_sweep(d, lift_settled=(g_fams.least + h_fams.least, drops))
+    def representatives() -> list[tuple[int, int]]:
+        return _product_pair_representatives(g_fams.pair_orbits, g.n, h_fams.pair_orbits, m)
+
+    lift_settled = (g_fams.least + h_fams.least, drops)
+    return _search_sweep(d, lift_settled=lift_settled, representatives=representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +644,10 @@ class _FactorPackings:
     ``lambda_2`` routes return the packer's first maximum packing at that
     pair, as a capped ``_exact`` does.  The forced/spare reading of a seed
     layout (see ``_drop_layout``) is kept per ordered pair of factor
-    vertices.  A record lives as long as the lift or product sweep that
-    built it, never longer.
+    vertices.  ``pair_orbits`` maps each ordered pair of factor vertices to
+    its orbit under the factor's automorphisms; a product sweep past its
+    floor exit builds it, and a lift never does.  A record lives as long as
+    the lift or product sweep that built it, never longer.
     """
 
     def __init__(self, what: str, d: Digraph) -> None:
@@ -650,6 +668,11 @@ class _FactorPackings:
     def _tables(self) -> _ArcTables:
         # built on the first search: a product sweep may never need one
         return _ArcTables(self.d)
+
+    @cached_property
+    def pair_orbits(self) -> list[int]:
+        """The orbit id of each ordered pair ``(a, b)``, diagonal included, at ``a * n + b``."""
+        return _ordered_pair_orbits(self.d)
 
     def branches(self, a: int, b: int) -> tuple[list[int], int | None]:
         """The branch vertex at ``a`` of each lifted member, dodging ``b``, and the first forced member.

@@ -418,33 +418,94 @@ def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -
     return result
 
 
-def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
-    """The least pair of each orbit of pairs ``x < y`` under the automorphisms found for ``d``.
+def _ordered_pair_orbits(d: Digraph) -> list[int]:
+    """The orbit id of each ordered pair ``(a, b)``, at index ``a * n + b``, diagonal included.
 
-    Returned in lexicographic order.  Pairs are taken in that order and each
-    one not yet reached closes its whole orbit, so it is the orbit's least
-    pair.  With no automorphism found, every pair is its own representative.
+    Orbits are taken under the group the automorphisms found for ``d``
+    generate, and an orbit's id is its least index: indices are taken in
+    order and each one not yet reached closes its whole orbit.  With no
+    automorphism found, every pair is its own orbit.
     """
     n = d.n
     generators = _automorphism_generators(d)
-    reached = bytearray(n * n)  # pair (x, y) with x < y is x * n + y
+    orbit = [-1] * (n * n)
+    for start in range(n * n):
+        if orbit[start] < 0:
+            orbit[start] = start
+            reached = [start]
+            for p in reached:  # grows while it is walked
+                a, b = divmod(p, n)
+                for perm in generators:
+                    q = perm[a] * n + perm[b]
+                    if orbit[q] < 0:
+                        orbit[q] = start
+                        reached.append(q)
+    return orbit
+
+
+def _product_pair_representatives(
+    g_orbits: list[int], n: int, h_orbits: list[int], m: int
+) -> list[tuple[int, int]]:
+    """The least pair ``x < y`` of each orbit of seed pairs of ``G □ H`` under ``Aut(G) × Aut(H)``.
+
+    ``g_orbits`` and ``h_orbits`` are the factors' ``_ordered_pair_orbits``
+    (G of order ``n``, H of order ``m``), and vertex ``r * m + c`` is
+    ``(r, c)``.  The group acts one coordinate at a time, so the ordered
+    pair ``((r1, c1), (r2, c2))`` has orbit ``(oG[r1, r2], oH[c1, c2])``,
+    and the unordered pair the lesser of that and its reverse's.  Pairs are
+    taken in lexicographic order and each one whose key has not been seen
+    is returned, so it is its orbit's least pair.  For fixed ``x`` and
+    second row ``r2`` the G part of the key is fixed, so a block whose G
+    part has met every H part is passed over whole.
+    """
+    back = [h_orbits[c::m] for c in range(m)]  # back[c1][c2] is oH[c2, c1]
+    fwd = [h_orbits[c * m : (c + 1) * m] for c in range(m)]
+    both = [list(map(min, f, b)) for f, b in zip(fwd, back)]
+    # the number of H parts a G part can meet: any ordered H orbit, or an unordered one when
+    # the G orbit holds both (r1, r2) and (r2, r1)
+    n_fwd, n_both = len(set(h_orbits)), len({h for row in both for h in row})
+    seen: dict[int, set[int]] = {}
+    reps: list[tuple[int, int]] = []
+    for x in range(n * m):
+        r1, c1 = divmod(x, m)
+        for r2 in range(r1, n):
+            g_fwd, g_back = g_orbits[r1 * n + r2], g_orbits[r2 * n + r1]
+            if g_fwd == g_back:
+                g, row, full = g_fwd, both[c1], n_both
+            elif g_fwd < g_back:
+                g, row, full = g_fwd, fwd[c1], n_fwd
+            else:
+                g, row, full = g_back, back[c1], n_fwd
+            met = seen.setdefault(g, set())
+            if len(met) == full:
+                continue
+            for c2 in range(c1 + 1 if r2 == r1 else 0, m):
+                if row[c2] not in met:
+                    met.add(row[c2])
+                    reps.append((x, r2 * m + c2))
+    return reps
+
+
+def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
+    """The least pair of each orbit of pairs ``x < y`` under the automorphisms found for ``d``.
+
+    Returned in lexicographic order.  The orbit of ``{x, y}`` is keyed by the
+    lesser ordered orbit id (see ``_ordered_pair_orbits``) of ``(x, y)`` and
+    ``(y, x)``, and each pair whose key has not been seen is returned, so it
+    is its orbit's least pair.  With no automorphism found, every pair is
+    its own representative.
+    """
+    n = d.n
+    orbit = _ordered_pair_orbits(d)
+    seen: set[int] = set()
     reps: list[tuple[int, int]] = []
     for x in range(n):
+        fwd, back = orbit[x * n : (x + 1) * n], orbit[x::n]  # ids of (x, y) and (y, x)
         for y in range(x + 1, n):
-            if reached[x * n + y]:
-                continue
-            reached[x * n + y] = 1
-            reps.append((x, y))
-            stack = [(x, y)]
-            while stack:
-                a, b = stack.pop()
-                for perm in generators:
-                    pa, pb = perm[a], perm[b]
-                    if pa > pb:
-                        pa, pb = pb, pa
-                    if not reached[pa * n + pb]:
-                        reached[pa * n + pb] = 1
-                        stack.append((pa, pb))
+            key = min(fwd[y], back[y])
+            if key not in seen:
+                seen.add(key)
+                reps.append((x, y))
     return reps
 
 
@@ -465,8 +526,10 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     packer finds at that pair, the one ``_search_sweep`` reports.
 
     Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
-    see ``_search_sweep``.  Both exhaustive sweeps stop at the floor, 1
-    when D is strong and 0 otherwise: a strong D is itself a strong
+    see ``_search_sweep``, over the orbits of the automorphisms found for
+    ``d`` itself; ``constructions.product_lambda_2`` takes a product's
+    orbits from its factors instead.  Both exhaustive sweeps stop at the
+    floor, 1 when D is strong and 0 otherwise: a strong D is itself a strong
     subgraph through every pair, so no pair has ``λ_S(D)`` below the floor,
     and once the running minimum reaches it no later pair can lower it.
     The returned witness is verified before return; a witness that fails
@@ -508,6 +571,7 @@ def _search_sweep(
     samples: int | None = None,
     seed: int | None = None,
     lift_settled: tuple[int, Callable[[int, int], bool]] | None = None,
+    representatives: Callable[[], list[tuple[int, int]]] | None = None,
 ) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
@@ -529,6 +593,14 @@ def _search_sweep(
     its witness are those of the sweep over all pairs.  When the generator
     search runs out of its fixed node budget, the generators verified so far
     still merge pairs; the sweep stays exact and merely visits more of them.
+    The same holds for any group of automorphisms, so ``representatives``,
+    when given, is called in place of ``_pair_orbit_representatives(d)``
+    once the floor exit is passed.  A product sweep passes the orbits of
+    ``Aut(G) × Aut(H)``, read from the factors' own automorphisms (see
+    ``_product_pair_representatives``), and runs no automorphism search on
+    ``d``.  That group can be smaller than ``Aut(G □ H)``, which for
+    ``G ≅ H`` also swaps the coordinates; the sweep then visits more pairs,
+    with the same value, pair and witness.
 
     Each visited pair is screened for feasibility at the running minimum
     (a pair whose seed degree is below it fails at the root) before paying
@@ -562,7 +634,12 @@ def _search_sweep(
     if samples is None:
         best_pair = (0, 1)
         best = _exact(d, tables, 0, 1)
-        pairs = [] if best.value <= _floor(d) else _pair_orbit_representatives(d)[1:]
+        if best.value <= _floor(d):
+            pairs = []
+        elif representatives is not None:
+            pairs = representatives()[1:]
+        else:
+            pairs = _pair_orbit_representatives(d)[1:]
         exact = True
     else:
         import random

@@ -211,10 +211,11 @@ def test_07_symmetric_identities(capsys):
         if l2 != lam:
             failures.append(f"trial {trial}: lambda2 {l2} != lambda {lam} on {n} vertices")
 
-    catalog = [(n, edges) for n in (2, 3) for edges in all_connected_graphs(n)]
-    for n_g, edges_g in catalog:
-        for n_h, edges_h in catalog:
-            check = check_symmetric_identity(n_g, edges_g, n_h, edges_h)
+    catalog = [(edges, biorient(n, edges)) for n in (2, 3) for edges in all_connected_graphs(n)]
+    reports = [arc_connectivity(b) for _, b in catalog]
+    for (edges_g, bg), lambda_g in zip(catalog, reports):
+        for (edges_h, bh), lambda_h in zip(catalog, reports):
+            check = check_symmetric_identity(bg, bh, lambda_g, lambda_h)
             if not check.holds:
                 failures.append(
                     f"factors {edges_g} and {edges_h}: formula {check.formula_value} "

@@ -29,7 +29,16 @@ from strongarc.constructions import (
     product_lambda_2,
     product_lambda_formula,
 )
-from strongarc.digraph import DigraphError, biorient, from_arc_list, is_strong, is_symmetric
+from strongarc.cli import parse_class_spec
+from strongarc.digraph import (
+    DigraphError,
+    _automorphism_generators,
+    biorient,
+    from_arc_list,
+    is_strong,
+    is_symmetric,
+)
+from strongarc.flow import arc_connectivity
 from strongarc.generators import (
     TREE_KINDS,
     TreeShape,
@@ -46,6 +55,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # Bidirected K_{2,3} with parts {0, 3} and {1, 2, 4}: its pair-packing number
 # is 2 but the pair (0, 3) packs 3 members, so factor families can have spares.
 K23 = biorient(5, ((0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)))
+
+# a strong digraph of order 4 whose only automorphism is the identity
+RIGID = random_strong_digraph(4, 0.3, 0)
+
+AUTOMORPHIC_FACTORS = [f"cn:{n}" for n in range(3, 7)] + [f"bcm:{n}" for n in range(3, 6)]
+AUTOMORPHIC_FACTORS += [f"bkm:{n}" for n in range(2, 5)] + ["btm:star:4", "btm:star:5"]
 
 
 class TestFormula:
@@ -117,20 +132,27 @@ class TestUndirectedFormula:
 
 class TestSymmetricIdentity:
     def test_triangle_times_path(self):
-        check = check_symmetric_identity(3, ((0, 1), (0, 2), (1, 2)), 3, ((0, 1), (1, 2)))
+        triangle, path = biorient(3, ((0, 1), (0, 2), (1, 2))), biorient(3, ((0, 1), (1, 2)))
+        check = check_symmetric_identity(triangle, path, arc_connectivity(triangle), arc_connectivity(path))
         assert check.holds
         assert check.formula_value == check.observed_lambda2 == 3
 
     def test_two_flows_per_product(self, monkeypatch):
-        # one arc_connectivity per biorientation: no second route reruns the formula's flows
+        # one arc_connectivity per graph of the catalogue: checking its 25 products runs no more
         calls = []
         real = constructions.arc_connectivity
         monkeypatch.setattr(constructions, "arc_connectivity", lambda d: calls.append(d) or real(d))
-        catalog = [(n, edges) for n in (2, 3) for edges in all_connected_graphs(n)]
-        for n_g, edges_g in catalog:
-            for n_h, edges_h in catalog:
-                assert check_symmetric_identity(n_g, edges_g, n_h, edges_h).holds
-        assert len(catalog) ** 2 == 25 and len(calls) == 50
+        catalog = [biorient(n, edges) for n in (2, 3) for edges in all_connected_graphs(n)]
+        reports = [constructions.arc_connectivity(b) for b in catalog]
+        for bg, lambda_g in zip(catalog, reports):
+            for bh, lambda_h in zip(catalog, reports):
+                assert check_symmetric_identity(bg, bh, lambda_g, lambda_h).holds
+        assert len(catalog) ** 2 == 25 and len(calls) == 5
+
+    def test_disconnected_graph_is_rejected(self):
+        edge, pair = biorient(2, ((0, 1),)), biorient(2, ())
+        with pytest.raises(DigraphError, match="second factor must be strong"):
+            check_symmetric_identity(edge, pair, arc_connectivity(edge), arc_connectivity(pair))
 
     def test_single_graph_identity(self):
         # the pair-packing number of a biorientation equals the graph's edge connectivity
@@ -139,8 +161,6 @@ class TestSymmetricIdentity:
             (((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), 4),
         ]:
             b = biorient(n, edges)
-            from strongarc.flow import arc_connectivity
-
             assert lambda_2(b).value == arc_connectivity(b).value
 
 
@@ -248,6 +268,40 @@ class TestLiftSettledSweep:
         g = random_strong_digraph(n, p_g, seed)
         h = random_strong_digraph(m, p_h, seed + 1)
         assert product_lambda_2(g, h) == _search_sweep(cartesian_product(g, h).digraph)
+
+    @pytest.mark.parametrize("spec", AUTOMORPHIC_FACTORS)
+    def test_product_sweep_equals_the_orbit_sweep_with_automorphisms(self, spec):
+        # against a rigid factor, in both orders, and against itself, where Aut(G □ G) also
+        # swaps the coordinates and so is larger than the factor group the sweep uses
+        g = parse_class_spec(spec)
+        assert _automorphism_generators(g) and not _automorphism_generators(RIGID)
+        for left, right in [(g, RIGID), (RIGID, g), (g, g)]:
+            assert product_lambda_2(left, right) == _search_sweep(cartesian_product(left, right).digraph)
+        orbits = packing._ordered_pair_orbits(g)
+        swept = packing._product_pair_representatives(orbits, g.n, orbits, g.n)
+        assert len(swept) > len(packing._pair_orbit_representatives(cartesian_product(g, g).digraph))
+
+    def test_product_sweep_takes_its_orbits_from_the_factors(self, monkeypatch):
+        searched, tables = [], []
+        generators, ordered = packing._automorphism_generators, constructions._ordered_pair_orbits
+        monkeypatch.setattr(packing, "_automorphism_generators", lambda d: searched.append(d.n) or generators(d))
+        monkeypatch.setattr(constructions, "_ordered_pair_orbits", lambda d: tables.append(d.n) or ordered(d))
+        for g, h in [(directed_cycle(5), bidirected_cycle(4)), (directed_cycle(4), directed_cycle(4)), (RIGID, K23)]:
+            searched.clear()
+            tables.clear()
+            product_lambda_2(g, h)
+            assert sorted(tables) == sorted([g.n, h.n])  # one table per factor, past the floor exit
+            assert g.n * h.n not in searched and set(searched) <= {g.n, h.n}
+        # a lift reads no orbit table
+        searched.clear()
+        tables.clear()
+        lift_certificates(directed_cycle(5), bidirected_cycle(4), (0, 0), (1, 2))
+        assert tables == [] and searched == []
+        # no product of strong factors is known to have λ₂ = 1, the floor, so the floor is
+        # raised to make the product sweep take its exit at (0, 1)
+        monkeypatch.setattr(packing, "_floor", lambda d: d.n)
+        assert product_lambda_2(directed_cycle(5), bidirected_cycle(4)).pair == (0, 1)
+        assert tables == [] and searched == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_check_bounds_equals_the_bare_product_reference(self, seed):

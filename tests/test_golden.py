@@ -13,7 +13,9 @@ random factors; both skip lift-settled pairs and screen drop-layout pairs) and b
 one routine built the rectangle members of both cycle families (`construct p51` and
 `construct p53` with seeds in general position) and before every closed-form family was
 built from shared member routines (`construct p52`, and `construct p51` at the figure's
-diagonally adjacent seeds)."""
+diagonally adjacent seeds) and before product sweeps took their pair orbits from the
+factors' automorphisms (`lambda2` on `cn:8 x cn:8`, whose factors are isomorphic, and on
+`cn:5 x bcm:4`; both sweeps get past the floor exit)."""
 
 from pathlib import Path
 
@@ -60,6 +62,8 @@ COMMANDS = {
     "construct_p53_n4_m6_random3_s12_35": "construct p53 -n 4 -m 6 -S 1,2:3,5 --shape random --shape-seed 3",
     "construct_p52_n4_m6_s00_14": "construct p52 -n 4 -m 6 -S 0,0:1,4",
     "construct_p51_n4_m4_s00_11": "construct p51 -n 4 -m 4 -S 0,0:1,1",
+    "lambda2_cn8_x_cn8": "lambda2 cn:8 x cn:8",
+    "lambda2_cn5_x_bcm4": "lambda2 cn:5 x bcm:4",
 }
 
 

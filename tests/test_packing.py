@@ -24,7 +24,9 @@ from strongarc.packing import (
     certificate_to_json,
     lambda_2,
     lambda_s_exact,
+    _ordered_pair_orbits,
     _pair_orbit_representatives,
+    _product_pair_representatives,
     _search_sweep,
     _seed_bounds,
     verify_certificate,
@@ -342,18 +344,29 @@ ORBIT_INSTANCES = _orbit_instances()
 SMALL_INSTANCES = [(name, d) for name, d in ORBIT_INSTANCES if d.n <= 7]
 
 
+def _automorphisms(d):
+    """Every automorphism of ``d``, by trying every permutation."""
+    arcs = d.arcs
+    return [p for p in itertools.permutations(range(d.n)) if all((p[u], p[v]) in arcs for u, v in arcs)]
+
+
 def _brute_force_pair_orbits(d):
     """Pair orbits under the full automorphism group, by trying every permutation."""
-    arcs = d.arcs
-    group = [
-        p for p in itertools.permutations(range(d.n)) if all((p[u], p[v]) in arcs for u, v in arcs)
-    ]
+    group = _automorphisms(d)
     orbits = {
         (x, y): min(tuple(sorted((p[x], p[y]))) for p in group)
         for x in range(d.n)
         for y in range(x + 1, d.n)
     }
     return sorted(set(orbits.values()))
+
+
+# factors of order <= 4 with trivial, transitive and intransitive automorphism groups
+FACTORS = [
+    (spec, parse_operand([spec])[0])
+    for spec in ("bkm:2", "cn:3", "cn:4", "bcm:4", "bkm:4", "btm:star:4", "btm:path:4")
+] + [("rigid:4", random_strong_digraph(4, 0.3, 0)), ("rigid:3", random_strong_digraph(3, 0.3, 0))]
+FACTOR_PAIRS = [(g, h) for g in FACTORS for h in FACTORS]
 
 
 class TestPairOrbits:
@@ -397,6 +410,33 @@ class TestPairOrbits:
     )
     def test_known_pair_orbit_counts(self, spec, count):
         assert len(_pair_orbit_representatives(parse_operand(spec.split())[0])) == count
+
+    @pytest.mark.parametrize(
+        "g, h", FACTOR_PAIRS, ids=[f"{g[0]} x {h[0]}" for g, h in FACTOR_PAIRS]
+    )
+    def test_factor_key_splits_product_pairs_into_factor_group_orbits(self, g, h):
+        (_, g), (_, h) = g, h
+        n, m = g.n, h.n
+        og, oh = _ordered_pair_orbits(g), _ordered_pair_orbits(h)
+
+        def key(x, y):
+            (r1, c1), (r2, c2) = divmod(x, m), divmod(y, m)
+            return min((og[r1 * n + r2], oh[c1 * m + c2]), (og[r2 * n + r1], oh[c2 * m + c1]))
+
+        group = [(p, q) for p in _automorphisms(g) for q in _automorphisms(h)]
+
+        def image(p, q, v):
+            r, c = divmod(v, m)
+            return p[r] * m + q[c]
+
+        pairs = [(x, y) for x in range(n * m) for y in range(x + 1, n * m)]
+        by_key, by_orbit = {}, {}
+        for x, y in pairs:
+            by_key.setdefault(key(x, y), set()).add((x, y))
+            least = min(tuple(sorted((image(p, q, x), image(p, q, y)))) for p, q in group)
+            by_orbit.setdefault(least, set()).add((x, y))
+        assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_orbit.values()))
+        assert _product_pair_representatives(og, n, oh, m) == sorted(by_orbit)
 
     def test_rigid_digraph_keeps_every_pair(self):
         d = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
