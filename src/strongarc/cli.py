@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .constructions import (
     CLASS_TOKENS,
+    _CLASS_MIN,
     all_connected_graphs,
     check_bounds,
     check_product_formula,
@@ -220,18 +221,16 @@ def _bounds_line(g: Digraph, h: Digraph) -> tuple[bool, str]:
 
 
 def _table_sides(max_order: int) -> list[tuple[str, str, int, Digraph]]:
+    """Every class digraph of order up to ``max_order``, trees as paths and (order 3 up) stars."""
     sides: list[tuple[str, str, int, Digraph]] = []
-    for order in range(3, max_order + 1):
-        sides.append((f"cn:{order}", "cn", order, class_digraph("cn", order)))
-    for order in range(3, max_order + 1):
-        sides.append((f"bcm:{order}", "bcm", order, class_digraph("bcm", order)))
-    for order in range(2, max_order + 1):
-        shapes = ["path"] if order == 2 else ["path", "star"]
-        for kind in shapes:
-            label = f"btm:{kind}:{order}"
-            sides.append((label, "btm", order, class_digraph("btm", order, TreeShape(kind, order))))
-    for order in range(2, max_order + 1):
-        sides.append((f"bkm:{order}", "bkm", order, class_digraph("bkm", order)))
+    for cls in CLASS_TOKENS:
+        for order in range(_CLASS_MIN[cls], max_order + 1):
+            if cls != "btm":
+                sides.append((f"{cls}:{order}", cls, order, class_digraph(cls, order)))
+                continue
+            for kind in ["path"] if order == 2 else ["path", "star"]:
+                tree = class_digraph(cls, order, TreeShape(kind, order))
+                sides.append((f"{cls}:{kind}:{order}", cls, order, tree))
     return sides
 
 

@@ -35,8 +35,6 @@ from .packing import (
     Lambda2Result,
     _ArcTables,
     _exact,
-    _ordered_pair_orbits,
-    _product_pair_representatives,
     _search_sweep,
     _validate_pair,
     lambda_2,
@@ -277,8 +275,9 @@ def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
     the drop-layout test (see ``_search_sweep``), so pairs that are not
     drop layouts go unscreened once the running minimum is at most that
     sum.  Past its floor exit the sweep visits one pair per orbit of
-    ``Aut(G) × Aut(H)``, taken from each record's ordered-pair orbits, so
-    no automorphism of the product is searched; that group can be smaller
+    ``Aut(G) × Aut(H)``, read from each factor's cached ``pair_orbits``
+    table (the one its own ``λ₂`` sweep built, if it got that far), so no
+    automorphism of the product is searched; that group can be smaller
     than ``Aut(G □ H)``, and the sweep then visits more pairs.  The result
     is the one ``lambda_2`` returns on the bare product.  When the record
     rejects a factor, the bare product goes to ``lambda_2``.
@@ -296,8 +295,10 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     A symmetric product keeps the flow route of ``lambda_2``, which runs no
     pair search.  Otherwise each pair's drop-layout test reads the two
     records, whose memos already hold each factor's packing at its own
-    ``λ₂`` pair, and the pair-orbit representatives come from the records'
-    orbit tables, built only if the sweep gets past its floor exit.
+    ``λ₂`` pair, and the pair-orbit representatives come from the factor
+    digraphs' ``pair_orbits`` tables: built only if a sweep gets past its
+    floor exit, and shared with the factor's own ``λ₂`` sweep when that
+    built one first.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
@@ -308,11 +309,7 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     def drops(x: int, y: int) -> bool:
         return _drop_layout(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
 
-    def representatives() -> list[tuple[int, int]]:
-        return _product_pair_representatives(g_fams.pair_orbits, g.n, h_fams.pair_orbits, m)
-
-    lift_settled = (g_fams.least + h_fams.least, drops)
-    return _search_sweep(d, lift_settled=lift_settled, representatives=representatives)
+    return _search_sweep(d, product=(g, h, g_fams.least + h_fams.least, drops))
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +641,9 @@ class _FactorPackings:
     ``lambda_2`` routes return the packer's first maximum packing at that
     pair, as a capped ``_exact`` does.  The forced/spare reading of a seed
     layout (see ``_drop_layout``) is kept per ordered pair of factor
-    vertices.  ``pair_orbits`` maps each ordered pair of factor vertices to
-    its orbit under the factor's automorphisms; a product sweep past its
-    floor exit builds it, and a lift never does.  A record lives as long as
-    the lift or product sweep that built it, never longer.
+    vertices.  A record lives as long as the lift or product sweep that
+    built it, never longer; the factor's ordered-pair orbit table lives on
+    the factor digraph (``Digraph.pair_orbits``), which a lift never reads.
     """
 
     def __init__(self, what: str, d: Digraph) -> None:
@@ -668,11 +664,6 @@ class _FactorPackings:
     def _tables(self) -> _ArcTables:
         # built on the first search: a product sweep may never need one
         return _ArcTables(self.d)
-
-    @cached_property
-    def pair_orbits(self) -> list[int]:
-        """The orbit id of each ordered pair ``(a, b)``, diagonal included, at ``a * n + b``."""
-        return _ordered_pair_orbits(self.d)
 
     def branches(self, a: int, b: int) -> tuple[list[int], int | None]:
         """The branch vertex at ``a`` of each lifted member, dodging ``b``, and the first forced member.

@@ -23,7 +23,6 @@ from .digraph import (
     Arc,
     Digraph,
     DigraphError,
-    _automorphism_generators,
     _strong_on_endpoints,
     is_strong,
     is_symmetric,
@@ -418,39 +417,17 @@ def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -
     return result
 
 
-def _ordered_pair_orbits(d: Digraph) -> list[int]:
-    """The orbit id of each ordered pair ``(a, b)``, at index ``a * n + b``, diagonal included.
-
-    Orbits are taken under the group the automorphisms found for ``d``
-    generate, and an orbit's id is its least index: indices are taken in
-    order and each one not yet reached closes its whole orbit.  With no
-    automorphism found, every pair is its own orbit.
-    """
-    n = d.n
-    generators = _automorphism_generators(d)
-    orbit = [-1] * (n * n)
-    for start in range(n * n):
-        if orbit[start] < 0:
-            orbit[start] = start
-            reached = [start]
-            for p in reached:  # grows while it is walked
-                a, b = divmod(p, n)
-                for perm in generators:
-                    q = perm[a] * n + perm[b]
-                    if orbit[q] < 0:
-                        orbit[q] = start
-                        reached.append(q)
-    return orbit
+# the one-vertex digraph K₁: ``g □ K₁`` is ``g``, vertex for vertex
+_POINT = Digraph(1, frozenset())
 
 
-def _product_pair_representatives(
-    g_orbits: list[int], n: int, h_orbits: list[int], m: int
-) -> list[tuple[int, int]]:
+def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> list[tuple[int, int]]:
     """The least pair ``x < y`` of each orbit of seed pairs of ``G □ H`` under ``Aut(G) × Aut(H)``.
 
-    ``g_orbits`` and ``h_orbits`` are the factors' ``_ordered_pair_orbits``
-    (G of order ``n``, H of order ``m``), and vertex ``r * m + c`` is
-    ``(r, c)``.  The group acts one coordinate at a time, so the ordered
+    Each factor's group is the one its ``pair_orbits`` table is taken
+    under, and vertex ``r * m + c`` is ``(r, c)`` (H of order ``m``); with
+    the default ``h``, the one-vertex ``_POINT``, these are the orbits of
+    ``g`` itself.  The group acts one coordinate at a time, so the ordered
     pair ``((r1, c1), (r2, c2))`` has orbit ``(oG[r1, r2], oH[c1, c2])``,
     and the unordered pair the lesser of that and its reverse's.  Pairs are
     taken in lexicographic order and each one whose key has not been seen
@@ -458,12 +435,14 @@ def _product_pair_representatives(
     second row ``r2`` the G part of the key is fixed, so a block whose G
     part has met every H part is passed over whole.
     """
+    g_orbits, h_orbits = g.pair_orbits, h.pair_orbits
+    n, m = g.n, h.n
     back = [h_orbits[c::m] for c in range(m)]  # back[c1][c2] is oH[c2, c1]
     fwd = [h_orbits[c * m : (c + 1) * m] for c in range(m)]
     both = [list(map(min, f, b)) for f, b in zip(fwd, back)]
     # the number of H parts a G part can meet: any ordered H orbit, or an unordered one when
     # the G orbit holds both (r1, r2) and (r2, r1)
-    n_fwd, n_both = len(set(h_orbits)), len({h for row in both for h in row})
+    n_fwd, n_both = len(set(h_orbits)), len({o for row in both for o in row})
     seen: dict[int, set[int]] = {}
     reps: list[tuple[int, int]] = []
     for x in range(n * m):
@@ -471,41 +450,18 @@ def _product_pair_representatives(
         for r2 in range(r1, n):
             g_fwd, g_back = g_orbits[r1 * n + r2], g_orbits[r2 * n + r1]
             if g_fwd == g_back:
-                g, row, full = g_fwd, both[c1], n_both
+                key, row, full = g_fwd, both[c1], n_both
             elif g_fwd < g_back:
-                g, row, full = g_fwd, fwd[c1], n_fwd
+                key, row, full = g_fwd, fwd[c1], n_fwd
             else:
-                g, row, full = g_back, back[c1], n_fwd
-            met = seen.setdefault(g, set())
+                key, row, full = g_back, back[c1], n_fwd
+            met = seen.setdefault(key, set())
             if len(met) == full:
                 continue
             for c2 in range(c1 + 1 if r2 == r1 else 0, m):
                 if row[c2] not in met:
                     met.add(row[c2])
                     reps.append((x, r2 * m + c2))
-    return reps
-
-
-def _pair_orbit_representatives(d: Digraph) -> list[tuple[int, int]]:
-    """The least pair of each orbit of pairs ``x < y`` under the automorphisms found for ``d``.
-
-    Returned in lexicographic order.  The orbit of ``{x, y}`` is keyed by the
-    lesser ordered orbit id (see ``_ordered_pair_orbits``) of ``(x, y)`` and
-    ``(y, x)``, and each pair whose key has not been seen is returned, so it
-    is its orbit's least pair.  With no automorphism found, every pair is
-    its own representative.
-    """
-    n = d.n
-    orbit = _ordered_pair_orbits(d)
-    seen: set[int] = set()
-    reps: list[tuple[int, int]] = []
-    for x in range(n):
-        fwd, back = orbit[x * n : (x + 1) * n], orbit[x::n]  # ids of (x, y) and (y, x)
-        for y in range(x + 1, n):
-            key = min(fwd[y], back[y])
-            if key not in seen:
-                seen.add(key)
-                reps.append((x, y))
     return reps
 
 
@@ -526,12 +482,14 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     packer finds at that pair, the one ``_search_sweep`` reports.
 
     Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
-    see ``_search_sweep``, over the orbits of the automorphisms found for
-    ``d`` itself; ``constructions.product_lambda_2`` takes a product's
-    orbits from its factors instead.  Both exhaustive sweeps stop at the
-    floor, 1 when D is strong and 0 otherwise: a strong D is itself a strong
-    subgraph through every pair, so no pair has ``λ_S(D)`` below the floor,
-    and once the running minimum reaches it no later pair can lower it.
+    see ``_search_sweep``, over the orbits of ``d``'s automorphisms, read
+    from its cached ``pair_orbits`` table: the bare sweep is the product
+    sweep of ``d □ K₁``.  ``constructions.product_lambda_2`` reads the
+    factors' tables instead, the same ones their own sweeps cached.  Both
+    exhaustive sweeps stop at the floor, 1 when D is strong and 0
+    otherwise: a strong D is itself a strong subgraph through every pair,
+    so no pair has ``λ_S(D)`` below the floor, and once the running minimum
+    reaches it no later pair can lower it.
     The returned witness is verified before return; a witness that fails
     raises ``RuntimeError``.
     """
@@ -570,37 +528,32 @@ def _search_sweep(
     d: Digraph,
     samples: int | None = None,
     seed: int | None = None,
-    lift_settled: tuple[int, Callable[[int, int], bool]] | None = None,
-    representatives: Callable[[], list[tuple[int, int]]] | None = None,
+    product: tuple[Digraph, Digraph, int, Callable[[int, int], bool]] | None = None,
 ) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
     The exhaustive sweep first solves ``(0, 1)``, the least pair.  When its
     value is at most the floor (1 when D is strong, else 0), that is the
-    answer and no automorphism is searched: no pair goes below the floor,
-    so ``(0, 1)`` is the lexicographically least minimizing pair, and the
+    answer and no orbit table is built: no pair goes below the floor, so
+    ``(0, 1)`` is the lexicographically least minimizing pair, and the
     witness is the packer's first packing at ``(0, 1)``, exactly the one
     the orbit sweep reports.
 
     Otherwise it goes on over one pair per orbit of pairs under a group of
     automorphisms of ``d``: the least pair of each orbit, in lexicographic
-    order, of which ``(0, 1)`` is the first.  The group is generated by
-    permutations found by individualisation and refinement and checked to
-    map the arc set onto itself, and ``λ_S(D) = λ_φ(S)(D)`` for every
-    automorphism φ.  Each skipped pair therefore has the value of a smaller
-    pair already swept, so it could never have lowered the running
-    minimum, and the value, the lexicographically least minimizing pair and
-    its witness are those of the sweep over all pairs.  When the generator
-    search runs out of its fixed node budget, the generators verified so far
-    still merge pairs; the sweep stays exact and merely visits more of them.
-    The same holds for any group of automorphisms, so ``representatives``,
-    when given, is called in place of ``_pair_orbit_representatives(d)``
-    once the floor exit is passed.  A product sweep passes the orbits of
-    ``Aut(G) × Aut(H)``, read from the factors' own automorphisms (see
-    ``_product_pair_representatives``), and runs no automorphism search on
-    ``d``.  That group can be smaller than ``Aut(G □ H)``, which for
-    ``G ≅ H`` also swaps the coordinates; the sweep then visits more pairs,
-    with the same value, pair and witness.
+    order, of which ``(0, 1)`` is the first (see
+    ``_pair_orbit_representatives``).  ``λ_S(D) = λ_φ(S)(D)`` for every
+    automorphism φ, so each skipped pair has the value of a smaller pair
+    already swept, could never have lowered the running minimum, and the
+    value, the lexicographically least minimizing pair and its witness are
+    those of the sweep over all pairs.  That holds for any group of
+    automorphisms.  A bare sweep reads ``d □ K₁``: the group the generator
+    search finds for ``d`` (checked permutations, so a search cut short by
+    its node budget only merges fewer pairs).  A product sweep reads
+    ``G □ H`` and ``Aut(G) × Aut(H)`` from the factors' own tables, and
+    runs no automorphism search on ``d``.  That group can be smaller than
+    ``Aut(G □ H)``, which for ``G ≅ H`` also swaps the coordinates; the
+    sweep then visits more pairs, with the same value, pair and witness.
 
     Each visited pair is screened for feasibility at the running minimum
     (a pair whose seed degree is below it fails at the root) before paying
@@ -611,18 +564,18 @@ def _search_sweep(
     unless the sample holds every pair.  The returned witness is verified
     before return; a witness that fails raises ``RuntimeError``.
 
-    ``lift_settled`` is ``(bound, drops)`` for a product ``d = G □ H`` of
-    strong factors, with ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the
-    drop-layout test of ``constructions``: the lifting construction gives
-    every pair that is not a drop layout ``bound`` arc-disjoint strong
-    subgraphs through it, so ``λ_{x,y}(D) ≥ bound`` there.  Once the running
-    minimum is at most ``bound``, such a pair is skipped unscreened: its
-    value is at least the minimum, and only a strictly smaller value ever
-    replaces the best pair, so the skip never passes over the least
-    minimizing pair, and the value, that pair and its witness stay exactly
-    those of the full sweep.  For skipped pairs the bound rests on the
-    construction (checked by ``lift_certificates`` on every family it
-    builds), not on a search of ``d``.
+    ``product`` is ``(G, H, bound, drops)`` for ``d = G □ H`` with strong
+    factors, ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the drop-layout
+    test of ``constructions``: the lifting construction gives every pair
+    that is not a drop layout ``bound`` arc-disjoint strong subgraphs
+    through it, so ``λ_{x,y}(D) ≥ bound`` there.  Once the running minimum
+    is at most ``bound``, such a pair is skipped unscreened: its value is at
+    least the minimum, and only a strictly smaller value ever replaces the
+    best pair, so the skip never passes over the least minimizing pair, and
+    the value, that pair and its witness stay exactly those of the full
+    sweep.  For skipped pairs the bound rests on the construction (checked
+    by ``lift_certificates`` on every family it builds), not on a search of
+    ``d``.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
@@ -630,16 +583,12 @@ def _search_sweep(
         raise DigraphError(f"samples must be at least 1, got {samples}")
     if samples is not None and seed is None:
         raise DigraphError("sampled sweep needs an explicit seed")
+    g, h, bound, drops = product if product is not None else (d, _POINT, 0, None)
     tables = _ArcTables(d)
     if samples is None:
         best_pair = (0, 1)
         best = _exact(d, tables, 0, 1)
-        if best.value <= _floor(d):
-            pairs = []
-        elif representatives is not None:
-            pairs = representatives()[1:]
-        else:
-            pairs = _pair_orbit_representatives(d)[1:]
+        pairs = [] if best.value <= _floor(d) else _pair_orbit_representatives(g, h)[1:]
         exact = True
     else:
         import random
@@ -650,7 +599,6 @@ def _search_sweep(
         exact = len(pairs) == len(all_pairs)
         best_pair, pairs = pairs[0], pairs[1:]
         best = _exact(d, tables, *best_pair)
-    bound, drops = lift_settled if lift_settled is not None else (0, None)
     for x, y in pairs:
         if best.value == 0:
             break

@@ -208,7 +208,7 @@ def _logged_sweeps(monkeypatch):
     search, flow_sweep = packing._search_sweep, packing._flow_sweep
 
     def logged_search(d, *args, **kwargs):
-        calls.append(("search", kwargs.get("lift_settled") is not None))
+        calls.append(("search", kwargs.get("product") is not None))
         return search(d, *args, **kwargs)
 
     def logged_flow(d):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongarc import constructions, packing
+from strongarc import digraph as digraph_module
 from strongarc.constructions import (
     CLASS_TOKENS,
     ConstructionError,
@@ -31,6 +32,7 @@ from strongarc.constructions import (
 )
 from strongarc.cli import parse_class_spec
 from strongarc.digraph import (
+    Digraph,
     DigraphError,
     _automorphism_generators,
     biorient,
@@ -277,31 +279,43 @@ class TestLiftSettledSweep:
         assert _automorphism_generators(g) and not _automorphism_generators(RIGID)
         for left, right in [(g, RIGID), (RIGID, g), (g, g)]:
             assert product_lambda_2(left, right) == _search_sweep(cartesian_product(left, right).digraph)
-        orbits = packing._ordered_pair_orbits(g)
-        swept = packing._product_pair_representatives(orbits, g.n, orbits, g.n)
+        swept = packing._pair_orbit_representatives(g, g)
         assert len(swept) > len(packing._pair_orbit_representatives(cartesian_product(g, g).digraph))
 
+    @staticmethod
+    def _logged_searches(monkeypatch):
+        """The order of each digraph the generator search runs on, after ``K₁``'s table is built."""
+        packing._POINT.pair_orbits  # a bare sweep's second factor, searched once per process
+        searched = []
+        generators = digraph_module._automorphism_generators
+        monkeypatch.setattr(digraph_module, "_automorphism_generators", lambda d: searched.append(d.n) or generators(d))
+        return searched
+
     def test_product_sweep_takes_its_orbits_from_the_factors(self, monkeypatch):
-        searched, tables = [], []
-        generators, ordered = packing._automorphism_generators, constructions._ordered_pair_orbits
-        monkeypatch.setattr(packing, "_automorphism_generators", lambda d: searched.append(d.n) or generators(d))
-        monkeypatch.setattr(constructions, "_ordered_pair_orbits", lambda d: tables.append(d.n) or ordered(d))
+        searched = self._logged_searches(monkeypatch)
         for g, h in [(directed_cycle(5), bidirected_cycle(4)), (directed_cycle(4), directed_cycle(4)), (RIGID, K23)]:
+            g, h = Digraph(g.n, g.arcs), Digraph(h.n, h.arcs)  # no table cached by an earlier test
             searched.clear()
-            tables.clear()
             product_lambda_2(g, h)
-            assert sorted(tables) == sorted([g.n, h.n])  # one table per factor, past the floor exit
-            assert g.n * h.n not in searched and set(searched) <= {g.n, h.n}
+            assert sorted(searched) == sorted([g.n, h.n])  # one table per factor, past the floor exit
+            assert g.n * h.n not in searched
         # a lift reads no orbit table
         searched.clear()
-        tables.clear()
         lift_certificates(directed_cycle(5), bidirected_cycle(4), (0, 0), (1, 2))
-        assert tables == [] and searched == []
+        assert searched == []
         # no product of strong factors is known to have λ₂ = 1, the floor, so the floor is
         # raised to make the product sweep take its exit at (0, 1)
         monkeypatch.setattr(packing, "_floor", lambda d: d.n)
         assert product_lambda_2(directed_cycle(5), bidirected_cycle(4)).pair == (0, 1)
-        assert tables == [] and searched == []
+        assert searched == []
+
+    def test_factor_sweep_and_product_sweep_share_one_orbit_table(self, monkeypatch):
+        # λ₂(cn:3 □ cn:3) = 2 is above the floor, so the factor's own sweep builds its table
+        g, h = cartesian_product(directed_cycle(3), directed_cycle(3)).digraph, directed_cycle(4)
+        assert not is_symmetric(g) and lambda_2(Digraph(g.n, g.arcs)).value == 2
+        searched = self._logged_searches(monkeypatch)
+        product_lambda_2(g, h)
+        assert searched.count(g.n) == 1 and g.n * h.n not in searched
 
     @pytest.mark.parametrize("seed", range(10))
     def test_check_bounds_equals_the_bare_product_reference(self, seed):

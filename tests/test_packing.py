@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from strongarc import digraph as digraph_module
 from strongarc import packing
 from strongarc.cli import parse_operand
-from strongarc.digraph import DigraphError, _automorphism_generators, biorient, from_arc_list, is_strong
+from strongarc.digraph import Digraph, DigraphError, _automorphism_generators, biorient, from_arc_list, is_strong
 from strongarc.flow import max_flow_unit
 from strongarc.generators import (
     bidirected_cycle,
@@ -24,9 +24,7 @@ from strongarc.packing import (
     certificate_to_json,
     lambda_2,
     lambda_s_exact,
-    _ordered_pair_orbits,
     _pair_orbit_representatives,
-    _product_pair_representatives,
     _search_sweep,
     _seed_bounds,
     verify_certificate,
@@ -395,6 +393,7 @@ class TestPairOrbits:
 
         monkeypatch.setattr(digraph_module, "_refine", blind)
         for name, d in SMALL_INSTANCES:
+            d = Digraph(d.n, d.arcs)  # no orbit table cached under the real refinement
             for p in _automorphism_generators(d):
                 assert frozenset((p[u], p[v]) for u, v in d.arcs) == d.arcs, name
             every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
@@ -417,7 +416,7 @@ class TestPairOrbits:
     def test_factor_key_splits_product_pairs_into_factor_group_orbits(self, g, h):
         (_, g), (_, h) = g, h
         n, m = g.n, h.n
-        og, oh = _ordered_pair_orbits(g), _ordered_pair_orbits(h)
+        og, oh = g.pair_orbits, h.pair_orbits
 
         def key(x, y):
             (r1, c1), (r2, c2) = divmod(x, m), divmod(y, m)
@@ -436,7 +435,7 @@ class TestPairOrbits:
             least = min(tuple(sorted((image(p, q, x), image(p, q, y)))) for p, q in group)
             by_orbit.setdefault(least, set()).add((x, y))
         assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_orbit.values()))
-        assert _product_pair_representatives(og, n, oh, m) == sorted(by_orbit)
+        assert _pair_orbit_representatives(g, h) == sorted(by_orbit)
 
     def test_rigid_digraph_keeps_every_pair(self):
         d = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
@@ -449,7 +448,8 @@ class TestPairOrbits:
         cases = [d for _, d in ORBIT_INSTANCES[-7:]]
         full = [_search_sweep(d) for d in cases]
         monkeypatch.setattr(digraph_module, "_AUTOMORPHISM_NODE_BUDGET", budget)
-        for d, expected in zip(cases, full):
+        # fresh copies: the swept digraphs keep the orbit tables of the full budget
+        for d, expected in zip([Digraph(d.n, d.arcs) for d in cases], full):
             if budget == 0:
                 assert _automorphism_generators(d) == []
                 assert len(_pair_orbit_representatives(d)) == d.n * (d.n - 1) // 2
