@@ -1,8 +1,9 @@
 """Local and global arc connectivity via unit-capacity max flow.
 
-All flows run on one kernel, ``_unit_flow``: breadth-first augmentation over
-``Digraph.flow_network`` that stops at a requested number of paths and can
-leave arcs out.  ``arc_connectivity`` first scans the pivot pairs ``(0, 1),
+All flows run on one kernel, ``_unit_flow``: augmentation over
+``Digraph.flow_network`` along shortest paths, each found by a breadth-first
+search grown from both ends, that stops at a requested number of paths and
+can leave arcs out.  ``arc_connectivity`` first scans the pivot pairs ``(0, 1),
 (1, 0), (0, 2), (2, 0), ...`` for the first whose local value is at most the
 degree bound ``min(δ⁺, δ⁻)``, proving earlier pairs where it can by a shorter
 flow between the pivot vertex and one of its neighbours.  The vertices before
@@ -57,9 +58,17 @@ class ConnectivityReport:
 def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int]]:
     """Augment along shortest residual s->t paths until ``need`` are found or none is left.
 
-    Arc ``i`` of ``d.sorted_arcs`` is left out when bit ``i`` of ``excluded`` is
-    set.  Returns the path count and the labels of the last search; if it
-    failed, -1 marks the side ``s`` cannot reach.
+    Needs ``s != t``: every caller meets it, and ``max_flow_unit`` rejects
+    ``s == t``.  Arc ``i`` of ``d.sorted_arcs`` is left out when bit ``i`` of
+    ``excluded`` is set.  Each search grows breadth-first from both ends,
+    a whole layer at a time on the side with the smaller frontier, and stops
+    at the first vertex labelled from both: ``via[v]`` is the residual edge
+    by which ``s`` reaches ``v``, ``nxt[v]`` the one by which ``v`` reaches
+    ``t``.  The ``t`` side follows ``e ^ 1`` for each ``e`` in ``edges[u]``,
+    the residual edges into ``u``.  Returns the path count and the ``via``
+    labels of the last search.  If that search failed, -1 marks exactly the
+    vertices ``s`` cannot reach, the sink side of the minimal minimum cut:
+    when the ``t`` side runs dry first, the ``s`` side is searched to the end.
     """
     head, edges = d.flow_network
     residual = [1, 0] * (len(head) // 2)
@@ -70,26 +79,68 @@ def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tupl
     via: list[int] = []
     value = 0
     while value < need:
-        via = [-1] * d.n  # edge by which each vertex was reached
-        via[s] = -2
-        queue = [s]
-        for u in queue:
-            for e in edges[u]:
-                if residual[e]:
-                    v = head[e]
-                    if via[v] == -1:
-                        via[v] = e
-                        queue.append(v)
-            if via[t] != -1:
-                break
-        else:
+        via = [-1] * d.n
+        nxt = [-1] * d.n
+        via[s] = nxt[t] = -2
+        front, back = [s], [t]
+        # a layer either completes (for-else: continue with the next layer) or
+        # breaks out of both loops at the vertex v where the two sides meet
+        while front and back:
+            layer = []
+            if len(front) <= len(back):
+                for u in front:
+                    for e in edges[u]:
+                        if residual[e]:
+                            v = head[e]
+                            if via[v] == -1:
+                                via[v] = e
+                                if nxt[v] != -1:
+                                    break
+                                layer.append(v)
+                    else:
+                        continue
+                    break
+                else:
+                    front = layer
+                    continue
+            else:
+                for u in back:
+                    for e in edges[u]:
+                        if residual[e ^ 1]:
+                            v = head[e]
+                            if nxt[v] == -1:
+                                nxt[v] = e ^ 1
+                                if via[v] != -1:
+                                    break
+                                layer.append(v)
+                    else:
+                        continue
+                    break
+                else:
+                    back = layer
+                    continue
             break
-        v = t
+        else:
+            for u in front:
+                for e in edges[u]:
+                    if residual[e]:
+                        v = head[e]
+                        if via[v] == -1:
+                            via[v] = e
+                            front.append(v)
+            break
+        meet = v
         while v != s:
             e = via[v]
             residual[e] -= 1
             residual[e ^ 1] += 1
             v = head[e ^ 1]
+        v = meet
+        while v != t:
+            e = nxt[v]
+            residual[e] -= 1
+            residual[e ^ 1] += 1
+            v = head[e]
         value += 1
     return value, via
 

@@ -107,16 +107,17 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     inspected in full.
     """
     x, y = _validate_pair(d, cert.seed)
-    mem = [frozenset(tuple(a) for a in member) for member in cert.members]
+    mem = [frozenset(map(tuple, member)) for member in cert.members]
     in_host: list[bool] = []
     strong: list[bool] = []
     has_seed: list[bool] = []
     for arcs in mem:
         in_host.append(arcs <= d.arcs)
-        endpoints = {w for arc in arcs for w in arc}
+        endpoints = set().union(*arcs)
         has_seed.append(x in endpoints and y in endpoints)
-        # checked first: the strongness test takes endpoints as bit positions
-        in_range = bool(arcs) and all(0 <= w < d.n for w in endpoints)
+        # checked first: the strongness test takes endpoints as bit positions,
+        # which host arcs always are
+        in_range = bool(arcs) and (in_host[-1] or all(0 <= w < d.n for w in endpoints))
         strong.append(in_range and _strong_on_endpoints(arcs))
     overlaps: list[tuple[int, int, frozenset[Arc]]] = []
     for i in range(len(mem)):

@@ -1,10 +1,12 @@
-"""Brute-force references for the tests: two packing oracles and an unconstrained random digraph.
+"""References for the tests: two packing oracles, a flow kernel and an unconstrained random digraph.
 
 The oracles compute the seed-set packing number by exhaustive enumeration,
 independently of the branch-and-bound search in ``strongarc.packing``:
 ``lambda_s_oracle_subsets`` enumerates every arc subset that induces a strong
 subgraph, ``lambda_s_oracle_paths`` every union of one x->y and one y->x simple
 path.  Both are exponential and refuse instances beyond their budgets.
+``reference_unit_flow`` is the one-sided breadth-first unit-flow kernel that
+``strongarc.flow._unit_flow`` is compared against.
 """
 
 from __future__ import annotations
@@ -141,6 +143,45 @@ def lambda_s_oracle_paths(d: Digraph, seed: Iterable[int], path_cap: int = 100_0
         raise OracleRefusal("path-pair universe too large to enumerate")
     unions = {p | q for p in forward for q in backward}
     return _max_disjoint_packing(_minimal_antichain(sorted(unions)))
+
+
+def reference_unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int]]:
+    """Reference for ``flow._unit_flow``: each augmenting path from one search grown from ``s``.
+
+    Same arguments and result: the path count, and the labels of the last
+    search, where -1 marks the vertices ``s`` cannot reach if it failed.
+    """
+    head, edges = d.flow_network
+    residual = [1, 0] * (len(head) // 2)
+    while excluded:
+        low = excluded & -excluded
+        residual[2 * low.bit_length() - 2] = 0
+        excluded ^= low
+    via: list[int] = []
+    value = 0
+    while value < need:
+        via = [-1] * d.n  # edge by which each vertex was reached
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for e in edges[u]:
+                if residual[e]:
+                    v = head[e]
+                    if via[v] == -1:
+                        via[v] = e
+                        queue.append(v)
+            if via[t] != -1:
+                break
+        else:
+            break
+        v = t
+        while v != s:
+            e = via[v]
+            residual[e] -= 1
+            residual[e ^ 1] += 1
+            v = head[e ^ 1]
+        value += 1
+    return value, via
 
 
 def random_digraph(n: int, max_arcs: int, seed: int) -> Digraph:

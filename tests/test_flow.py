@@ -17,7 +17,7 @@ from strongarc.generators import (
 )
 from strongarc.product import cartesian_product
 
-from oracles import random_digraph
+from oracles import random_digraph, reference_unit_flow
 
 
 def brute_arc_connectivity(d: Digraph) -> int:
@@ -204,6 +204,58 @@ class TestFlowKernel:
     def test_negative_cap_rejected(self):
         with pytest.raises(DigraphError):
             max_flow_unit(directed_cycle(3), 0, 1, cap=-1)
+
+
+def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> int:
+    """Run both kernels, assert the same value and, below ``need``, the same reached side; return the value."""
+    value, via = _unit_flow(d, s, t, need, excluded)
+    ref_value, ref_via = reference_unit_flow(d, s, t, need, excluded)
+    assert value == ref_value
+    if value < need:
+        assert {v for v in range(d.n) if via[v] != -1} == {v for v in range(d.n) if ref_via[v] != -1}
+    return value
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_products(self, seed):
+        rng = random.Random(seed)
+        g = random_strong_digraph(rng.randint(5, 10), rng.uniform(0.1, 0.4), seed)
+        h = random_strong_digraph(rng.randint(5, 10), rng.uniform(0.1, 0.4), seed + 1000)
+        d = cartesian_product(g, h).digraph
+        for _ in range(6):
+            s, t = rng.sample(range(d.n), 2)
+            # about a quarter of the arcs left out
+            mask = rng.getrandbits(len(d.arcs)) & rng.getrandbits(len(d.arcs))
+            for excluded in (0, mask):
+                value = matches_reference_kernel(d, s, t, d.n, excluded)
+                for need in range(value + 1):
+                    matches_reference_kernel(d, s, t, need, excluded)
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=300)
+    def test_small_digraphs_with_excluded_arcs_at_every_need(self, d, data):
+        s, t = data.draw(st.lists(st.integers(0, d.n - 1), min_size=2, max_size=2, unique=True))
+        mask = data.draw(st.integers(0, (1 << len(d.arcs)) - 1))
+        for need in range(d.n + 1):
+            matches_reference_kernel(d, s, t, need, mask)
+
+    def test_sink_side_runs_dry_first(self):
+        # 0 fans out to 1, 2, 3, which outgrows the sink side {9}; every in-arc of 9 is
+        # left out, so that side empties while 4..8 are still to be reached
+        arcs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+        arcs += [(8, 9), (3, 9), (9, 0)]
+        d = from_arc_list(10, arcs)
+        excluded = sum(1 << i for i, (_, v) in enumerate(d.sorted_arcs) if v == 9)
+        assert matches_reference_kernel(d, 0, 9, 1, excluded) == 0
+        assert {v for v, e in enumerate(_unit_flow(d, 0, 9, 1, excluded)[1]) if e != -1} == set(range(9))
+
+    def test_source_side_runs_dry_first(self):
+        # 0 reaches only 1, 2, 3, while 4, 5, 6 reach the sink 7 and arcs lead back to 0
+        arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 7), (5, 7), (6, 7), (4, 0), (5, 1), (7, 6)]
+        d = from_arc_list(8, arcs)
+        assert matches_reference_kernel(d, 0, 7, 1) == 0
+        assert {v for v, e in enumerate(_unit_flow(d, 0, 7, 1)[1]) if e != -1} == {0, 1, 2, 3}
 
 
 class TestGlobalConnectivity:
