@@ -206,14 +206,18 @@ class TestFlowKernel:
             max_flow_unit(directed_cycle(3), 0, 1, cap=-1)
 
 
-def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> int:
-    """Run both kernels, assert the same value and, below ``need``, the same reached side; return the value."""
+def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, set[int]]:
+    """Run both kernels and assert the same value and, below ``need``, the same labelled side.
+
+    Returns the value and the vertices the last search labelled.
+    """
     value, via = _unit_flow(d, s, t, need, excluded)
     ref_value, ref_via = reference_unit_flow(d, s, t, need, excluded)
     assert value == ref_value
+    side = {v for v, e in enumerate(via) if e != -1}
     if value < need:
-        assert {v for v in range(d.n) if via[v] != -1} == {v for v in range(d.n) if ref_via[v] != -1}
-    return value
+        assert side == {v for v, e in enumerate(ref_via) if e != -1}
+    return value, side
 
 
 class TestKernelAgainstReference:
@@ -228,7 +232,7 @@ class TestKernelAgainstReference:
             # about a quarter of the arcs left out
             mask = rng.getrandbits(len(d.arcs)) & rng.getrandbits(len(d.arcs))
             for excluded in (0, mask):
-                value = matches_reference_kernel(d, s, t, d.n, excluded)
+                value, _ = matches_reference_kernel(d, s, t, d.n, excluded)
                 for need in range(value + 1):
                     matches_reference_kernel(d, s, t, need, excluded)
 
@@ -247,15 +251,13 @@ class TestKernelAgainstReference:
         arcs += [(8, 9), (3, 9), (9, 0)]
         d = from_arc_list(10, arcs)
         excluded = sum(1 << i for i, (_, v) in enumerate(d.sorted_arcs) if v == 9)
-        assert matches_reference_kernel(d, 0, 9, 1, excluded) == 0
-        assert {v for v, e in enumerate(_unit_flow(d, 0, 9, 1, excluded)[1]) if e != -1} == set(range(9))
+        assert matches_reference_kernel(d, 0, 9, 1, excluded) == (0, set(range(9)))
 
     def test_source_side_runs_dry_first(self):
         # 0 reaches only 1, 2, 3, while 4, 5, 6 reach the sink 7 and arcs lead back to 0
         arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 7), (5, 7), (6, 7), (4, 0), (5, 1), (7, 6)]
         d = from_arc_list(8, arcs)
-        assert matches_reference_kernel(d, 0, 7, 1) == 0
-        assert {v for v, e in enumerate(_unit_flow(d, 0, 7, 1)[1]) if e != -1} == {0, 1, 2, 3}
+        assert matches_reference_kernel(d, 0, 7, 1) == (0, {0, 1, 2, 3})
 
 
 class TestGlobalConnectivity:
