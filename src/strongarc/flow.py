@@ -84,10 +84,12 @@ def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tupl
         via[s] = nxt[t] = -2
         front, back = [s], [t]
         # a layer either completes (for-else: continue with the next layer) or
-        # breaks out of both loops at the vertex v where the two sides meet
-        while front and back:
+        # breaks out of both loops at the vertex v where the two sides meet;
+        # once the t side has run dry, t is out of reach and the s side grows
+        # alone until it has labelled every vertex s reaches
+        while front:
             layer = []
-            if len(front) <= len(back):
+            if not back or len(front) <= len(back):
                 for u in front:
                     for e in edges[u]:
                         if residual[e]:
@@ -121,13 +123,6 @@ def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tupl
                     continue
             break
         else:
-            for u in front:
-                for e in edges[u]:
-                    if residual[e]:
-                        v = head[e]
-                        if via[v] == -1:
-                            via[v] = e
-                            front.append(v)
             break
         meet = v
         while v != s:
