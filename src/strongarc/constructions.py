@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, TypeVar
 
@@ -35,6 +35,7 @@ from .packing import (
     Lambda2Result,
     _ArcTables,
     _exact,
+    _lambda_2,
     _search_sweep,
     _validate_pair,
     lambda_2,
@@ -618,10 +619,11 @@ def _column_detours(
 
 
 def _factor_family(
-    d: Digraph, tables: _ArcTables, pair: tuple[int, int], need: int
+    d: Digraph, tables: _ArcTables, pair: tuple[int, int], need: int, floor: int = 0
 ) -> tuple[frozenset[Arc], ...]:
-    # the search itself, not ``lambda_s_exact``: every caller verifies the lifted or sealed family
-    result = _exact(d, tables, *_validate_pair(d, pair))
+    # the search itself, not ``lambda_s_exact``: every caller verifies the lifted or sealed family;
+    # ``floor`` is a proven lower bound (see ``_exact``), never ``need``, which is still to be checked
+    result = _exact(d, tables, *_validate_pair(d, pair), floor=floor)
     if result.value < need:
         raise ConstructionError(
             f"packing for seed {pair} gave {result.value} members, expected >= {need}"
@@ -635,8 +637,11 @@ class _FactorPackings:
     ``lambda_2`` runs once, through ``_strong_factor``, so a factor not
     strong or on fewer than two vertices raises ``DigraphError`` naming
     ``what``.  ``least`` is that ``λ₂``: the first ``least`` members of a
-    packing are lifted, and a further member is a spare.  Each packing is
-    searched once on one set of arc tables, and the memo starts with
+    packing are lifted, and a further member is a spare.  The record builds
+    the factor's arc tables once, and both the ``λ₂`` sweep and every later
+    packing search run on them.  ``least`` is a proven floor at every seed
+    pair, so a search at a pair whose seed degree is ``least`` runs no seed
+    flow.  Each packing is searched once, and the memo starts with
     ``λ₂``'s witness at its pair, the packing a search there finds: both
     ``lambda_2`` routes return the packer's first maximum packing at that
     pair, as a capped ``_exact`` does.  The forced/spare reading of a seed
@@ -647,7 +652,8 @@ class _FactorPackings:
     """
 
     def __init__(self, what: str, d: Digraph) -> None:
-        result = _strong_factor(what, d, lambda_2)
+        self._tables = _ArcTables(d)
+        result = _strong_factor(what, d, partial(_lambda_2, tables=self._tables))
         self.d, self.least = d, result.value
         self._found = {result.pair: result.witness.members}
         self._branched: dict[tuple[int, int], tuple[list[int], int | None]] = {}
@@ -657,13 +663,8 @@ class _FactorPackings:
         pair = (a, b) if a < b else (b, a)
         found = self._found.get(pair)
         if found is None:
-            found = self._found[pair] = _factor_family(self.d, self._tables, pair, self.least)
+            found = self._found[pair] = _factor_family(self.d, self._tables, pair, self.least, floor=self.least)
         return found
-
-    @cached_property
-    def _tables(self) -> _ArcTables:
-        # built on the first search: a product sweep may never need one
-        return _ArcTables(self.d)
 
     def branches(self, a: int, b: int) -> tuple[list[int], int | None]:
         """The branch vertex at ``a`` of each lifted member, dodging ``b``, and the first forced member.

@@ -133,14 +133,18 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
 
 
 class _ArcTables:
-    """Arcs as bits, built once per search and shared by the packers of all its pairs.
+    """Arcs as bits, built once per digraph and shared by the packers of all its pairs.
+
+    A sweep builds one set for its pairs.  A factor's ``_FactorPackings``
+    record builds one set and shares it between the factor's own ``λ₂``
+    sweep and every packing the record searches later.
 
     ``adj[u]`` lists the out-arcs of ``u`` as ``(head, bit)`` with bit ``1 << i``
     for ``sorted_arcs[i]``, so each row is sorted by head; ``out_mask[u]`` and
     ``in_mask[u]`` are the masks of its out- and in-arcs.  ``dist_to(t)`` gives
     every vertex's distance to ``t``, searched on first use, so a sweep runs
     one search per target however many pairs share it.  Not cached on the
-    digraph, where it would outlive the search.
+    digraph, where it would outlive the sweep or record that built it.
     """
 
     def __init__(self, d: Digraph) -> None:
@@ -348,15 +352,19 @@ def _seed_degree(d: Digraph, x: int, y: int) -> int:
     return min(d.out_degree(x), d.in_degree(x), d.out_degree(y), d.in_degree(y))
 
 
-def _seed_bounds(d: Digraph, x: int, y: int) -> tuple[int, int]:
+def _seed_bounds(d: Digraph, x: int, y: int, floor: int = 0) -> tuple[int, int]:
     """The seed-degree bound and the flow bound ``min(degree, λ(x, y), λ(y, x))``.
 
-    Both flows stop at the degree bound, above which they never matter, and
-    only their values are read: no cut is built.
+    ``floor`` is a lower bound on ``λ_{x,y}(D)`` that the caller has proved.
+    Each member of a packing holds an x->y and a y->x path, so
+    ``λ(x, y) ≥ λ_{x,y}(D) ≥ floor`` and likewise ``λ(y, x)``; when the
+    floor reaches the degree bound, the flow bound is the degree bound and
+    no flow runs.  Otherwise both flows stop at the degree bound, above
+    which they never matter, and only their values are read: no cut is built.
     """
     deg = _seed_degree(d, x, y)
-    if deg == 0:
-        return 0, 0
+    if deg <= floor:
+        return deg, deg
     return deg, min(_unit_flow(d, x, y, deg)[0], _unit_flow(d, y, x, deg)[0])
 
 
@@ -367,6 +375,7 @@ def _exact(
     y: int,
     cap: int | None = None,
     budget: int | None = None,
+    floor: int = 0,
 ) -> PackingResult:
     """Largest feasible packing size, iterating k downward from the upper bound.
 
@@ -375,8 +384,16 @@ def _exact(
     ``feasible(k)`` starts with an empty failure memo and every k above the
     value fails, so a cap at or above the value finds the uncapped packing,
     whose members each have one arc in each of out(x), in(x), out(y), in(y).
+
+    ``floor`` is a lower bound on the pair's value that the caller has
+    already proved (a factor's ``λ₂``, a sweep's floor, a symmetric
+    digraph's flow value); it only spares the seed flows (see
+    ``_seed_bounds``).  A sound floor leaves the upper bound as it was, so
+    the packer makes the same ``feasible(k)`` calls in the same order and
+    every field of the result is the one without it.  A value still to be
+    checked is never a floor.
     """
-    deg_bound, flow_bound = _seed_bounds(d, x, y)
+    deg_bound, flow_bound = _seed_bounds(d, x, y, floor)
     ub = flow_bound if cap is None else min(flow_bound, cap)
     if ub == 0:
         empty = CertificateFamily(d.n, (x, y), ())
@@ -494,9 +511,14 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     The returned witness is verified before return; a witness that fails
     raises ``RuntimeError``.
     """
+    return _lambda_2(d, _ArcTables(d), samples, seed)
+
+
+def _lambda_2(d: Digraph, tables: _ArcTables, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
+    """``lambda_2`` on arc tables the caller built for ``d``, such as a factor record's own."""
     if samples is None and d.n >= 2 and is_symmetric(d):
-        return _flow_sweep(d)
-    return _search_sweep(d, samples, seed)
+        return _flow_sweep(d, tables)
+    return _search_sweep(d, samples, seed, tables=tables)
 
 
 def _floor(d: Digraph) -> int:
@@ -504,12 +526,15 @@ def _floor(d: Digraph) -> int:
     return 1 if is_strong(d) else 0
 
 
-def _flow_sweep(d: Digraph) -> Lambda2Result:
+def _flow_sweep(d: Digraph, tables: _ArcTables) -> Lambda2Result:
     """``lambda_2`` of a symmetric digraph on two or more vertices, from at most n - 1 local flows.
 
     The loop over ``λ(0, v)`` stops once the running minimum reaches the
     floor: no later v can go below it, and the target is already the least
-    minimizing v.
+    minimizing v.  The value is ``λ(0, target)``, so ``λ_S(D)`` at that
+    pair is the value (see ``lambda_2``), and the packing search there
+    takes it as its proven floor and runs no seed flow when it reaches the
+    seed degree.
     """
     floor = _floor(d)
     value, target = d.out_degree(0), 1  # no flow out of 0 exceeds its out-degree
@@ -519,7 +544,7 @@ def _flow_sweep(d: Digraph) -> Lambda2Result:
         flow = _unit_flow(d, 0, v, value)[0]
         if flow < value:
             value, target = flow, v
-    result = _exact(d, _ArcTables(d), 0, target)
+    result = _exact(d, tables, 0, target, floor=value)
     if result.value != value or not verify_certificate(d, result.witness).valid:
         raise RuntimeError(f"lambda_2 witness for pair {(0, target)} does not verify at value {value}")
     return Lambda2Result(value, (0, target), result.witness, True)
@@ -530,6 +555,7 @@ def _search_sweep(
     samples: int | None = None,
     seed: int | None = None,
     product: tuple[Digraph, Digraph, int, Callable[[int, int], bool]] | None = None,
+    tables: _ArcTables | None = None,
 ) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
@@ -560,10 +586,13 @@ def _search_sweep(
     (a pair whose seed degree is below it fails at the root) before paying
     for an exact computation, capped one below it.  Below the minimum the
     cap does nothing: ``_seed_bounds`` caps both flows at the seed degree.
+    Every exact computation takes the floor as its proven lower bound, so
+    a pair whose seed degree is at most the floor runs no seed flow.
     Sampled sweeps visit every sampled pair (``(0, 1)`` need not be one, so
     they take no floor exit) and yield an upper bound, flagged inexact
     unless the sample holds every pair.  The returned witness is verified
     before return; a witness that fails raises ``RuntimeError``.
+    ``tables`` are ``d``'s arc tables when the caller has built them.
 
     ``product`` is ``(G, H, bound, drops)`` for ``d = G □ H`` with strong
     factors, ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the drop-layout
@@ -585,11 +614,12 @@ def _search_sweep(
     if samples is not None and seed is None:
         raise DigraphError("sampled sweep needs an explicit seed")
     g, h, bound, drops = product if product is not None else (d, _POINT, 0, None)
-    tables = _ArcTables(d)
+    tables = tables or _ArcTables(d)
+    floor = _floor(d)
     if samples is None:
         best_pair = (0, 1)
-        best = _exact(d, tables, 0, 1)
-        pairs = [] if best.value <= _floor(d) else _pair_orbit_representatives(g, h)[1:]
+        best = _exact(d, tables, 0, 1, floor=floor)
+        pairs = [] if best.value <= floor else _pair_orbit_representatives(g, h)[1:]
         exact = True
     else:
         import random
@@ -599,7 +629,7 @@ def _search_sweep(
         pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
         exact = len(pairs) == len(all_pairs)
         best_pair, pairs = pairs[0], pairs[1:]
-        best = _exact(d, tables, *best_pair)
+        best = _exact(d, tables, *best_pair, floor=floor)
     for x, y in pairs:
         if best.value == 0:
             break
@@ -607,7 +637,7 @@ def _search_sweep(
             continue
         if _SeedPacker(d, tables, x, y).feasible(best.value) is not None:
             continue
-        result = _exact(d, tables, x, y, cap=best.value - 1)
+        result = _exact(d, tables, x, y, cap=best.value - 1, floor=floor)
         if result.value < best.value:
             best, best_pair = result, (x, y)
     if not verify_certificate(d, best.witness).valid:

@@ -211,9 +211,9 @@ def _logged_sweeps(monkeypatch):
         calls.append(("search", kwargs.get("product") is not None))
         return search(d, *args, **kwargs)
 
-    def logged_flow(d):
+    def logged_flow(d, tables):
         calls.append(("flow", False))
-        return flow_sweep(d)
+        return flow_sweep(d, tables)
 
     monkeypatch.setattr(packing, "_search_sweep", logged_search)
     monkeypatch.setattr(constructions, "_search_sweep", logged_search)

@@ -294,11 +294,11 @@ class TestStrongFloor:
         monkeypatch.setattr(packing, "_pair_orbit_representatives", refuse)
         monkeypatch.setattr(packing, "_unit_flow", logged_flow)
         assert lambda_2(directed_cycle(7)).value == 1
-        assert flows == [(0, 1), (1, 0)]  # the seed bounds at (0, 1); packing one member runs no flow
+        assert flows == []  # seed degree 1 is the floor, so (0, 1) runs no seed flow; one member needs none
         flows.clear()
         assert lambda_2(parse_operand(["btm:star:6"])[0]).value == 1
-        # the star's centre 0 reaches leaf 1 by one path, and that is the floor; then (0, 1)'s seed bounds
-        assert flows == [(0, 1), (0, 1), (1, 0)]
+        # the star's centre 0 reaches leaf 1 by one path, and that is the floor, which spares (0, 1)'s seed flows
+        assert flows == [(0, 1)]
 
     def test_sampled_sweep_takes_no_floor_exit(self):
         """Every pair of a directed cycle has value 1, so a sampled sweep reports its least sampled pair."""
