@@ -104,7 +104,8 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     """Check membership, strongness, seed coverage and pairwise disjointness.
 
     Violations are reported, never raised, so a broken certificate can be
-    inspected in full.
+    inspected in full.  Only a seed pair that is not two distinct vertices
+    of the host raises ``DigraphError``: there is no pair to check against.
     """
     x, y = _validate_pair(d, cert.seed)
     mem = [frozenset(map(tuple, member)) for member in cert.members]
@@ -514,7 +515,9 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     return _lambda_2(d, _ArcTables(d), samples, seed)
 
 
-def _lambda_2(d: Digraph, tables: _ArcTables, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
+def _lambda_2(
+    d: Digraph, tables: _ArcTables, samples: int | None = None, seed: int | None = None
+) -> Lambda2Result:
     """``lambda_2`` on arc tables the caller built for ``d``, such as a factor record's own."""
     if samples is None and d.n >= 2 and is_symmetric(d):
         return _flow_sweep(d, tables)

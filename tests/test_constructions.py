@@ -251,14 +251,30 @@ class TestLiftSettledSweep:
                     settled += r1 != r2 and c1 != c2 and not dropped
         assert drops > 0 and settled > 0
 
-    def test_seeded_packing_is_the_one_a_search_finds(self):
-        """The record's packing at λ₂'s pair equals a fresh ``_factor_family`` search, on all three routes."""
+    def test_seeded_packing_is_the_one_a_search_finds(self, monkeypatch):
+        """The record's packing at λ₂'s pair equals a fresh ``_factor_family`` search, on all three routes.
+
+        The record builds its arc tables once: its ``λ₂`` sweep and its later searches share them.
+        """
+        built = []
+        init = packing._ArcTables.__init__
+
+        def counted_init(self, d):
+            built.append(d)
+            init(self, d)
+
+        monkeypatch.setattr(packing._ArcTables, "__init__", counted_init)
         routes = set()
         factors = [bidirected_cycle(5), complete_digraph(4), K23, directed_cycle(4)]
         factors += [random_strong_digraph(2 + seed % 5, 0.1 * (seed % 7), seed) for seed in range(60)]
         for d in factors:
+            built.clear()
             fams = constructions._FactorPackings("factor", d)
             (pair, seeded), = fams._found.items()
+            for a in range(d.n):
+                for b in range(a + 1, d.n):
+                    fams.at(a, b)
+            assert built == [d]
             fresh = constructions._factor_family(d, packing._ArcTables(d), pair, fams.least)
             assert seeded == fresh and len(seeded) == fams.least
             routes.add("flow" if is_symmetric(d) else "search" if pair == (0, 1) else "capped")

@@ -544,6 +544,45 @@ class TestSymmetricRoute:
             lambda_2(complete_digraph(4))
 
 
+class TestProvenFloor:
+    """A proven floor on ``λ_S`` changes no field of ``_exact`` and spares only its two seed flows."""
+
+    @given(st.integers(2, 7), st.booleans(), st.floats(0, 0.7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_changes_nothing_but_the_seed_flows(self, n, strong, prob, seed):
+        d = random_strong_digraph(n, prob, seed) if strong else random_digraph(n, 3 * n, seed)
+        tables = packing._ArcTables(d)
+        least = lambda_2(d).value
+        flows = []
+        unit_flow = packing._unit_flow
+
+        def logged_flow(d, s, t, *rest):
+            flows.append((s, t, *rest))
+            return unit_flow(d, s, t, *rest)
+
+        def run(x, y, **kwargs):
+            flows.clear()
+            return packing._exact(d, tables, x, y, **kwargs), list(flows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packing, "_unit_flow", logged_flow)
+            for x, y in itertools.combinations(range(n), 2):
+                deg = packing._seed_degree(d, x, y)
+                value = run(x, y)[0].value
+                for cap in (None, value, max(value - 1, 0)):
+                    plain, plain_flows = run(x, y, cap=cap)
+                    for floor in {0, packing._floor(d), least, value}:
+                        floored, floored_flows = run(x, y, cap=cap, floor=floor)
+                        assert floored == plain, (x, y, cap, floor)
+                        if floor >= deg:
+                            # the seed bounds run both seed flows first; the search's own flows stay
+                            assert floored_flows == plain_flows[2 if deg else 0 :]
+                            flows.clear()
+                            assert packing._seed_bounds(d, x, y, floor) == (deg, deg) and flows == []
+                        else:
+                            assert floored_flows == plain_flows
+
+
 class TestScreenPackerReuse:
     def test_exact_after_failed_screen_is_unchanged(self):
         """After a failed screen one above the value, ``_exact`` capped at the value finds the uncapped packing."""
@@ -690,6 +729,11 @@ class TestCertificates:
         report = verify_certificate(d, self.build([[(0, 2), (2, 1), (1, 0)], [(0, 1), (1, 5), (5, 0)]]))
         assert report.member_in_host == (False, False)
         assert report.member_strong == (True, False)
+
+    @pytest.mark.parametrize("seed", [(1, 1), (0, 3), (-1, 0)])
+    def test_seed_pair_outside_the_host_raises(self, seed):
+        with pytest.raises(DigraphError):
+            verify_certificate(complete_digraph(3), self.build([[(0, 1), (1, 0)]], seed=seed))
 
     def test_member_missing_seed_flagged(self):
         d = complete_digraph(3)
