@@ -237,16 +237,10 @@ def check_bounds(g: Digraph, h: Digraph) -> BoundsReport:
     """Evaluate both bounds and settle the product's pair-packing number by search.
 
     Each factor's ``λ₂`` comes from its ``_FactorPackings`` record, which
-    the product-aware sweep (see ``product_lambda_2``) then reads.  That
-    sweep skips, once the running minimum is at most ``λ₂(G) + λ₂(H)``,
-    every pair that is not a drop layout.  Such a pair has at least
-    ``λ₂(G) + λ₂(H)`` arc-disjoint strong subgraphs through it by the
-    lifting construction, so it cannot strictly lower the minimum, and only
-    a strict improvement moves the reported pair: value, pair and witness
-    are those of ``lambda_2`` on the bare product.  For those pairs the
-    sandwich's lower side therefore rests on the construction, which
-    ``lift_certificates`` verifies on every family it builds, rather than on
-    a search of the product.
+    the product sweep then reads (see ``_lift_settled_sweep``): value, pair
+    and witness are those of ``lambda_2`` on the bare product, and at the
+    pairs the sweep skips the sandwich's lower side rests on the lifting
+    construction rather than on a search of the product.
     """
     upper = product_lambda_formula(g, h).value
     g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
@@ -272,16 +266,9 @@ def product_lambda_2(g: Digraph, h: Digraph) -> Lambda2Result:
     """``lambda_2`` of ``g □ h``, skipping the seed pairs the lifting construction settles.
 
     When both factors pass their ``_FactorPackings`` record (two or more
-    vertices, strong), the exhaustive sweep is told ``λ₂(G) + λ₂(H)`` and
-    the drop-layout test (see ``_search_sweep``), so pairs that are not
-    drop layouts go unscreened once the running minimum is at most that
-    sum.  Past its floor exit the sweep visits one pair per orbit of
-    ``Aut(G) × Aut(H)``, read from each factor's cached ``pair_orbits``
-    table (the one its own ``λ₂`` sweep built, if it got that far), so no
-    automorphism of the product is searched; that group can be smaller
-    than ``Aut(G □ H)``, and the sweep then visits more pairs.  The result
-    is the one ``lambda_2`` returns on the bare product.  When the record
-    rejects a factor, the bare product goes to ``lambda_2``.
+    vertices, strong), the sweep is ``_lift_settled_sweep``; when the record
+    rejects a factor, the bare product goes to ``lambda_2``.  Either way
+    the result is the one ``lambda_2`` returns on the bare product.
     """
     try:
         g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
@@ -294,23 +281,29 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     """``lambda_2(g □ h)`` from the records of two strong factors.
 
     A symmetric product keeps the flow route of ``lambda_2``, which runs no
-    pair search.  Otherwise each pair's drop-layout test reads the two
-    records, whose memos already hold each factor's packing at its own
-    ``λ₂`` pair, and the pair-orbit representatives come from the factor
-    digraphs' ``pair_orbits`` tables: built only if a sweep gets past its
-    floor exit, and shared with the factor's own ``λ₂`` sweep when that
-    built one first.
+    pair search.  Otherwise ``_search_sweep`` runs with each pair's proven
+    lower bound taken from the lifting construction: ``lift_certificates``
+    builds ``_lift_size`` members there, ``λ₂(G) + λ₂(H)`` less one at a
+    drop layout.  The sweep asks for the bound only as far as its ``need``,
+    and the two counts differ only at ``need = λ₂(G) + λ₂(H)``, so
+    elsewhere no drop test runs and no factor packing is searched for one.
+    The drop test reads the two records, whose memos already hold each
+    factor's packing at its own ``λ₂`` pair.  The pair-orbit
+    representatives come from the factor digraphs' ``pair_orbits`` tables:
+    built only if the sweep gets past ``(0, 1)``, and shared with the
+    factor's own ``λ₂`` sweep when that built one first.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
     if is_symmetric(g) and is_symmetric(h):
         return lambda_2(d)
     m = h.n
+    bound = g_fams.least + h_fams.least
 
-    def drops(x: int, y: int) -> bool:
-        return _drop_layout(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
+    def lower(x: int, y: int, need: int) -> int:
+        return bound - 1 if need != bound else _lift_size(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
 
-    return _search_sweep(d, product=(g, h, g_fams.least + h_fams.least, drops))
+    return _search_sweep(d, product=(g, h, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -709,21 +702,31 @@ def _choose_branches(
     return picks
 
 
+def _lift_size(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
+) -> int:
+    """The member count of ``lift_certificates`` for seeds at ``(r1, c1)`` and ``(r2, c2)``.
+
+    It is ``λ₂(G) + λ₂(H)``, less one at a drop layout, which only seeds in
+    distinct rows and columns can be.  The product sweep trusts it as a
+    proven lower bound, and ``lift_certificates`` checks it on every family.
+    """
+    general = r1 != r2 and c1 != c2
+    return g_fams.least + h_fams.least - (general and _drop_layout(g_fams, h_fams, r1, c1, r2, c2))
+
+
 def _drop_layout(
     g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
 ) -> bool:
     """True when ``lift_certificates`` drops a member for seeds at ``(r1, c1)`` and ``(r2, c2)``.
 
-    That is a drop layout: the seeds lie in distinct rows and columns,
-    exactly one factor family is forced (some lifted g-member leaves ``r1``
-    only towards ``r2``, or some h-member leaves ``c1`` only towards
-    ``c2``), and the other factor's packing at its seed line has no spare
-    member.  The lifted family then has ``λ₂(G) + λ₂(H) − 1`` members, and
-    otherwise ``λ₂(G) + λ₂(H)``.  Without the arc ``r1 -> r2`` in G and
-    ``c1 -> c2`` in H nothing is forced, and no factor packing is searched.
+    The seeds lie in distinct rows and columns.  A drop layout has exactly
+    one factor family forced (some lifted g-member leaves ``r1`` only
+    towards ``r2``, or some h-member leaves ``c1`` only towards ``c2``),
+    and the other factor's packing at its seed line has no spare member.
+    Without the arc ``r1 -> r2`` in G and ``c1 -> c2`` in H nothing is
+    forced, and no factor packing is searched.
     """
-    if r1 == r2 or c1 == c2:
-        return False
     forced_g = g_fams.forced(r1, r2)
     if forced_g == h_fams.forced(c1, c2):
         return False
@@ -744,23 +747,20 @@ def lift_certificates(
     member bridges through a spare member of the other factor's family, or
     one member is dropped when the other factor has no spare (a drop
     layout, see ``_drop_layout``).  When both are forced, the two forced
-    members swap halves and every member is kept.
+    members swap halves and every member is kept.  The family must verify
+    with exactly ``_lift_size`` members, the count the product sweep trusts.
     """
     g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
     p = cartesian_product(g, h)
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
-    lower = g_fams.least + h_fams.least - 1
     if r1 == r2:
         members = _lift_same_line(p, g_fams, h_fams, lift_g_arcs, lift_h_arcs, r1, c1, c2)
     elif c1 == c2:
         members = _lift_same_line(p, h_fams, g_fams, lift_h_arcs, lift_g_arcs, c1, r1, r2)
     else:
         members = _lift_general(p, g_fams, h_fams, r1, c1, r2, c2)
-    fam = _sealed_family(p, x, y, members, len(members), "lift")
-    if len(fam.members) < lower:
-        raise ConstructionError(f"lifted family has {len(fam.members)} members, needs >= {lower}")
-    return p, fam
+    return p, _sealed_family(p, x, y, members, _lift_size(g_fams, h_fams, r1, c1, r2, c2), "lift")
 
 
 def _lift_same_line(
@@ -816,14 +816,13 @@ def _lift_general(
     forced to bridge through row ``r2`` collides exactly with the h-side
     member whose bridge template it shares (and symmetrically), which is
     repaired by swapping halves, substituting a spare member, or dropping
-    one member.
+    one member when there is no spare.
     """
     g2, h2 = g_fams.least, h_fams.least
     g_members = g_fams.at(r1, r2)[:g2]
     h_members = h_fams.at(c1, c2)[:h2]
     rows, forced_g = g_fams.branches(r1, r2)
     cols, forced_h = h_fams.branches(c1, c2)
-    drops = _drop_layout(g_fams, h_fams, r1, c1, r2, c2)
     g_bridges = [h_members[0]] * g2
     h_bridges = [g_members[0]] * h2
     g_kept, h_kept = range(g2), range(h2)
@@ -831,15 +830,17 @@ def _lift_general(
     # h-member 0: it takes the spare h-member instead, or h-side member 0 goes
     # (and the mirror image for a forced h-side member).
     if forced_g is not None and forced_h is None:
-        if drops:
+        spare = h_fams.spare(c1, c2)
+        if spare is None:
             h_kept = range(1, h2)
         else:
-            g_bridges[forced_g] = h_fams.spare(c1, c2)
+            g_bridges[forced_g] = spare
     if forced_h is not None and forced_g is None:
-        if drops:
+        spare = g_fams.spare(r1, r2)
+        if spare is None:
             g_kept = range(1, g2)
         else:
-            h_bridges[forced_h] = g_fams.spare(r1, r2)
+            h_bridges[forced_h] = spare
     g_side = partial(_bridged, p, lift_g_arcs, lift_h_arcs)
     h_side = partial(_bridged, p, lift_h_arcs, lift_g_arcs)
     g_sides = [g_side(g_members[i], c1, c2, g_bridges[i], rows[i]) for i in g_kept]

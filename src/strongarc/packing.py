@@ -387,8 +387,8 @@ def _exact(
     whose members each have one arc in each of out(x), in(x), out(y), in(y).
 
     ``floor`` is a lower bound on the pair's value that the caller has
-    already proved (a factor's ``λ₂``, a sweep's floor, a symmetric
-    digraph's flow value); it only spares the seed flows (see
+    already proved (a factor's ``λ₂``, a sweep's bound at the pair, a
+    symmetric digraph's flow value); it only spares the seed flows (see
     ``_seed_bounds``).  A sound floor leaves the upper bound as it was, so
     the packer makes the same ``feasible(k)`` calls in the same order and
     every field of the result is the one without it.  A value still to be
@@ -504,11 +504,9 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     see ``_search_sweep``, over the orbits of ``d``'s automorphisms, read
     from its cached ``pair_orbits`` table: the bare sweep is the product
     sweep of ``d □ K₁``.  ``constructions.product_lambda_2`` reads the
-    factors' tables instead, the same ones their own sweeps cached.  Both
-    exhaustive sweeps stop at the floor, 1 when D is strong and 0
-    otherwise: a strong D is itself a strong subgraph through every pair,
-    so no pair has ``λ_S(D)`` below the floor, and once the running minimum
-    reaches it no later pair can lower it.
+    factors' tables instead, the same ones their own sweeps cached.  Every
+    sweep stops at the floor, 1 when D is strong and 0 otherwise (see
+    ``_search_sweep``).
     The returned witness is verified before return; a witness that fails
     raises ``RuntimeError``.
     """
@@ -553,25 +551,24 @@ def _flow_sweep(d: Digraph, tables: _ArcTables) -> Lambda2Result:
     return Lambda2Result(value, (0, target), result.witness, True)
 
 
+def _orbit_sweep(g: Digraph, h: Digraph) -> Iterator[tuple[int, int]]:
+    """``(0, 1)``, then the other pair-orbit representatives of ``G □ H``, their table built only if asked for."""
+    yield 0, 1
+    yield from _pair_orbit_representatives(g, h)[1:]
+
+
 def _search_sweep(
     d: Digraph,
     samples: int | None = None,
     seed: int | None = None,
-    product: tuple[Digraph, Digraph, int, Callable[[int, int], bool]] | None = None,
+    product: tuple[Digraph, Digraph, Callable[[int, int, int], int]] | None = None,
     tables: _ArcTables | None = None,
 ) -> Lambda2Result:
     """``lambda_2`` by packing search over pair-orbit representatives (or a seeded sample).
 
-    The exhaustive sweep first solves ``(0, 1)``, the least pair.  When its
-    value is at most the floor (1 when D is strong, else 0), that is the
-    answer and no orbit table is built: no pair goes below the floor, so
-    ``(0, 1)`` is the lexicographically least minimizing pair, and the
-    witness is the packer's first packing at ``(0, 1)``, exactly the one
-    the orbit sweep reports.
-
-    Otherwise it goes on over one pair per orbit of pairs under a group of
-    automorphisms of ``d``: the least pair of each orbit, in lexicographic
-    order, of which ``(0, 1)`` is the first (see
+    The exhaustive sweep visits one pair per orbit of pairs under a group
+    of automorphisms of ``d``: the least pair of each orbit, in
+    lexicographic order, so ``(0, 1)`` first (see
     ``_pair_orbit_representatives``).  ``λ_S(D) = λ_φ(S)(D)`` for every
     automorphism φ, so each skipped pair has the value of a smaller pair
     already swept, could never have lowered the running minimum, and the
@@ -584,31 +581,35 @@ def _search_sweep(
     runs no automorphism search on ``d``.  That group can be smaller than
     ``Aut(G □ H)``, which for ``G ≅ H`` also swaps the coordinates; the
     sweep then visits more pairs, with the same value, pair and witness.
+    A sampled sweep visits the sampled pairs in lexicographic order and
+    yields an upper bound, flagged inexact unless the sample holds every
+    pair.
 
-    Each visited pair is screened for feasibility at the running minimum
-    (a pair whose seed degree is below it fails at the root) before paying
-    for an exact computation, capped one below it.  Below the minimum the
-    cap does nothing: ``_seed_bounds`` caps both flows at the seed degree.
-    Every exact computation takes the floor as its proven lower bound, so
-    a pair whose seed degree is at most the floor runs no seed flow.
-    Sampled sweeps visit every sampled pair (``(0, 1)`` need not be one, so
-    they take no floor exit) and yield an upper bound, flagged inexact
-    unless the sample holds every pair.  The returned witness is verified
-    before return; a witness that fails raises ``RuntimeError``.
-    ``tables`` are ``d``'s arc tables when the caller has built them.
+    Both sweeps follow one rule, read from a proven lower bound on each
+    pair's value, ``lower(x, y, need)``:
 
-    ``product`` is ``(G, H, bound, drops)`` for ``d = G □ H`` with strong
-    factors, ``bound = λ₂(G) + λ₂(H)`` and ``drops(x, y)`` the drop-layout
-    test of ``constructions``: the lifting construction gives every pair
-    that is not a drop layout ``bound`` arc-disjoint strong subgraphs
-    through it, so ``λ_{x,y}(D) ≥ bound`` there.  Once the running minimum
-    is at most ``bound``, such a pair is skipped unscreened: its value is at
-    least the minimum, and only a strictly smaller value ever replaces the
-    best pair, so the skip never passes over the least minimizing pair, and
-    the value, that pair and its witness stay exactly those of the full
-    sweep.  For skipped pairs the bound rests on the construction (checked
-    by ``lift_certificates`` on every family it builds), not on a search of
-    ``d``.
+    - the first pair is solved exactly, and the sweep stops once the
+      running minimum is at most the floor (1 when D is strong, else 0): a
+      strong D is itself a strong subgraph through every pair, so no later
+      pair goes below it (nor is an orbit table built after ``(0, 1)``);
+    - a later pair is skipped once the minimum is at most its bound, since
+      only a strictly smaller value replaces the best pair.  Otherwise it
+      is screened for feasibility at the minimum (a pair whose seed degree
+      is below it fails at the root) and solved exactly, capped one below
+      it (see ``_exact``), only when the screen fails;
+    - every exact solve takes the pair's bound as its proven floor, so it
+      runs no seed flow where the bound reaches the seed degree.
+
+    So the value, the least minimizing pair and its witness are those of
+    solving every visited pair.  ``lower`` is asked with ``need`` the
+    minimum for the skip, and the seed degree, which no value exceeds, for
+    a solve's floor: it must reach ``need`` when it can prove it, and need
+    not go higher.  A bare or sampled sweep's bound is the floor.
+    ``product`` is ``(G, H, lower)`` for ``d = G □ H``, with bounds from
+    the lifting construction (see ``constructions._lift_settled_sweep``),
+    not from a search of ``d``.  The returned witness is verified before
+    return; a witness that fails raises ``RuntimeError``.  ``tables`` are
+    ``d``'s arc tables when the caller has built them.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")
@@ -616,14 +617,11 @@ def _search_sweep(
         raise DigraphError(f"samples must be at least 1, got {samples}")
     if samples is not None and seed is None:
         raise DigraphError("sampled sweep needs an explicit seed")
-    g, h, bound, drops = product if product is not None else (d, _POINT, 0, None)
-    tables = tables or _ArcTables(d)
     floor = _floor(d)
+    g, h, lower = product if product is not None else (d, _POINT, lambda x, y, need: floor)
+    tables = tables or _ArcTables(d)
     if samples is None:
-        best_pair = (0, 1)
-        best = _exact(d, tables, 0, 1, floor=floor)
-        pairs = [] if best.value <= floor else _pair_orbit_representatives(g, h)[1:]
-        exact = True
+        pairs, exact = _orbit_sweep(g, h), True
     else:
         import random
 
@@ -631,18 +629,16 @@ def _search_sweep(
         rng = random.Random(seed)
         pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
         exact = len(pairs) == len(all_pairs)
-        best_pair, pairs = pairs[0], pairs[1:]
-        best = _exact(d, tables, *best_pair, floor=floor)
+    minimum = _INF  # above every value: the first pair is solved, unscreened and uncapped
     for x, y in pairs:
-        if best.value == 0:
+        if minimum < _INF:
+            if minimum <= lower(x, y, minimum) or _SeedPacker(d, tables, x, y).feasible(minimum) is not None:
+                continue
+        low = lower(x, y, _seed_degree(d, x, y))
+        best, best_pair = _exact(d, tables, x, y, cap=minimum - 1, floor=low), (x, y)
+        minimum = best.value
+        if minimum <= floor:
             break
-        if best.value <= bound and not drops(x, y):
-            continue
-        if _SeedPacker(d, tables, x, y).feasible(best.value) is not None:
-            continue
-        result = _exact(d, tables, x, y, cap=best.value - 1, floor=floor)
-        if result.value < best.value:
-            best, best_pair = result, (x, y)
     if not verify_certificate(d, best.witness).valid:
         raise RuntimeError(f"lambda_2 witness for pair {best_pair} does not verify")
     return Lambda2Result(best.value, best_pair, best.witness, exact)

@@ -6,17 +6,19 @@ independently of the branch-and-bound search in ``strongarc.packing``:
 subgraph, ``lambda_s_oracle_paths`` every union of one x->y and one y->x simple
 path.  Both are exponential and refuse instances beyond their budgets.
 ``reference_unit_flow`` is the one-sided breadth-first unit-flow kernel that
-``strongarc.flow._unit_flow`` is compared against.
+``strongarc.flow._unit_flow`` is compared against.  ``every_pair_lambda_2``
+solves every pair with ``lambda_s_exact``, outside the pair sweep.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from strongarc.digraph import Digraph, DigraphError, _closure, from_arc_list
-from strongarc.packing import _validate_pair
+from strongarc.packing import Lambda2Result, _validate_pair, lambda_s_exact
 
 
 class OracleRefusal(RuntimeError):
@@ -182,6 +184,21 @@ def reference_unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0
             v = head[e ^ 1]
         value += 1
     return value, via
+
+
+def every_pair_lambda_2(d: Digraph, pairs: Iterable[tuple[int, int]] | None = None) -> Lambda2Result:
+    """Reference for the pair sweeps: ``lambda_s_exact`` at each of ``pairs`` (default every pair).
+
+    The result is the least value, at the lexicographically least pair
+    that has it, with that pair's ``lambda_s_exact`` witness; ``exact`` when
+    ``pairs`` holds every pair.
+    """
+    every = list(combinations(range(d.n), 2))
+    pairs = every if pairs is None else sorted(set(pairs))
+    solved = [(lambda_s_exact(d, pair), pair) for pair in pairs]
+    value = min(result.value for result, _ in solved)
+    result, pair = next((result, pair) for result, pair in solved if result.value == value)
+    return Lambda2Result(value, pair, result.witness, len(pairs) == len(every))
 
 
 def random_digraph(n: int, max_arcs: int, seed: int) -> Digraph:

@@ -19,7 +19,7 @@ from strongarc.constructions import (
     class_table_value,
     lift_certificates,
 )
-from strongarc.digraph import dumps_digraph, from_arc_list
+from strongarc.digraph import dumps_digraph, from_arc_list, loads_digraph
 from strongarc.generators import bidirected_cycle, directed_cycle
 from strongarc.packing import certificate_from_json
 
@@ -63,6 +63,14 @@ class TestOperandParsing:
     )
     def test_bad_tokens_raise_usage_error(self, token):
         with pytest.raises(cli.UsageError):
+            cli.parse_class_spec(token)
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [("btm:path", "bad tree token 'btm:path'"), ("file:", "bad file token 'file:'")],
+    )
+    def test_bad_token_messages(self, token, message):
+        with pytest.raises(cli.UsageError, match=message):
             cli.parse_class_spec(token)
 
     def test_product_operand(self):
@@ -304,6 +312,26 @@ class TestCheckCommands:
         code, out, err = run(capsys, ["check", target, option, value, "--seed", "1"])
         assert code == 2 and out == "" and err.strip() == message
 
+    def test_failed_trial_prints_its_factors(self, capsys, monkeypatch):
+        # a FAIL line is followed by both factors in the .dg format, so the failure can be replayed
+        seen = []
+
+        def failing(g, h):
+            seen.append((g, h))
+            return dataclasses.replace(constructions.check_product_formula(g, h), holds=False)
+
+        monkeypatch.setattr(cli, "check_product_formula", failing)
+        code, out, _ = run(capsys, ["check", "thm31", "--trials", "2", "--max-order", "3", "--seed", "1"])
+        assert code == 1 and out.endswith("checked 2 products: 2 failure(s)\n")
+        trials = out.split("\n[")
+        assert len(trials) == 2 and len(seen) == 2
+        for text, (g, h) in zip(trials, seen):
+            line, rest = text.split("\n", 1)
+            assert line.endswith(" FAIL") and rest.startswith("--- g ---\n")
+            g_text, h_text = rest[len("--- g ---\n") :].split("--- h ---\n")
+            assert loads_digraph(g_text) == g
+            assert loads_digraph(h_text.split("checked")[0]) == h
+
     def test_deterministic_check(self, capsys):
         argv = ["check", "thm31", "--trials", "3", "--max-order", "4", "--seed", "9"]
         _, out_a, _ = run(capsys, argv)
@@ -401,6 +429,17 @@ class TestExportCommand:
         run(capsys, ["construct", "p51", "-n", "4", "-m", "4", "-S", "0,0:1,1", "--out", str(fam)])
         code, _, err = run(capsys, ["export", "--dot", "--cert", str(fam), "cn:3"])
         assert code == 2
+
+    def test_unreadable_cert_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}", encoding="utf-8")
+        for cert in (bad, tmp_path / "missing.json"):
+            code, out, err = run(capsys, ["export", "--json", "--cert", str(cert)])
+            assert code == 2 and out == "" and f"cannot load certificate '{cert}'" in err
+
+    def test_nothing_to_export(self, capsys):
+        code, out, err = run(capsys, ["export", "--json"])
+        assert code == 2 and out == "" and "nothing to export" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "graph.dot"

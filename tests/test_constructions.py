@@ -177,6 +177,10 @@ class TestAllConnectedGraphs:
         graphs = all_connected_graphs(4)
         assert len(set(graphs)) == len(graphs)
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(DigraphError, match="order must be positive, got 0"):
+            all_connected_graphs(0)
+
 
 class TestBounds:
     def test_cycle_square(self):
@@ -244,11 +248,12 @@ class TestLiftSettledSweep:
                     if x == y:
                         continue
                     (r1, c1), (r2, c2) = p.decode(x), p.decode(y)
-                    dropped = constructions._drop_layout(g_fams, h_fams, r1, c1, r2, c2)
+                    general = r1 != r2 and c1 != c2
+                    dropped = general and constructions._drop_layout(g_fams, h_fams, r1, c1, r2, c2)
                     _, fam = lift_certificates(g, h, (r1, c1), (r2, c2))
                     assert len(fam.members) == g2 + h2 - dropped, (seed, x, y)
                     drops += dropped
-                    settled += r1 != r2 and c1 != c2 and not dropped
+                    settled += general and not dropped
         assert drops > 0 and settled > 0
 
     def test_seeded_packing_is_the_one_a_search_finds(self, monkeypatch):
@@ -279,6 +284,23 @@ class TestLiftSettledSweep:
             assert seeded == fresh and len(seeded) == fams.least
             routes.add("flow" if is_symmetric(d) else "search" if pair == (0, 1) else "capped")
         assert routes == {"flow", "search", "capped"}
+
+    def test_lift_bound_is_the_floor_of_the_first_solve(self, monkeypatch):
+        # λ₂(cn:3) = 1, and (0, 1) shares row 0, so the lift gives it 2 members, its seed degree
+        g = directed_cycle(3)
+        d = cartesian_product(g, g).digraph
+        seed_flows = []
+        unit_flow = packing._unit_flow
+
+        def logged_flow(flow_d, s, t, need, *excluded):
+            if flow_d == d and not excluded:  # a seed flow; the packer's own flows exclude used arcs
+                seed_flows.append((s, t))
+            return unit_flow(flow_d, s, t, need, *excluded)
+
+        monkeypatch.setattr(packing, "_unit_flow", logged_flow)
+        r = product_lambda_2(g, g)
+        assert (r.value, r.pair) == (2, (0, 1)) and packing._seed_degree(d, 0, 1) == 2
+        assert (0, 1) not in seed_flows and (1, 0) not in seed_flows
 
     @given(st.integers(2, 5), st.integers(2, 5), st.floats(0, 0.6), st.floats(0, 0.6), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -391,6 +413,13 @@ class TestClassTable:
         with pytest.raises(DigraphError):
             class_digraph("btm", 4, tree=TreeShape("path", 5))
 
+    @pytest.mark.parametrize(
+        "cls,order,message", [("xyz", 3, "unknown class 'xyz'"), ("cn", 2, "class 'cn' needs order >= 3, got 2")]
+    )
+    def test_class_digraph_rejects_bad_class_or_order(self, cls, order, message):
+        with pytest.raises(DigraphError, match=message):
+            class_digraph(cls, order)
+
 
 def assert_family(p, fam, expected_size, origins=("construction",)):
     assert len(fam.members) == expected_size
@@ -472,6 +501,19 @@ class TestClosedFormFamilies:
         with pytest.raises(DigraphError):
             cycle_complete_family(3, 1, (0, 0), (1, 0))
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: cycle_bicycle_family(3, 2, (0, 0), (1, 1)), "cycle factors need order >= 3, got 3 and 2$"),
+            (lambda: cycle_tree_family(2, TreeShape("path", 3), (0, 0), (1, 1)), "cycle factor needs order >= 3, got 2$"),
+            (lambda: cycle_complete_family(2, 3, (0, 0), (1, 1)), "cycle factor needs order >= 3, got 2$"),
+            (lambda: cycle_complete_family(3, 1, (0, 0), (1, 0)), "complete factor needs order >= 2, got 1$"),
+        ],
+    )
+    def test_undersized_factor_messages(self, build, message):
+        with pytest.raises(DigraphError, match=message):
+            build()
+
     @pytest.mark.parametrize("n,m", [(1, 4), (4, 1)])
     def test_cycle_cycle_checks_orders_before_building(self, n, m):
         # an order-1 cycle cannot even be built, so the family's own message must come first
@@ -491,6 +533,16 @@ class TestLift:
 
     def test_same_row_gets_full_size(self):
         self.check(directed_cycle(3), directed_cycle(3), (0, 0), (0, 1), 2)
+
+    @pytest.mark.parametrize("route", ["_lift_same_line", "_lift_general"])
+    def test_one_member_short_of_the_trusted_count_raises(self, monkeypatch, route):
+        # a family one short of λ₂(G) + λ₂(H) still verifies and still meets the paper's lower bound;
+        # the product sweep trusts the full count at these layouts, so the lift must refuse it
+        build = getattr(constructions, route)
+        monkeypatch.setattr(constructions, route, lambda *args: build(*args)[1:])
+        y_pos = (0, 1) if route == "_lift_same_line" else (1, 1)
+        with pytest.raises(ConstructionError, match="built 1 members, expected 2"):
+            lift_certificates(directed_cycle(3), directed_cycle(3), (0, 0), y_pos)
 
     def test_same_column_gets_full_size(self):
         self.check(directed_cycle(3), directed_cycle(3), (0, 0), (1, 0), 2)

@@ -151,6 +151,8 @@ class TestSerialization:
             loads_digraph("n 3\n0 1 junk extra\n")
         with pytest.raises(DigraphError):
             loads_digraph("0 1\n")  # missing order line
+        with pytest.raises(DigraphError, match="missing 'n <order>' line"):
+            loads_digraph("# a comment and a blank line only\n\n")
 
     @given(small_digraphs())
     def test_round_trip_property(self, d):

@@ -205,6 +205,14 @@ class TestFlowKernel:
         with pytest.raises(DigraphError):
             max_flow_unit(directed_cycle(3), 0, 1, cap=-1)
 
+    @pytest.mark.parametrize(
+        "s,t,message",
+        [(1, 1, "source and sink must differ"), (0, 3, r"terminals \(0, 3\) outside 0..2"), (-1, 2, "outside")],
+    )
+    def test_bad_terminals_rejected(self, s, t, message):
+        with pytest.raises(DigraphError, match=message):
+            max_flow_unit(directed_cycle(3), s, t)
+
 
 def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, set[int]]:
     """Run both kernels and assert the same value and, below ``need``, the same labelled side.
@@ -274,6 +282,10 @@ class TestGlobalConnectivity:
         assert report.value == expected
         assert report.strong
         assert len(report.min_cut) == expected
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(DigraphError, match="needs at least two vertices"):
+            arc_connectivity(Digraph(1, frozenset()))
 
     def test_non_strong_is_zero(self):
         report = arc_connectivity(from_arc_list(3, [(0, 1), (1, 2)]))

@@ -75,8 +75,8 @@ def test_stdout_matches_golden(capsys, name):
 
 @pytest.mark.parametrize("name", ["check_bounds_trials50_seed2_maxorder6", "lambda2_rand8_x_rand8"])
 def test_product_goldens_skip_settled_pairs_and_screen_drop_layouts(capsys, monkeypatch, name):
-    # the sweep asks the drop-layout test only once its minimum is at most λ₂(G) + λ₂(H),
-    # so a False answer is a skipped pair and a True answer a screened one
+    # the sweep asks the drop-layout test only where its need is λ₂(G) + λ₂(H), in general position:
+    # mostly at a running minimum of that sum, where a False answer skips the pair and a True one screens it
     answers = []
     drop_layout = constructions._drop_layout
 

@@ -31,7 +31,13 @@ from strongarc.packing import (
 )
 from strongarc.product import cartesian_product
 
-from oracles import OracleRefusal, lambda_s_oracle_paths, lambda_s_oracle_subsets, random_digraph
+from oracles import (
+    OracleRefusal,
+    every_pair_lambda_2,
+    lambda_s_oracle_paths,
+    lambda_s_oracle_subsets,
+    random_digraph,
+)
 
 
 class TestExactSearch:
@@ -52,6 +58,12 @@ class TestExactSearch:
                 report = verify_certificate(d, r.witness)
                 assert report.valid
                 assert len(r.witness.members) == r.value
+
+    def test_zero_budget_brackets_the_value(self):
+        # the root search node is the first step, so nothing is placed and the bracket is [0, seed degree]
+        r = lambda_s_exact(complete_digraph(3), (0, 1), budget=0)
+        assert (r.value, r.exact, r.lower, r.upper, r.optimality) == (0, False, 0, 2, "budget")
+        assert r.witness.members == ()
 
     def test_unreachable_pair_is_zero(self):
         r = lambda_s_exact(from_arc_list(3, [(0, 1), (1, 2)]), (0, 2))
@@ -227,10 +239,6 @@ class TestLambdaTwo:
             assert not lambda_2(d, samples=total - 1, seed=0).exact
 
 
-def _every_pair_sweep(d):
-    return lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
-
-
 def _strong_with_degree_one_vertex(n, prob, seed, position):
     """A random strong digraph on n - 1 vertices plus one vertex with a single in- and out-arc,
     relabelled so that the added vertex is ``position``."""
@@ -251,13 +259,13 @@ class TestStrongFloor:
         assert lambda_s_exact(d, (0, 1)).value == 1
         r = lambda_2(d)
         assert (r.value, r.pair, r.exact) == (0, (0, 2), True)
-        assert r == _search_sweep(d) == _every_pair_sweep(d)
+        assert r == _search_sweep(d) == every_pair_lambda_2(d)
 
     def test_non_strong_symmetric_digraph_goes_below_the_first_pair(self):
         d = biorient(3, [(0, 1)])
         r = lambda_2(d)
         assert (r.value, r.pair) == (0, (0, 2))
-        assert r == _search_sweep(d) == _every_pair_sweep(d)
+        assert r == _search_sweep(d) == every_pair_lambda_2(d)
 
     @pytest.mark.parametrize(
         "spec",
@@ -269,7 +277,7 @@ class TestStrongFloor:
         d = parse_operand([spec])[0]
         r = lambda_2(d)
         assert (r.value, r.pair) == (1, (0, 1))
-        assert r == _search_sweep(d) == _every_pair_sweep(d)
+        assert r == _search_sweep(d) == every_pair_lambda_2(d)
 
     @given(st.integers(3, 7), st.sampled_from([0.0, 0.3, 0.6, 1.0]), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=80, deadline=None)
@@ -278,7 +286,7 @@ class TestStrongFloor:
         assert is_strong(d)
         r = lambda_2(d)
         assert r.value == 1
-        assert r == _every_pair_sweep(d)
+        assert r == every_pair_lambda_2(d)
 
     def test_floor_exit_skips_orbit_search_and_flows(self, monkeypatch):
         def refuse(d):
@@ -300,17 +308,55 @@ class TestStrongFloor:
         # the star's centre 0 reaches leaf 1 by one path, and that is the floor, which spares (0, 1)'s seed flows
         assert flows == [(0, 1)]
 
-    def test_sampled_sweep_takes_no_floor_exit(self):
-        """Every pair of a directed cycle has value 1, so a sampled sweep reports its least sampled pair."""
+    def test_sampled_sweep_takes_the_floor_exit(self, monkeypatch):
+        """Every pair of a directed cycle has value 1, the floor, so a sampled sweep solves its least
+        sampled pair, stops there, and returns what solving every sampled pair gives."""
         d = directed_cycle(6)
         every_pair = [(x, y) for x in range(6) for y in range(x + 1, 6)]
+        searches = _logged_searches(monkeypatch)
         least = set()
         for seed in range(10):
+            sample = random.Random(seed).sample(every_pair, 3)
+            expected = every_pair_lambda_2(d, sample)
+            searches.clear()
             r = lambda_2(d, samples=3, seed=seed)
-            assert (r.value, r.exact) == (1, False)
-            assert r.pair == min(random.Random(seed).sample(every_pair, 3))
+            assert {pair for _, pair, _ in searches} == {min(sample)}
+            assert (r.value, r.exact) == (1, False) and r == expected
             least.add(r.pair)
         assert least - {(0, 1)}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_search_once_the_minimum_reaches_the_floor(self, monkeypatch, seed):
+        # the degree-one vertex comes last, so the sweep starts in the denser core and reaches 1 later
+        d = _strong_with_degree_one_vertex(7, 0.7, seed, 6)
+        expected = every_pair_lambda_2(d)
+        searches = _logged_searches(monkeypatch)
+        r = _search_sweep(d)
+        assert r == expected and r.value == 1
+        solves = [i for i, (kind, _, value) in enumerate(searches) if kind == "solve" and value == 1]
+        assert searches[solves[0] + 1 :] == []
+
+
+def _logged_searches(monkeypatch):
+    """Each screen and exact solve, in order: ("screen", pair, k) and ("solve", pair, value).
+
+    A solve is logged when it returns, after the screens it made itself.
+    """
+    searches = []
+    exact, feasible = packing._exact, packing._SeedPacker.feasible
+
+    def logged_exact(d, tables, x, y, *args, **kwargs):
+        result = exact(d, tables, x, y, *args, **kwargs)
+        searches.append(("solve", (x, y), result.value))
+        return result
+
+    def logged_feasible(self, k):
+        searches.append(("screen", (self.x, self.y), k))
+        return feasible(self, k)
+
+    monkeypatch.setattr(packing, "_exact", logged_exact)
+    monkeypatch.setattr(packing._SeedPacker, "feasible", logged_feasible)
+    return searches
 
 
 def _orbit_instances():
@@ -370,7 +416,7 @@ FACTOR_PAIRS = [(g, h) for g in FACTORS for h in FACTORS]
 class TestPairOrbits:
     @pytest.mark.parametrize("name, d", ORBIT_INSTANCES, ids=[name for name, _ in ORBIT_INSTANCES])
     def test_orbit_sweep_equals_all_pairs_sweep(self, name, d):
-        every_pair = _every_pair_sweep(d)
+        every_pair = every_pair_lambda_2(d)
         r = _search_sweep(d)
         assert r.exact
         assert every_pair == r
@@ -396,7 +442,7 @@ class TestPairOrbits:
             d = Digraph(d.n, d.arcs)  # no orbit table cached under the real refinement
             for p in _automorphism_generators(d):
                 assert frozenset((p[u], p[v]) for u, v in d.arcs) == d.arcs, name
-            every_pair = lambda_2(d, samples=d.n * (d.n - 1) // 2, seed=0)
+            every_pair = every_pair_lambda_2(d)
             r = _search_sweep(d)
             assert (r.value, r.pair, r.witness) == (every_pair.value, every_pair.pair, every_pair.witness)
 
