@@ -42,7 +42,7 @@ from .digraph import (
     read_digraph,
     to_dot,
 )
-from .flow import arc_connectivity
+from .flow import arc_connectivity, pivot_min_cut
 from .generators import (
     TreeShape,
     bidirected_cycle,
@@ -149,12 +149,13 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _cmd_lambda(args: argparse.Namespace) -> int:
     d, _ = parse_operand(args.spec)
     report = arc_connectivity(d)
+    cut = pivot_min_cut(d, report.value)  # verified before anything is printed
     if not report.strong:
         print("warning: digraph is not strong")
     print(f"lambda: {report.value}")
     print(f"delta_out: {report.delta_out}")
     print(f"delta_in: {report.delta_in}")
-    print(f"min_cut: {_format_arcs(report.min_cut)}")
+    print(f"min_cut: {_format_arcs(cut)}")
     return 0
 
 

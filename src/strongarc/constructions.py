@@ -128,7 +128,7 @@ class FormulaCheck:
     """Comparison of the four-term formula against a flow computation.
 
     ``cut_ok`` is always True: ``arc_connectivity`` raises unless its
-    minimum cut has ``computed`` arcs and deleting it leaves the product
+    witness cut has ``computed`` arcs and deleting it leaves the product
     not strong.
     """
 
@@ -141,9 +141,10 @@ class FormulaCheck:
 def check_product_formula(g: Digraph, h: Digraph) -> FormulaCheck:
     """Check the four-term formula against the product's actual connectivity.
 
-    The actual value comes from max-flow, whose minimum cut
-    ``arc_connectivity`` verifies by deletion before it returns.  ``holds``
-    is the equality.
+    The actual value comes from the capped link flows of the Schnorr cycle
+    in ``arc_connectivity``, which verifies its witness cut by deletion
+    before it returns; when the formula's minimum is a degree term, that
+    cut is the arcs at a least-degree vertex.  ``holds`` is the equality.
     """
     breakdown = product_lambda_formula(g, h)
     report = arc_connectivity(cartesian_product(g, h).digraph)

@@ -3,14 +3,12 @@
 All flows run on one kernel, ``_unit_flow``: augmentation over
 ``Digraph.flow_network`` along shortest paths, each found by a breadth-first
 search grown from both ends, that stops at a requested number of paths and
-can leave arcs out.  ``arc_connectivity`` first scans the pivot pairs ``(0, 1),
-(1, 0), (0, 2), (2, 0), ...`` for the first whose local value is at most the
-degree bound ``min(δ⁺, δ⁻)``, proving earlier pairs where it can by a shorter
-flow between the pivot vertex and one of its neighbours.  The vertices before
-that pair's pivot vertex are then pairwise more than the bound apart, so the
-Schnorr (1979) cycle ``0 -> 1 -> ... -> n-1 -> 0`` only runs on from that
-vertex back to 0; if it finds a smaller value, the scan runs again at that
-value.  The witness is the minimal cut of the pair the last scan stopped at.
+can leave arcs out.  ``arc_connectivity`` runs the Schnorr (1979) cycle
+``0 -> 1 -> ... -> n-1 -> 0``, which leaves every cut's side along some link,
+and takes as witness the arcs at a vertex of least degree unless a link went
+below the degrees.  ``pivot_min_cut`` finds the minimal cut of the first
+pivot pair ``(0, 1), (1, 0), (0, 2), (2, 0), ...`` attaining ``λ``, the one
+``strongarc lambda`` prints.
 """
 
 from __future__ import annotations
@@ -156,78 +154,79 @@ def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalAr
     value, via = _unit_flow(d, s, t, d.n if cap is None else cap + 1)
     if cap is not None and value > cap:
         return LocalArcConnectivity(s, t, cap, frozenset(), True)
-    cut = frozenset((u, v) for u, v in d.sorted_arcs if via[u] != -1 and via[v] == -1)
-    return LocalArcConnectivity(s, t, value, cut, False)
+    return LocalArcConnectivity(s, t, value, _cut_from_labels(d, via), False)
 
 
-def _witness_scan(d: Digraph, bound: int, first: int) -> tuple[LocalArcConnectivity, int, int]:
-    """First pivot pair from vertex ``first`` on whose local value is at most ``bound``.
+def _cut_from_labels(d: Digraph, via: list[int]) -> frozenset[Arc]:
+    """Arcs from the vertices a failed ``_unit_flow`` search labelled to those it did not."""
+    return frozenset((u, v) for u, v in d.sorted_arcs if via[u] != -1 and via[v] == -1)
 
-    Returns its uncapped flow, its pivot vertex and the number of kernel runs.
-    Needs ``λ(0, c) > bound`` and ``λ(c, 0) > bound`` for every ``0 < c < first``;
-    each vertex the scan passes keeps that true.  Then for ``0 < c < u``,
-    ``λ(c, u) > bound`` proves ``λ(0, u) >= min(λ(0, c), λ(c, u)) > bound``, and
-    ``λ(u, c) > bound`` proves ``λ(u, 0) > bound``.  So each side first tries
-    the flow from or to the largest such in- or out-neighbour ``c`` of ``u``,
-    one arc away; the pivot flow, which gives the cut, runs only when that
-    proof fails or ``u`` has no such neighbour.
+
+def pivot_min_cut(d: Digraph, value: int) -> frozenset[Arc]:
+    """Minimal cut of the first pivot pair ``(0, 1), (1, 0), (0, 2), ...`` whose local value is ``value = λ(d)``.
+
+    One exists, since every minimum cut separates 0 from some vertex.  For
+    ``0 < c < u`` the scan has passed ``c``, so ``λ(0, c) > value`` and
+    ``λ(c, 0) > value``; then ``λ(c, u) > value`` proves ``λ(0, u) >=
+    min(λ(0, c), λ(c, u)) > value``, and ``λ(u, c) > value`` proves ``λ(u, 0) >
+    value``.  So each side first tries the flow from or to the largest such
+    in- or out-neighbour ``c`` of ``u``, one arc away; the pivot flow, which
+    gives the cut, runs only when that proof fails or ``u`` has no such
+    neighbour.  Raises ``RuntimeError`` unless the cut has ``value`` arcs and
+    deleting it leaves the digraph not strong.
     """
-    flows = 0
-    for u in range(first, d.n):
+    for u in range(1, d.n):
         for s, t, adj in ((0, u, d.in_adj[u]), (u, 0, d.out_adj[u])):
             below = bisect_left(adj, u)
             near = adj[below - 1] if below else 0
-            if near:
-                flows += 1
-                if _unit_flow(d, s or near, t or near, bound + 1)[0] > bound:
-                    continue
-            flows += 1
-            local = max_flow_unit(d, s, t, cap=bound)
-            if not local.capped:
-                return local, u, flows
+            if near and _unit_flow(d, s or near, t or near, value + 1)[0] > value:
+                continue
+            local = max_flow_unit(d, s, t, cap=value)
+            if local.capped:
+                continue
+            if len(local.cut) != value or not verify_cut(d, local.cut):
+                raise RuntimeError(f"arc connectivity {value}: the minimum cut of {s}->{t} does not verify")
+            return local.cut
     raise AssertionError("every minimum cut separates 0 from some vertex")
 
 
 def arc_connectivity(d: Digraph) -> ConnectivityReport:
-    """Global arc-strong connectivity, with the minimal cut of the first pivot pair attaining it.
+    """Global arc-strong connectivity by the Schnorr cycle, with a verified minimum cut.
 
-    The witness scan runs first, at ``bound = min(δ⁺, δ⁻)``, which ``λ`` never
-    exceeds.  It stops at the first pair ``w`` with ``λ(w) <= bound``; one
-    exists, because a vertex of least out- or in-degree has a local value of
-    at most ``bound`` to or from 0.  Let ``u*`` be the pivot vertex of ``w``.
-    Every pair before ``w`` is above ``bound``, so any two of ``{0, ..., u*-1}``
-    are more than ``bound``-connected both ways (``λ(a, b) >= min(λ(a, 0),
-    λ(0, b))``), and a cut ``S`` with fewer than ``λ(w)`` arcs keeps them on one
-    side.  Contract them into 0: ``S`` leaves the cycle ``0, u*, u*+1, ..., n-1``
-    along one of its links, and not along ``(0, u*)``, since ``λ(0, u*)`` is
-    ``λ(w)`` when ``w = (0, u*)`` and above ``bound`` otherwise.  So ``λ`` is the
-    least of ``λ(w)`` and the flows ``(u*, u*+1), ..., (n-1, 0)``, each capped
-    below the least so far and stopped at 1, below which no strong digraph
-    goes.  Only ``λ < min(δ⁺, δ⁻)`` can leave ``λ`` below ``λ(w)``; then the
-    scan runs again from ``u*`` at ``λ``.
-
-    Raises ``RuntimeError`` unless the cut has ``λ`` arcs and deleting it
-    leaves the digraph not strong.
+    A minimum cut's side holds some ``u`` whose successor on the cycle ``0 ->
+    1 -> ... -> n-1 -> 0`` lies outside it, so ``λ`` is the least of ``min(δ⁺,
+    δ⁻)`` and the link flows ``λ(u, u+1)``.  Each link flow is capped at the
+    least value so far, and the cycle stops at 1; ``local_flows`` counts them.
+    The witness is the minimal cut of the last link that lowered the value,
+    read from that flow's failed last search; if none did, the out-arcs of
+    the least vertex of out-degree ``λ`` when ``δ⁺ = λ``, else the in-arcs of
+    the least vertex of in-degree ``λ``.  Raises ``RuntimeError`` unless the
+    cut has ``λ`` arcs and deleting it leaves the digraph not strong.
     """
     if d.n < 2:
         raise DigraphError("arc connectivity needs at least two vertices")
     d_out, d_in = degrees(d)
     if not is_strong(d):
         return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False, local_flows=0)
-    witness, first, flows = _witness_scan(d, min(d_out, d_in), 1)
-    value = witness.value
-    for u in range(first, d.n):
+    value, via, flows = min(d_out, d_in), None, 0
+    for u in range(d.n):
         if value == 1:
             break
         flows += 1
-        value = min(value, _unit_flow(d, u, (u + 1) % d.n, value)[0])
-    if value < witness.value:
-        witness, _, rescan_flows = _witness_scan(d, value, first)
-        flows += rescan_flows
-    if len(witness.cut) != value or not verify_cut(d, witness.cut):
-        pair = f"{witness.source}->{witness.sink}"
-        raise RuntimeError(f"arc connectivity {value}: the minimum cut of {pair} does not verify")
-    return ConnectivityReport(value, d_out, d_in, witness.cut, strong=True, local_flows=flows)
+        found, labels = _unit_flow(d, u, (u + 1) % d.n, value)
+        if found < value:
+            value, via = found, labels
+    if via is not None:
+        cut = _cut_from_labels(d, via)
+    elif d_out == value:
+        u = next(v for v in range(d.n) if d.out_degree(v) == value)
+        cut = frozenset((u, v) for v in d.out_adj[u])
+    else:
+        u = next(v for v in range(d.n) if d.in_degree(v) == value)
+        cut = frozenset((v, u) for v in d.in_adj[u])
+    if len(cut) != value or not verify_cut(d, cut):
+        raise RuntimeError(f"arc connectivity {value}: the witness cut does not verify")
+    return ConnectivityReport(value, d_out, d_in, cut, strong=True, local_flows=flows)
 
 
 def verify_cut(d: Digraph, cut: Iterable[Arc]) -> bool:

@@ -15,8 +15,10 @@ is needed only at the root and the consumed arcs fix the classes still to place.
 from __future__ import annotations
 
 import json
+import random
 from collections import deque
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 from .digraph import (
@@ -557,6 +559,18 @@ def _orbit_sweep(g: Digraph, h: Digraph) -> Iterator[tuple[int, int]]:
     yield from _pair_orbit_representatives(g, h)[1:]
 
 
+def _sampled_pairs(n: int, samples: int, seed: int) -> list[tuple[int, int]]:
+    """``samples`` pairs ``x < y`` (all if fewer), sorted: the draw from the x-major list of all
+    pairs by ``random.Random(seed).sample``, which picks the same indices from ``range``."""
+    total = n * (n - 1) // 2
+    pairs = []
+    for i in sorted(random.Random(seed).sample(range(total), min(samples, total))):
+        j = total - 1 - i  # counted back from the last pair, (n - 2, n - 1)
+        row = (isqrt(8 * j + 1) + 1) // 2  # x = n - 1 - row has row pairs, and j falls among them
+        pairs.append((n - 1 - row, n - 1 - (j - row * (row - 1) // 2)))
+    return pairs
+
+
 def _search_sweep(
     d: Digraph,
     samples: int | None = None,
@@ -623,12 +637,8 @@ def _search_sweep(
     if samples is None:
         pairs, exact = _orbit_sweep(g, h), True
     else:
-        import random
-
-        all_pairs = [(x, y) for x in range(d.n) for y in range(x + 1, d.n)]
-        rng = random.Random(seed)
-        pairs = sorted(rng.sample(all_pairs, min(samples, len(all_pairs))))
-        exact = len(pairs) == len(all_pairs)
+        pairs = _sampled_pairs(d.n, samples, seed)
+        exact = len(pairs) == d.n * (d.n - 1) // 2
     minimum = _INF  # above every value: the first pair is solved, unscreened and uncapped
     for x, y in pairs:
         if minimum < _INF:

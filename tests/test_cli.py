@@ -126,7 +126,7 @@ class TestLambdaCommand:
         ids=["wrong-size", "not-a-cut"],
     )
     def test_unverified_cut_fails(self, capsys, monkeypatch, cut):
-        # the bad cut enters as the witness flow's cut, so arc_connectivity's own check rejects it
+        # the bad cut enters as the pivot flow's cut, so pivot_min_cut's check rejects it before any output
         real = flow.max_flow_unit
         monkeypatch.setattr(flow, "max_flow_unit", lambda *a, **k: dataclasses.replace(real(*a, **k), cut=cut))
         code, out, err = run(capsys, ["lambda", "bkm:4"])

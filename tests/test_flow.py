@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongarc import flow
-from strongarc.digraph import Digraph, DigraphError, from_arc_list, is_strong
-from strongarc.flow import _unit_flow, arc_connectivity, max_flow_unit, verify_cut
+from strongarc.digraph import Digraph, DigraphError, degrees, from_arc_list, is_strong
+from strongarc.flow import _unit_flow, arc_connectivity, max_flow_unit, pivot_min_cut, verify_cut
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
@@ -121,9 +121,9 @@ class TestLocalFlow:
 
 
 @st.composite
-def digraphs(draw):
-    """Any digraph on 2..7 vertices; half get a Hamiltonian cycle, so strong ones come up often."""
-    n = draw(st.integers(2, 7))
+def digraphs(draw, max_order=7):
+    """Any digraph on 2..max_order vertices; half get a Hamiltonian cycle, so strong ones come up often."""
+    n = draw(st.integers(2, max_order))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
     if draw(st.booleans()):
@@ -159,6 +159,42 @@ def bottleneck_digraph(k: int, links: int, seed: int) -> Digraph:
     perm = list(range(2 * k))
     rng.shuffle(perm)
     return from_arc_list(2 * k, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+@st.composite
+def products(draw):
+    """Products of two ``digraphs`` on 2..3 vertices, so brute force stays cheap."""
+    return cartesian_product(draw(digraphs(3)), draw(digraphs(3))).digraph
+
+
+def assert_witness_rule(d: Digraph) -> None:
+    """``arc_connectivity`` against brute force, with its witness rule replayed by uncapped flows.
+
+    The witness is the minimal cut of the last cycle link ``(u, u+1)`` whose
+    local value went below the least so far, starting from ``min(δ⁺, δ⁻)``;
+    if none did, the out-arcs of the least vertex of out-degree ``λ`` when
+    ``δ⁺ = λ``, else the in-arcs of the least vertex of in-degree ``λ``.
+    """
+    report = arc_connectivity(d)
+    assert report.value == brute_arc_connectivity(d)
+    assert report.local_flows <= d.n
+    if not report.strong:
+        assert report.min_cut == frozenset() and report.local_flows == 0
+        return
+    d_out, d_in = degrees(d)
+    value, cut = min(d_out, d_in), None
+    for u in range(d.n):
+        local = max_flow_unit(d, u, (u + 1) % d.n)
+        if local.value < value:
+            value, cut = local.value, local.cut
+    if cut is None and d_out == value:
+        u = min(v for v in range(d.n) if len(d.out_adj[v]) == value)
+        cut = frozenset((u, v) for v in d.out_adj[u])
+    elif cut is None:
+        u = min(v for v in range(d.n) if len(d.in_adj[v]) == value)
+        cut = frozenset((v, u) for v in d.in_adj[u])
+    assert report.value == value
+    assert report.min_cut == cut and verify_cut(d, cut)
 
 
 class TestFlowKernel:
@@ -316,7 +352,7 @@ class TestGlobalConnectivity:
         assert verify_cut(d, report.min_cut)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_witness_is_first_pivot_pair_attaining_minimum(self, seed):
+    def test_pivot_cut_is_first_pivot_pair_attaining_minimum(self, seed):
         if seed % 3 == 0:
             d = bottleneck_digraph(3 + seed % 4, 1 + seed % 2, seed)
         else:
@@ -325,41 +361,71 @@ class TestGlobalConnectivity:
             h = random_strong_digraph(2 + seed % 3, 0.3, seed + 100)
             d = cartesian_product(d, h).digraph
         report = arc_connectivity(d)
-        assert report.min_cut == pivot_order_cut(d)
-        assert len(report.min_cut) == report.value
+        cut = pivot_min_cut(d, report.value)
+        assert cut == pivot_order_cut(d)
+        assert len(cut) == report.value
 
     @given(digraphs())
     @settings(max_examples=300)
-    def test_value_and_witness_match_brute_force(self, d):
+    def test_value_and_pivot_cut_match_brute_force(self, d):
         report = arc_connectivity(d)
         assert report.value == brute_arc_connectivity(d)
         if report.strong:
-            assert report.min_cut == pivot_order_cut(d)
+            assert pivot_min_cut(d, report.value) == pivot_order_cut(d)
+        else:
+            assert pivot_min_cut(d, 0) == frozenset()
 
-    # (k, links, seed) whose first witness pair sits above the minimum, so the scan runs
-    # again; on (3, 2, 24) only the cycle's first link (u*, u*+1) finds the minimum, and
-    # on (3, 2, 13) the new witness is the reverse of the old one, (u*, 0) after (0, u*)
+    @given(digraphs())
+    @settings(max_examples=300)
+    def test_witness_rule_on_digraphs(self, d):
+        assert_witness_rule(d)
+
+    @given(products())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_rule_on_products(self, d):
+        assert_witness_rule(d)
+
+    # (k, links, seed) whose minimum sits below the degree bound, and whose first pivot
+    # pair at or below that bound sits above the minimum, so the pivot cut is a later pair;
+    # the Schnorr witness is then the cut of a cycle link that lowered the value
     @pytest.mark.parametrize(
         "k,links,seed",
         [(4, 1, 0), (5, 2, 1), (6, 1, 2), (4, 2, 15), (5, 2, 55), (6, 3, 55), (3, 2, 24), (3, 2, 13)],
     )
-    def test_rescan_below_degree_bound(self, monkeypatch, k, links, seed):
-        scans = []
-        scan = flow._witness_scan
-
-        def counting_scan(d, bound, first):
-            scans.append((bound, first))
-            return scan(d, bound, first)
-
-        monkeypatch.setattr(flow, "_witness_scan", counting_scan)
+    def test_minimum_below_degree_bound(self, k, links, seed):
         d = bottleneck_digraph(k, links, seed)
         report = arc_connectivity(d)
-        assert scans[0] == (min(report.delta_out, report.delta_in), 1)
-        assert len(scans) == 2 and scans[1][0] == report.value < scans[0][0]
-        assert report.value == brute_arc_connectivity(d)
-        assert report.min_cut == pivot_order_cut(d)
+        assert report.value == brute_arc_connectivity(d) < min(report.delta_out, report.delta_in)
+        assert pivot_min_cut(d, report.value) == pivot_order_cut(d)
+        assert_witness_rule(d)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "blocks,links,lowering",
+        [
+            # K4s on v % 3: link 0->1 lowers 3 to 2 and link 1->2 lowers it to 1
+            (
+                [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]],
+                [(0, 1), (3, 4), (1, 0), (4, 3), (1, 2), (2, 1)],
+                [(0, 1), (1, 2)],
+            ),
+            # K4s on 0..3 and 4..7: the one minimum cut, around 4..7, is left only by link 7->0
+            ([[0, 1, 2, 3], [4, 5, 6, 7]], [(0, 4), (1, 5), (6, 2)], [(3, 4), (7, 0)]),
+        ],
+        ids=["two-lowerings", "closing-link"],
+    )
+    def test_witness_is_the_last_lowering_link(self, blocks, links, lowering):
+        d = from_arc_list(sum(map(len, blocks)), [(u, v) for b in blocks for u in b for v in b if u != v] + links)
+        value, found = min(degrees(d)), []
+        for u in range(d.n):
+            local = max_flow_unit(d, u, (u + 1) % d.n)
+            if local.value < value:
+                value = local.value
+                found.append((u, (u + 1) % d.n))
+        assert found == lowering
+        assert arc_connectivity(d).min_cut == max_flow_unit(d, *lowering[-1]).cut
+        assert_witness_rule(d)
+
+    @pytest.mark.parametrize("seed", range(9))
     def test_local_flows_counts_kernel_runs(self, monkeypatch, seed):
         runs = []
         kernel = flow._unit_flow
@@ -369,13 +435,21 @@ class TestGlobalConnectivity:
             return kernel(*args)
 
         monkeypatch.setattr(flow, "_unit_flow", counting_kernel)
-        d = bottleneck_digraph(4, 1, seed) if seed % 2 else random_strong_digraph(8, 0.3, seed)
-        assert arc_connectivity(d).local_flows == len(runs) > 0
+        # a minimum degree of 1 settles lambda = 1 with no flow; the bottleneck
+        # digraphs (seed % 3 == 1) have minimum degree 3, so they run flows
+        if seed % 3 == 1:
+            d = bottleneck_digraph(4, 1, seed)
+        else:
+            d = random_strong_digraph(8, 0.3 if seed % 3 == 0 else 0.5, seed)
+        assert arc_connectivity(d).local_flows == len(runs)
+        assert (len(runs) > 0) == (min(degrees(d)) >= 2)
 
     def test_unverified_witness_raises(self, monkeypatch):
         monkeypatch.setattr(flow, "verify_cut", lambda d, cut: False)
         with pytest.raises(RuntimeError):
             arc_connectivity(bidirected_cycle(4))
+        with pytest.raises(RuntimeError, match="does not verify"):
+            pivot_min_cut(bidirected_cycle(4), 2)
 
 
 class TestVerifyCut:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +238,24 @@ class TestLambdaTwo:
             for samples, seed in ((total, 0), (total + 1, 4), (99, 1)):
                 assert lambda_2(d, samples=samples, seed=seed) == full
             assert not lambda_2(d, samples=total - 1, seed=0).exact
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 25, 39])
+    def test_sampled_pairs_match_a_draw_from_the_pair_list(self, n):
+        every_pair = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        for samples in (1, 3, 12, len(every_pair), len(every_pair) + 5):
+            for seed in range(5):
+                expected = sorted(random.Random(seed).sample(every_pair, min(samples, len(every_pair))))
+                assert packing._sampled_pairs(n, samples, seed) == expected
+
+    def test_sampled_pairs_never_build_the_pair_list(self):
+        # the list of all 499,500 pairs at n = 1000 takes tens of MB
+        tracemalloc.start()
+        try:
+            pairs = packing._sampled_pairs(1000, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 3 and peak < 100_000
 
 
 def _strong_with_degree_one_vertex(n, prob, seed, position):
