@@ -141,10 +141,12 @@ class FormulaCheck:
 def check_product_formula(g: Digraph, h: Digraph) -> FormulaCheck:
     """Check the four-term formula against the product's actual connectivity.
 
-    The actual value comes from the capped link flows of the Schnorr cycle
-    in ``arc_connectivity``, which verifies its witness cut by deletion
-    before it returns; when the formula's minimum is a degree term, that
-    cut is the arcs at a least-degree vertex.  ``holds`` is the equality.
+    The actual value comes from ``arc_connectivity``: the minimum degree,
+    lowered by the capped link flows of the Schnorr cycle through a
+    bi-dominating vertex set X of the product, at most ``|X|`` flows.  It
+    verifies its witness cut by deletion before it returns; when no link
+    went below the degrees, that cut is the arcs at a least-degree vertex.
+    ``holds`` is the equality.
     """
     breakdown = product_lambda_formula(g, h)
     report = arc_connectivity(cartesian_product(g, h).digraph)

@@ -188,10 +188,17 @@ def _paths(
     Only paths after the (length, first-arc bit) key ``start`` come out: the
     longer ones and those of that length whose first arc is a later bit.
     Each length is a depth-first search on an explicit stack, pruned by the
-    distances to ``t`` in D, with out-arcs tried in head order.  The ticker
-    counts one step per length started and per arc examined, and is written
-    back before each path is handed out, since the packer ticks it too while
-    this search is paused.
+    distances to ``t`` in D, with out-arcs tried in head order.  A search
+    that started from every first arc (any but the one at ``start``'s
+    length) and ran to its end skips the lengths with no path: the next
+    length searched is the least ``depth + dist[head]`` over the arcs it
+    pruned, and none is searched if it pruned none.  That search follows any
+    longer simple path until it prunes one of its arcs, at the latest the
+    arc at its own length, whose head is not ``t``; and the path is at least
+    that arc's ``depth + dist[head]`` long.  The ticker counts one step per
+    length started and per arc examined, and is written back before each
+    path is handed out, since the packer ticks it too while this search is
+    paused.
     """
     adj = tables.adj
     dist = tables.dist_to(t)
@@ -201,7 +208,8 @@ def _paths(
     limit = ticker[1]
     on_path = [False] * n
     start_len, start_bit = start
-    for target_len in range(max(start_len, int(dist[s])), n):
+    target_len = max(start_len, int(dist[s]))
+    while target_len < n:
         ticks = ticker[0] + 1
         if ticks > limit:
             raise _BudgetExhausted
@@ -209,6 +217,7 @@ def _paths(
         on_path[s] = True
         # the open path: its vertices, the arc mask up to each, the out-arcs still to try at each
         verts, masks, arcs_left = [s], [0], [iter(first_arcs)]
+        next_len = _INF
         while arcs_left:
             depth = len(arcs_left)
             mask = masks[-1]
@@ -223,17 +232,22 @@ def _paths(
                         ticker[0] = ticks
                         yield mask | bit
                         ticks = ticker[0]
-                elif depth + dist[head] <= target_len:
-                    on_path[head] = True
-                    verts.append(head)
-                    masks.append(mask | bit)
-                    arcs_left.append(iter(adj[head]))
-                    break
+                else:
+                    reach = depth + dist[head]
+                    if reach <= target_len:
+                        on_path[head] = True
+                        verts.append(head)
+                        masks.append(mask | bit)
+                        arcs_left.append(iter(adj[head]))
+                        break
+                    if reach < next_len:
+                        next_len = reach
             else:
                 on_path[verts.pop()] = False
                 masks.pop()
                 arcs_left.pop()
         ticker[0] = ticks
+        target_len = next_len if target_len > start_len else target_len + 1
 
 
 def _replay(seen: list[int], source: Iterator[int]) -> Iterator[int]:

@@ -167,24 +167,36 @@ def products(draw):
     return cartesian_product(draw(digraphs(3)), draw(digraphs(3))).digraph
 
 
+def greedy_bi_dominating(d: Digraph) -> list[int]:
+    """Vertices in order; each joins unless it already has an in-neighbour and an out-neighbour among those before."""
+    x: list[int] = []
+    for v in range(d.n):
+        if not (set(d.in_adj[v]) & set(x) and set(d.out_adj[v]) & set(x)):
+            x.append(v)
+    return x
+
+
 def assert_witness_rule(d: Digraph) -> None:
     """``arc_connectivity`` against brute force, with its witness rule replayed by uncapped flows.
 
-    The witness is the minimal cut of the last cycle link ``(u, u+1)`` whose
-    local value went below the least so far, starting from ``min(δ⁺, δ⁻)``;
-    if none did, the out-arcs of the least vertex of out-degree ``λ`` when
-    ``δ⁺ = λ``, else the in-arcs of the least vertex of in-degree ``λ``.
+    When ``min(δ⁺, δ⁻) >= 2`` the links run around ``X[0] -> X[1] -> ... ->
+    X[-1] -> X[0]`` for the greedy bi-dominating set X, none when ``|X| =
+    1``.  The witness is the minimal cut of the last link whose local value
+    went below the least so far, starting from ``min(δ⁺, δ⁻)``; if none did,
+    the out-arcs of the least vertex of out-degree ``λ`` when ``δ⁺ = λ``, else
+    the in-arcs of the least vertex of in-degree ``λ``.
     """
     report = arc_connectivity(d)
     assert report.value == brute_arc_connectivity(d)
-    assert report.local_flows <= d.n
     if not report.strong:
         assert report.min_cut == frozenset() and report.local_flows == 0
         return
     d_out, d_in = degrees(d)
     value, cut = min(d_out, d_in), None
-    for u in range(d.n):
-        local = max_flow_unit(d, u, (u + 1) % d.n)
+    x = greedy_bi_dominating(d) if value >= 2 else []
+    assert report.local_flows <= len(x)
+    for u, w in zip(x, x[1:] + x[:1]) if len(x) > 1 else ():
+        local = max_flow_unit(d, u, w)
         if local.value < value:
             value, cut = local.value, local.cut
     if cut is None and d_out == value:
@@ -402,30 +414,56 @@ class TestGlobalConnectivity:
     @pytest.mark.parametrize(
         "blocks,links,lowering",
         [
-            # K4s on v % 3: link 0->1 lowers 3 to 2 and link 1->2 lowers it to 1
+            # K4s on 0..3, 4..7 and 8..11, so X = [0, 4, 8]: two arcs lead from the first
+            # block to the second and one from the second to the third, so link 0->4
+            # lowers 3 to 2 and link 4->8 lowers it to 1
             (
-                [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]],
-                [(0, 1), (3, 4), (1, 0), (4, 3), (1, 2), (2, 1)],
-                [(0, 1), (1, 2)],
+                [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]],
+                [(1, 5), (2, 6), (5, 9), (9, 1), (10, 2)],
+                [(0, 4), (4, 8)],
             ),
-            # K4s on 0..3 and 4..7: the one minimum cut, around 4..7, is left only by link 7->0
-            ([[0, 1, 2, 3], [4, 5, 6, 7]], [(0, 4), (1, 5), (6, 2)], [(3, 4), (7, 0)]),
+            # K4s on 0..3 and 4..7, so X = [0, 4]: three arcs lead to 4..7 and one back,
+            # so the one minimum cut, around 4..7, is left only by the closing link 4->0
+            ([[0, 1, 2, 3], [4, 5, 6, 7]], [(0, 5), (1, 6), (2, 7), (7, 3)], [(4, 0)]),
         ],
         ids=["two-lowerings", "closing-link"],
     )
     def test_witness_is_the_last_lowering_link(self, blocks, links, lowering):
         d = from_arc_list(sum(map(len, blocks)), [(u, v) for b in blocks for u in b for v in b if u != v] + links)
+        x = greedy_bi_dominating(d)
         value, found = min(degrees(d)), []
-        for u in range(d.n):
-            local = max_flow_unit(d, u, (u + 1) % d.n)
+        for u, w in zip(x, x[1:] + x[:1]):
+            local = max_flow_unit(d, u, w)
             if local.value < value:
                 value = local.value
-                found.append((u, (u + 1) % d.n))
+                found.append((u, w))
         assert found == lowering
         assert arc_connectivity(d).min_cut == max_flow_unit(d, *lowering[-1]).cut
         assert_witness_rule(d)
 
-    @pytest.mark.parametrize("seed", range(9))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_dominating_set_needs_both_neighbours(self, reverse):
+        # K4s on 0..3 and 4..7, 0 -> every vertex of 4..7, and the one arc 4 -> 0 back,
+        # a cut below the degrees: {0} gives every vertex an in-neighbour, so a set
+        # built for in-neighbours alone would run no flow and report 3; the reversed
+        # digraph does the same to a set built for out-neighbours alone
+        arcs = [(u, v) for b in ([0, 1, 2, 3], [4, 5, 6, 7]) for u in b for v in b if u != v]
+        arcs += [(0, 4), (0, 5), (0, 6), (0, 7), (4, 0)]
+        d = from_arc_list(8, [(v, u) for u, v in arcs] if reverse else arcs)
+        report = arc_connectivity(d)
+        assert (report.value, min(report.delta_out, report.delta_in)) == (1, 3)
+        assert flow._bi_dominating(d) == greedy_bi_dominating(d) == [0, 5]
+        assert_witness_rule(d)
+
+    @given(digraphs())
+    @settings(max_examples=300)
+    def test_dominating_set_has_both_neighbours_of_every_outsider(self, d):
+        x = flow._bi_dominating(d)
+        assert x == sorted(set(x)) == greedy_bi_dominating(d)
+        for v in set(range(d.n)) - set(x):
+            assert set(d.in_adj[v]) & set(x) and set(d.out_adj[v]) & set(x)
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_local_flows_counts_kernel_runs(self, monkeypatch, seed):
         runs = []
         kernel = flow._unit_flow
@@ -436,13 +474,16 @@ class TestGlobalConnectivity:
 
         monkeypatch.setattr(flow, "_unit_flow", counting_kernel)
         # a minimum degree of 1 settles lambda = 1 with no flow; the bottleneck
-        # digraphs (seed % 3 == 1) have minimum degree 3, so they run flows
-        if seed % 3 == 1:
+        # digraphs (seed % 3 == 1) have minimum degree 3, so they run flows; in a
+        # complete digraph (seed >= 9) vertex 0 alone is bi-dominating, so none runs
+        if seed >= 9:
+            d = complete_digraph(seed - 6)
+        elif seed % 3 == 1:
             d = bottleneck_digraph(4, 1, seed)
         else:
             d = random_strong_digraph(8, 0.3 if seed % 3 == 0 else 0.5, seed)
         assert arc_connectivity(d).local_flows == len(runs)
-        assert (len(runs) > 0) == (min(degrees(d)) >= 2)
+        assert (len(runs) > 0) == (min(degrees(d)) >= 2 and len(greedy_bi_dominating(d)) >= 2)
 
     def test_unverified_witness_raises(self, monkeypatch):
         monkeypatch.setattr(flow, "verify_cut", lambda d, cut: False)

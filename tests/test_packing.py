@@ -172,6 +172,32 @@ class TestExactSearch:
                 ]
                 assert list(packing._paths(tables, 0, n - 1, avoid, start, [0, float("inf")])) == kept
 
+    def test_bidirected_cycle_sweep_skips_lengths_without_paths(self, monkeypatch):
+        """A search pass bounds the next length with a path by its least pruned ``depth + dist``.
+
+        Each pair of a bidirected cycle has one path each way round, so the
+        lengths between are empty; the sampled sweep keeps its pair and
+        witness and takes fewer ticker steps than the 5,161 it took when
+        every length was searched.
+        """
+        tickers = {}
+        paths = packing._paths
+
+        def spy(tables, s, t, avoid, start, ticker):
+            tickers[id(ticker)] = ticker
+            return paths(tables, s, t, avoid, start, ticker)
+
+        monkeypatch.setattr(packing, "_paths", spy)
+        n = 60
+        r = lambda_2(bidirected_cycle(n), samples=3, seed=1)
+
+        def both_ways(walk):
+            return frozenset(a for u, v in zip(walk, walk[1:]) for a in ((u, v), (v, u)))
+
+        assert (r.value, r.pair, r.exact) == (2, (4, 50), False)
+        assert r.witness.members == (both_ways([4, 3, 2, 1, 0, *range(n - 1, 49, -1)]), both_ways(range(4, 51)))
+        assert sum(ticker[0] for ticker in tickers.values()) < 5161
+
     def test_path_search_keeps_ticks_taken_while_paused(self):
         ticker = [0, float("inf")]
         d = complete_digraph(5)
