@@ -3,20 +3,12 @@
 All flows run on one kernel, ``_unit_flow``: augmentation over
 ``Digraph.flow_network`` along shortest paths, each found by a breadth-first
 search grown from both ends, that stops at a requested number of paths and
-can leave arcs out.  ``arc_connectivity`` runs the Schnorr (1979) cycle
-over a bi-dominating vertex set X (every vertex outside X has an in- and an
-out-neighbour in X) and takes as witness the arcs at a vertex of least
-degree unless a link went below the degrees.  The cycle suffices because a
-cut below ``δ = min(δ⁺, δ⁻)`` has more than δ vertices on each side: a side
-of ``k <= δ`` vertices is left by at least ``k(δ - k + 1) >= δ`` arcs.  At
-most ``λ < δ`` of the source side's vertices are tails of cut arcs, so one
-has all its out-neighbours inside, and it or one of them lies in X; the
-sink side likewise holds a member of X.  So some link of the cycle through
-X leaves the source side, and its flow is at most ``λ`` (Matula's
-dominating-set argument, 1987, carried over to digraphs).
-``pivot_min_cut`` finds the minimal cut of the first
-pivot pair ``(0, 1), (1, 0), (0, 2), (2, 0), ...`` attaining ``λ``, the one
-``strongarc lambda`` prints.
+can leave arcs out.  ``arc_connectivity`` takes its value from the Schnorr
+cycle over a bi-dominating vertex set (``_cycle_value``) and as witness the
+arcs at a vertex of least degree unless a link went below the degrees.
+``pivot_min_cut`` finds the minimal cut of the first pivot pair ``(0, 1),
+(1, 0), (0, 2), (2, 0), ...`` attaining ``λ``, the one ``strongarc lambda``
+prints.
 """
 
 from __future__ import annotations
@@ -50,9 +42,7 @@ class ConnectivityReport:
 
     ``strong`` is False when the digraph is not strongly connected; then the
     value is 0 and the cut is empty.  ``local_flows`` counts the flow kernel
-    runs that found the value and the cut: one per link of the cycle through
-    the bi-dominating set X, so at most ``|X|``, and none when the minimum
-    degree is below 2 or ``|X| = 1``.
+    runs that found the value and the cut, the link flows of ``_cycle_value``.
     """
 
     value: int
@@ -218,32 +208,25 @@ def _bi_dominating(d: Digraph) -> list[int]:
     return members
 
 
-def arc_connectivity(d: Digraph) -> ConnectivityReport:
-    """Global arc-strong connectivity by the Schnorr cycle, with a verified minimum cut.
+def _cycle_value(d: Digraph, value: int) -> tuple[int, list[int] | None, int]:
+    """``λ`` of a strong ``d`` from ``value = δ = min(δ⁺, δ⁻)``, by the Schnorr (1979) cycle.
 
-    With ``δ = min(δ⁺, δ⁻) >= 2`` the cycle runs over the bi-dominating set
-    ``X = _bi_dominating(d)``, ``X[0] -> X[1] -> ... -> X[-1] -> X[0]``, with
-    no link when ``|X| = 1``.  If ``λ < δ``, each side of a minimum cut has
-    more than δ vertices (a side of ``k <= δ`` vertices is left by at least
-    ``k(δ - k + 1) >= δ`` arcs), so the source side holds a vertex whose
-    out-neighbours all lie inside it, and the sink side one whose
-    in-neighbours all do.  Each of them is in X or has a neighbour in X on
-    its own side, so X meets both sides and some link leaves the source
-    side.  So ``λ`` is the least of ``δ`` and the link flows ``λ(X[i],
-    X[i+1])``.  Each link flow is capped at the least value so far, and the
-    cycle stops at 1; ``local_flows`` counts them, at most ``|X|``.  The
-    witness is the minimal cut of the last link that lowered the value,
-    read from that flow's failed last search; if none did, the out-arcs of
-    the least vertex of out-degree ``λ`` when ``δ⁺ = λ``, else the in-arcs
-    of the least vertex of in-degree ``λ``.  Raises ``RuntimeError`` unless
-    the cut has ``λ`` arcs and deleting it leaves the digraph not strong.
+    With ``δ >= 2`` the cycle runs over ``X = _bi_dominating(d)``, as
+    ``X[0] -> X[1] -> ... -> X[-1] -> X[0]``, with no link when ``|X| = 1``.
+    If ``λ < δ``, each side of a minimum cut has more than δ vertices (a
+    side of ``k <= δ`` vertices is left by at least ``k(δ - k + 1) >= δ``
+    arcs), and at most ``λ`` of a side's vertices are ends of cut arcs.  So
+    the source side holds a vertex whose out-neighbours all lie inside it,
+    and the sink side one whose in-neighbours all do.  Each of them is in X
+    or has a neighbour in X on its own side, so X meets both sides and some
+    link leaves the source side (Matula's dominating-set argument, 1987,
+    carried over to digraphs).  So ``λ`` is the least of ``δ`` and the link
+    flows ``λ(X[i], X[i+1])``.  Each link flow is capped at the least value
+    so far, and the cycle stops at 1.  Returns ``λ``, the ``via`` labels of
+    the last link that lowered it (``None`` if none did), and the number of
+    link flows, at most ``|X|``.
     """
-    if d.n < 2:
-        raise DigraphError("arc connectivity needs at least two vertices")
-    d_out, d_in = degrees(d)
-    if not is_strong(d):
-        return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False, local_flows=0)
-    value, via, flows = min(d_out, d_in), None, 0
+    via, flows = None, 0
     x = _bi_dominating(d) if value >= 2 else []
     for u, w in zip(x, x[1:] + x[:1]) if len(x) > 1 else ():
         if value == 1:
@@ -252,6 +235,26 @@ def arc_connectivity(d: Digraph) -> ConnectivityReport:
         found, labels = _unit_flow(d, u, w, value)
         if found < value:
             value, via = found, labels
+    return value, via, flows
+
+
+def arc_connectivity(d: Digraph) -> ConnectivityReport:
+    """Global arc-strong connectivity by the Schnorr cycle, with a verified minimum cut.
+
+    The value is ``_cycle_value``'s from ``min(δ⁺, δ⁻)``, and ``local_flows``
+    counts its link flows.  The witness is the minimal cut of the last link
+    that lowered the value, read from that flow's failed last search; if
+    none did, the out-arcs of the least vertex of out-degree ``λ`` when
+    ``δ⁺ = λ``, else the in-arcs of the least vertex of in-degree ``λ``.
+    Raises ``RuntimeError`` unless the cut has ``λ`` arcs and deleting it
+    leaves the digraph not strong.
+    """
+    if d.n < 2:
+        raise DigraphError("arc connectivity needs at least two vertices")
+    d_out, d_in = degrees(d)
+    if not is_strong(d):
+        return ConnectivityReport(0, d_out, d_in, frozenset(), strong=False, local_flows=0)
+    value, via, flows = _cycle_value(d, min(d_out, d_in))
     if via is not None:
         cut = _cut_from_labels(d, via)
     elif d_out == value:

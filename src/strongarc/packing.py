@@ -26,10 +26,11 @@ from .digraph import (
     Digraph,
     DigraphError,
     _strong_on_endpoints,
+    degrees,
     is_strong,
     is_symmetric,
 )
-from .flow import _unit_flow
+from .flow import _cycle_value, _unit_flow
 
 _INF = float("inf")
 
@@ -511,9 +512,9 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
     same number, and no reversed arc carries flow, so path i with its
     reverse gives ``λ(x, y)`` arc-disjoint strong subgraphs through x and
     y.  Every minimum cut separates 0 from some v, and ``λ(0, v) = λ(v, 0)``,
-    so ``λ₂(D) = λ(D) = min_v λ(0, v)``, and the lexicographically least
-    minimizing pair is ``(0, v)`` for the least minimizing v; n - 1 local
-    flows find it.  The witness is the first packing of that size the
+    so ``λ₂(D) = λ(D)``, and the lexicographically least minimizing pair
+    is ``(0, v)`` for the least v with ``λ(0, v) = λ(D)`` (see
+    ``_flow_sweep``).  The witness is the first packing of that size the
     packer finds at that pair, the one ``_search_sweep`` reports.
 
     Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
@@ -544,23 +545,19 @@ def _floor(d: Digraph) -> int:
 
 
 def _flow_sweep(d: Digraph, tables: _ArcTables) -> Lambda2Result:
-    """``lambda_2`` of a symmetric digraph on two or more vertices, from at most n - 1 local flows.
+    """``lambda_2`` of a symmetric digraph on two or more vertices, from ``λ`` and its least pair.
 
-    The loop over ``λ(0, v)`` stops once the running minimum reaches the
-    floor: no later v can go below it, and the target is already the least
-    minimizing v.  The value is ``λ(0, target)``, so ``λ_S(D)`` at that
-    pair is the value (see ``lambda_2``), and the packing search there
-    takes it as its proven floor and runs no seed flow when it reaches the
-    seed degree.
+    ``λ`` is ``flow._cycle_value``'s, or 0 when D is not strong.  The target
+    is the least v with ``λ(0, v) = λ``: 1 when ``δ⁺(0) = λ``, since
+    ``λ(0, 1) <= δ⁺(0)``, else the first v whose flow capped at ``λ + 1``
+    stops at ``λ``.  So ``λ_S(D)`` at that pair is the value (see
+    ``lambda_2``), and the packing search there takes it as its proven
+    floor and runs no seed flow when it reaches the seed degree.
     """
-    floor = _floor(d)
-    value, target = d.out_degree(0), 1  # no flow out of 0 exceeds its out-degree
-    for v in range(1, d.n):
-        if value <= floor:
-            break
-        flow = _unit_flow(d, 0, v, value)[0]
-        if flow < value:
-            value, target = flow, v
+    value = _cycle_value(d, min(degrees(d)))[0] if is_strong(d) else 0
+    target = 1
+    if d.out_degree(0) != value:
+        target = next(v for v in range(1, d.n) if _unit_flow(d, 0, v, value + 1)[0] == value)
     result = _exact(d, tables, 0, target, floor=value)
     if result.value != value or not verify_certificate(d, result.witness).valid:
         raise RuntimeError(f"lambda_2 witness for pair {(0, target)} does not verify at value {value}")

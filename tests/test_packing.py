@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongarc import digraph as digraph_module
+from strongarc import flow as flow_module
 from strongarc import packing
 from strongarc.cli import parse_operand
-from strongarc.digraph import Digraph, DigraphError, _automorphism_generators, biorient, from_arc_list, is_strong
-from strongarc.flow import max_flow_unit
+from strongarc.digraph import (
+    Digraph,
+    DigraphError,
+    _automorphism_generators,
+    biorient,
+    degrees,
+    from_arc_list,
+    is_strong,
+)
+from strongarc.flow import _bi_dominating, arc_connectivity, max_flow_unit
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
@@ -574,16 +583,16 @@ def _digon_components(n, seed):
     return biorient(n, [(order[i], order[i + 1]) for i in range(0, n - 1, 2)])
 
 
-SYMMETRIC_SIZES = st.tuples(
-    st.integers(2, 8), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9, 1.0]), st.integers(0, 2**32 - 1)
-)
+SYMMETRIC_DENSITIES = st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9, 1.0])
+SYMMETRIC_SIZES = st.tuples(st.integers(2, 8), SYMMETRIC_DENSITIES, st.integers(0, 2**32 - 1))
+LARGER_SYMMETRIC_SIZES = st.tuples(st.integers(9, 14), SYMMETRIC_DENSITIES, st.integers(0, 2**32 - 1))
 
 
 class TestSymmetricRoute:
     """On symmetric digraphs ``lambda_2`` takes local flows; the search sweep is the reference."""
 
-    @given(SYMMETRIC_SIZES)
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(SYMMETRIC_SIZES, LARGER_SYMMETRIC_SIZES))
+    @settings(max_examples=120, deadline=None)
     def test_flow_route_equals_search_sweep(self, size):
         d = _random_symmetric_digraph(*size)
         assert lambda_2(d) == _search_sweep(d)
@@ -592,6 +601,48 @@ class TestSymmetricRoute:
         for seed in range(210):
             d = _random_symmetric_digraph(2 + seed % 7, (seed % 10) / 9, seed)
             assert lambda_2(d) == _search_sweep(d), seed
+
+    def test_flow_route_equals_search_sweep_larger_seeded(self):
+        for seed in range(90):
+            d = _random_symmetric_digraph(9 + seed % 6, 0.3 + (seed % 8) / 10, seed)
+            assert lambda_2(d) == _search_sweep(d), seed
+
+    @pytest.mark.parametrize(
+        "n, edges, delta",
+        [
+            # two bidirected K4 joined by one digon: the link 0 -> 4 of X = [0, 4] lowers λ to 1 < δ
+            (8, [*itertools.combinations(range(4), 2), *itertools.combinations(range(4, 8), 2), (2, 5)], 3),
+            # a bidirected K4 with a pendant vertex: λ = δ = 1, below δ⁺(0) = 3
+            (5, [*itertools.combinations(range(4), 2), (3, 4)], 1),
+        ],
+    )
+    def test_least_pair_beyond_first_vertex(self, n, edges, delta):
+        d = biorient(n, edges)
+        assert min(degrees(d)) == delta and arc_connectivity(d).value == 1 < d.out_degree(0)
+        r = lambda_2(d)
+        assert (r.value, r.pair) == (1, (0, 4))
+        assert r == _search_sweep(d)
+
+    def test_kernel_calls_before_search_stay_within_bi_dominating_set(self, monkeypatch):
+        """``λ`` comes from the Schnorr cycle over X, not from one flow to each of the other 143 vertices."""
+        d = parse_operand("bcm:12 x bcm:12".split())[0]
+        calls, before_search = [], []
+        for module in (flow_module, packing):
+            def counted(*args, _real=module._unit_flow):
+                calls.append(args[1:3])
+                return _real(*args)
+
+            monkeypatch.setattr(module, "_unit_flow", counted)
+        real_exact = packing._exact
+
+        def logged_exact(*args, **kwargs):
+            before_search.append(len(calls))
+            return real_exact(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "_exact", logged_exact)
+        r = lambda_2(d)
+        assert (r.value, r.pair) == (4, (0, 1))
+        assert len(before_search) == 1 and before_search[0] <= len(_bi_dominating(d))
 
     @given(SYMMETRIC_SIZES)
     @settings(max_examples=30, deadline=None)
