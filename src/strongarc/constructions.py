@@ -459,13 +459,15 @@ def _closed_form(
 
     Seeds in distinct rows and columns get ``members``; seeds that share a
     row or column fall back to search, trimmed to ``size``.  Either family
-    must verify at ``size`` members.
+    must verify at ``size`` members.  In every family ``size`` is ``λ₂(G) +
+    λ₂(H)``, the member count ``lift_certificates`` builds at seeds on one
+    line, so the search takes it as a proven floor.
     """
     p = cartesian_product(g, h)
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
     if r1 == r2 or c1 == c2:
-        found, origin = _factor_family(p.digraph, _ArcTables(p.digraph), (x, y), size)[:size], "solver"
+        found, origin = _factor_family(p.digraph, _ArcTables(p.digraph), (x, y), size, floor=size)[:size], "solver"
     else:
         found, origin = members(p, r1, c1, r2, c2), "construction"
     return p, _sealed_family(p, x, y, found, size, origin)

@@ -27,18 +27,26 @@ class Digraph:
     arcs: frozenset[Arc]
 
     @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Out- and in-rows from one pass over ``sorted_arcs``.
+
+        The arcs come sorted by tail, then head, so each out-row is filled in
+        head order and each in-row in tail order, and no row is sorted.
+        """
+        out_rows: list[list[int]] = [[] for _ in range(self.n)]
+        in_rows: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.sorted_arcs:
+            out_rows[u].append(v)
+            in_rows[v].append(u)
+        return tuple(map(tuple, out_rows)), tuple(map(tuple, in_rows))
+
+    @cached_property
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[u].append(v)
-        return tuple(tuple(sorted(heads)) for heads in adj)
+        return self._rows[0]
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[v].append(u)
-        return tuple(tuple(sorted(tails)) for tails in adj)
+        return self._rows[1]
 
     @cached_property
     def sorted_arcs(self) -> tuple[Arc, ...]:
@@ -158,9 +166,7 @@ def is_symmetric(d: Digraph) -> bool:
 
 def degrees(d: Digraph) -> tuple[int, int]:
     """Return ``(min out-degree, min in-degree)``."""
-    d_out = min(d.out_degree(v) for v in range(d.n))
-    d_in = min(d.in_degree(v) for v in range(d.n))
-    return d_out, d_in
+    return min(map(len, d.out_adj)), min(map(len, d.in_adj))
 
 
 def biorient(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
@@ -186,37 +192,29 @@ def biorient(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
 def _strong_on_endpoints(arcs: Iterable[Arc]) -> bool:
     """True iff the non-empty arc set ``arcs`` is strong on the ends of its arcs.
 
-    One pass over the arcs builds the successor and predecessor masks of each
-    endpoint; the arc set is strong iff the least endpoint reaches every
-    endpoint along both.  Endpoints must be non-negative (they are bit
-    positions).
+    One pass over the arcs builds the successor and predecessor lists of each
+    endpoint.  The arc set is strong iff every endpoint is a tail and a head
+    and the least tail reaches every endpoint along both.
     """
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    verts = 0
+    succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
     for u, v in arcs:
-        succ[u] = succ.get(u, 0) | 1 << v
-        pred[v] = pred.get(v, 0) | 1 << u
-        verts |= 1 << u | 1 << v
-    start = (verts & -verts).bit_length() - 1
-    return _closure(succ, start) == verts and _closure(pred, start) == verts
-
-
-def _closure(adj: dict[int, int], start: int) -> int:
-    """Vertex mask reachable from ``start`` along ``adj`` (vertex -> neighbour mask)."""
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for w in frontier:
-            reach = adj.get(w, 0) & ~seen
-            while reach:
-                lowb = reach & -reach
-                seen |= lowb
-                nxt.append(lowb.bit_length() - 1)
-                reach ^= lowb
-        frontier = nxt
-    return seen
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
+    if succ.keys() != pred.keys():
+        return False
+    start = min(succ)
+    for adj in (succ, pred):
+        seen = {start}
+        stack = [start]
+        for u in stack:  # grows while it is walked
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(stack) < len(succ):
+            return False
+    return True
 
 
 # --- automorphisms ------------------------------------------------------------

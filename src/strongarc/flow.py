@@ -194,18 +194,34 @@ def _bi_dominating(d: Digraph) -> list[int]:
     """A vertex set X, in vertex order, giving every vertex outside it an in- and an out-neighbour in X.
 
     Built greedily: a vertex joins when it has no in-neighbour or no
-    out-neighbour in X yet.
+    out-neighbour in X yet.  Then one pass over the members in reverse
+    vertex order, with per-vertex counts of in- and out-neighbours in X,
+    prunes it: a member leaves when it still has an in- and an
+    out-neighbour in X and every outsider it covers keeps another one.
+    No member kept could leave later: a leave only lowers counts and adds outsiders.
     """
-    has_in, has_out = [False] * d.n, [False] * d.n
-    members = []
+    out_adj, in_adj = d.out_adj, d.in_adj
+    n_in, n_out = [0] * d.n, [0] * d.n
+    inside = [False] * d.n
     for v in range(d.n):
-        if not (has_in[v] and has_out[v]):
-            members.append(v)
-            for w in d.out_adj[v]:
-                has_in[w] = True
-            for w in d.in_adj[v]:
-                has_out[w] = True
-    return members
+        if not (n_in[v] and n_out[v]):
+            inside[v] = True
+            for w in out_adj[v]:
+                n_in[w] += 1
+            for w in in_adj[v]:
+                n_out[w] += 1
+    for v in reversed(range(d.n)):
+        if (
+            inside[v] and n_in[v] and n_out[v]
+            and all(inside[w] or n_in[w] > 1 for w in out_adj[v])
+            and all(inside[w] or n_out[w] > 1 for w in in_adj[v])
+        ):
+            inside[v] = False
+            for w in out_adj[v]:
+                n_in[w] -= 1
+            for w in in_adj[v]:
+                n_out[w] -= 1
+    return [v for v in range(d.n) if inside[v]]
 
 
 def _cycle_value(d: Digraph, value: int) -> tuple[int, list[int] | None, int]:
@@ -220,11 +236,13 @@ def _cycle_value(d: Digraph, value: int) -> tuple[int, list[int] | None, int]:
     and the sink side one whose in-neighbours all do.  Each of them is in X
     or has a neighbour in X on its own side, so X meets both sides and some
     link leaves the source side (Matula's dominating-set argument, 1987,
-    carried over to digraphs).  So ``λ`` is the least of ``δ`` and the link
-    flows ``λ(X[i], X[i+1])``.  Each link flow is capped at the least value
-    so far, and the cycle stops at 1.  Returns ``λ``, the ``via`` labels of
-    the last link that lowered it (``None`` if none did), and the number of
-    link flows, at most ``|X|``.
+    carried over to digraphs).  The argument reads only that every vertex
+    outside X has an in- and an out-neighbour in X, so the pruned set serves
+    as the plain greedy one did, with fewer links.  So ``λ`` is the least of
+    ``δ`` and the link flows ``λ(X[i], X[i+1])``.  Each link flow is capped
+    at the least value so far, and the cycle stops at 1.  Returns ``λ``, the
+    ``via`` labels of the last link that lowered it (``None`` if none did),
+    and the number of link flows, at most ``|X|``.
     """
     via, flows = None, 0
     x = _bi_dominating(d) if value >= 2 else []

@@ -119,8 +119,8 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
         in_host.append(arcs <= d.arcs)
         endpoints = set().union(*arcs)
         has_seed.append(x in endpoints and y in endpoints)
-        # checked first: the strongness test takes endpoints as bit positions,
-        # which host arcs always are
+        # an empty member, or one with an endpoint outside 0..n-1, is reported
+        # not strong in the host; host arcs always pass the range test
         in_range = bool(arcs) and (in_host[-1] or all(0 <= w < d.n for w in endpoints))
         strong.append(in_range and _strong_on_endpoints(arcs))
     overlaps: list[tuple[int, int, frozenset[Arc]]] = []

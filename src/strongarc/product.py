@@ -49,9 +49,19 @@ def cartesian_product(g: Digraph, h: Digraph) -> ProductDigraph:
 
 def lift_g_arcs(p: ProductDigraph, factor_arcs: Iterable[Arc], j: int) -> frozenset[Arc]:
     """Map arcs of the factor G into the G-fiber with H-coordinate ``j``."""
-    return frozenset((p.encode(a, j), p.encode(b, j)) for a, b in factor_arcs)
+    m = p.h_order
+    return frozenset((a * m + j, b * m + j) for a, b in _checked(p, factor_arcs, p.g_order, j, m))
 
 
 def lift_h_arcs(p: ProductDigraph, factor_arcs: Iterable[Arc], i: int) -> frozenset[Arc]:
     """Map arcs of the factor H into the H-fiber with G-coordinate ``i``."""
-    return frozenset((p.encode(i, a), p.encode(i, b)) for a, b in factor_arcs)
+    m = p.h_order
+    return frozenset((i * m + a, i * m + b) for a, b in _checked(p, factor_arcs, m, i, p.g_order))
+
+
+def _checked(p: ProductDigraph, factor_arcs: Iterable[Arc], order: int, line: int, lines: int) -> list[Arc]:
+    """The factor arcs, once the line and the least and greatest factor vertex are in range."""
+    arcs = list(factor_arcs)
+    if not 0 <= line < lines or arcs and not (0 <= min(map(min, arcs)) and max(map(max, arcs)) < order):
+        raise DigraphError(f"factor arcs on line {line} outside {p.g_order} x {p.h_order}")
+    return arcs

@@ -17,12 +17,42 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from strongarc.digraph import Digraph, DigraphError, _closure, from_arc_list
+from strongarc.digraph import Digraph, DigraphError, from_arc_list
 from strongarc.packing import Lambda2Result, _validate_pair, lambda_s_exact
 
 
 class OracleRefusal(RuntimeError):
     """An oracle declined because the instance exceeds its brute-force budget."""
+
+
+def _closure(adj: dict[int, int], start: int) -> int:
+    """Vertex mask reachable from ``start`` along ``adj`` (vertex -> neighbour mask)."""
+    seen = 1 << start
+    frontier = [start]
+    while frontier:
+        nxt: list[int] = []
+        for w in frontier:
+            reach = adj.get(w, 0) & ~seen
+            while reach:
+                lowb = reach & -reach
+                seen |= lowb
+                nxt.append(lowb.bit_length() - 1)
+                reach ^= lowb
+        frontier = nxt
+    return seen
+
+
+def strong_by_closure(arcs: Iterable[tuple[int, int]]) -> bool:
+    """Bit-mask reference for ``_strong_on_endpoints``: the least endpoint reaches all along both masks."""
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    verts = 0
+    for u, v in arcs:
+        succ[u] = succ.get(u, 0) | 1 << v
+        pred[v] = pred.get(v, 0) | 1 << u
+        verts |= 1 << u | 1 << v
+    start = (verts & -verts).bit_length() - 1
+    return _closure(succ, start) == verts and _closure(pred, start) == verts
 
 
 @lru_cache(maxsize=64)

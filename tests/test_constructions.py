@@ -443,6 +443,32 @@ class TestClosedFormFamilies:
         assert set(fam.members[0]) == first
         assert set(fam.members[1]) == second
 
+    @pytest.mark.parametrize(
+        "build,col",
+        [
+            (lambda y: cycle_cycle_family(4, 5, (0, 0), y), "cn"),
+            (lambda y: cycle_bicycle_family(4, 5, (0, 0), y), "bcm"),
+            (lambda y: cycle_tree_family(4, TreeShape("path", 5), (0, 0), y), "btm"),
+            (lambda y: cycle_complete_family(4, 5, (0, 0), y), "bkm"),
+        ],
+    )
+    def test_aligned_seeds_search_from_the_proven_floor(self, monkeypatch, build, col):
+        # the family size is λ₂(G) + λ₂(H), which seeds on one line are proven to reach;
+        # here it is also the seed degree, so the fallback search runs no seed flow
+        seed_flows = []
+        unit_flow = packing._unit_flow
+
+        def logged_flow(d, s, t, need, *excluded):
+            if not excluded:  # a seed flow; the packer's own flows exclude used arcs
+                seed_flows.append((s, t))
+            return unit_flow(d, s, t, need, *excluded)
+
+        monkeypatch.setattr(packing, "_unit_flow", logged_flow)
+        for y in [(0, 2), (2, 0)]:
+            p, fam = build(y)
+            assert_family(p, fam, class_table_value("cn", col, 4, 5), origins=("solver",))
+        assert seed_flows == []
+
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (4, 4), (5, 3)])
     def test_cycle_cycle_general_positions(self, n, m):
         for r2 in range(1, n):

@@ -18,6 +18,8 @@ from strongarc.digraph import (
     to_dot,
 )
 
+from oracles import strong_by_closure
+
 
 def small_digraphs(max_n: int = 6):
     """Hypothesis strategy for arbitrary simple digraphs."""
@@ -53,6 +55,23 @@ class TestConstruction:
         assert d.out_adj[0] == (1, 2, 3)
         assert d.in_adj[3] == (0,)
         assert d.sorted_arcs == ((0, 1), (0, 2), (0, 3))
+
+    @given(small_digraphs(8))
+    @settings(max_examples=200)
+    def test_rows_and_flow_network_match_per_row_sorted_definitions(self, d):
+        # the definitions the one-pass rows replace: each row collected from the
+        # arc set in any order, then sorted; edge 2i is sorted arc i, 2i + 1 its reverse
+        arcs = sorted(d.arcs)
+        assert d.out_adj == tuple(tuple(sorted(v for u, v in d.arcs if u == w)) for w in range(d.n))
+        assert d.in_adj == tuple(tuple(sorted(u for u, v in d.arcs if v == w)) for w in range(d.n))
+        head = tuple(w for u, v in arcs for w in (v, u))
+        edges = tuple(
+            tuple(sorted([2 * i + end for i, a in enumerate(arcs) for end in (0, 1) if a[end] == w]))
+            for w in range(d.n)
+        )
+        assert d.flow_network == (head, edges)
+        counts = [sum(1 for a in d.arcs if a[end] == w) for end in (0, 1) for w in range(d.n)]
+        assert degrees(d) == (min(counts[: d.n]), min(counts[d.n :]))
 
     def test_degrees(self):
         d = from_arc_list(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
@@ -128,7 +147,7 @@ class TestStrongOnEndpoints:
     @given(labelled_arc_sets())
     @settings(max_examples=300)
     def test_equals_remapped_is_strong(self, arcs):
-        assert _strong_on_endpoints(arcs) == _strong_after_remap(arcs)
+        assert _strong_on_endpoints(arcs) == _strong_after_remap(arcs) == strong_by_closure(arcs)
 
 
 class TestSerialization:
