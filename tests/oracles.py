@@ -6,8 +6,10 @@ independently of the branch-and-bound search in ``strongarc.packing``:
 subgraph, ``lambda_s_oracle_paths`` every union of one x->y and one y->x simple
 path.  Both are exponential and refuse instances beyond their budgets.
 ``reference_unit_flow`` is the one-sided breadth-first unit-flow kernel that
-``strongarc.flow._unit_flow`` is compared against.  ``every_pair_lambda_2``
-solves every pair with ``lambda_s_exact``, outside the pair sweep.
+``strongarc.flow._unit_flow`` is compared against, and ``strong_by_closure``
+the bit-mask strongness check that ``strongarc.digraph._strong_on_endpoints``
+is.  ``every_pair_lambda_2`` solves every pair with ``lambda_s_exact``,
+outside the pair sweep.
 """
 
 from __future__ import annotations

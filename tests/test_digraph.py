@@ -144,6 +144,12 @@ class TestStrongOnEndpoints:
         assert not _strong_on_endpoints({(3, 70), (70, 65)})
         assert not _strong_on_endpoints({(0, 1), (1, 0), (66, 67), (67, 66)})
 
+    def test_reaching_every_endpoint_one_way_is_not_enough(self):
+        # every endpoint is a tail and a head and 0 reaches all of them, but 1 and 2
+        # never reach 0; then the reverse, where 0 is reached from all but reaches few
+        assert not _strong_on_endpoints({(0, 1), (1, 2), (2, 1), (3, 0), (0, 3)})
+        assert not _strong_on_endpoints({(1, 0), (2, 1), (1, 2), (0, 3), (3, 0)})
+
     @given(labelled_arc_sets())
     @settings(max_examples=300)
     def test_equals_remapped_is_strong(self, arcs):
