@@ -42,7 +42,7 @@ from .digraph import (
     read_digraph,
     to_dot,
 )
-from .flow import arc_connectivity, pivot_min_cut
+from .flow import arc_connectivity
 from .generators import (
     TreeShape,
     bidirected_cycle,
@@ -148,18 +148,19 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
     d, _ = parse_operand(args.spec)
-    report = arc_connectivity(d)
-    cut = pivot_min_cut(d, report.value)  # verified before anything is printed
+    report = arc_connectivity(d)  # its cut is verified before anything is printed
     if not report.strong:
         print("warning: digraph is not strong")
     print(f"lambda: {report.value}")
     print(f"delta_out: {report.delta_out}")
     print(f"delta_in: {report.delta_in}")
-    print(f"min_cut: {_format_arcs(cut)}")
+    print(f"min_cut: {_format_arcs(report.min_cut)}")
     return 0
 
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.samples is None:
+        raise UsageError("--seed needs --samples")
     d, factors = parse_operand(args.spec)
     if factors is not None and args.samples is None:
         result = product_lambda_2(*factors)
@@ -267,10 +268,10 @@ def _check_eq2(args: argparse.Namespace) -> int:
         if lam != l2:
             failures += 1
             _dump_bundle(graph=bg)
-    product_cap = min(args.max_order, 3)
+    product_order = min(args.max_order, 3)
     # each graph's biorientation and connectivity, computed once for all its products
     catalog: dict[int, list] = {}
-    for n in range(2, product_cap + 1):
+    for n in range(2, product_order + 1):
         bioriented = [(edges, biorient(n, edges)) for edges in all_connected_graphs(n)]
         catalog[n] = [(edges, b, arc_connectivity(b)) for edges, b in bioriented]
     count = 0
@@ -286,7 +287,7 @@ def _check_eq2(args: argparse.Namespace) -> int:
                             f"product n={n_g} edges={edges_g} by n={n_h} edges={edges_h}: "
                             f"formula={res.formula_value} observed={res.observed_lambda2} FAIL"
                         )
-    print(f"checked {count} bidirected products: all orders <= {product_cap}")
+    print(f"checked {count} bidirected products: all orders <= {product_order}")
     print(f"checked {args.trials + count} identities: {failures} failure(s)")
     return 1 if failures else 0
 

@@ -5,15 +5,13 @@ All flows run on one kernel, ``_unit_flow``: augmentation over
 search grown from both ends, that stops at a requested number of paths and
 can leave arcs out.  ``arc_connectivity`` takes its value from the Schnorr
 cycle over a bi-dominating vertex set (``_cycle_value``) and as witness the
-arcs at a vertex of least degree unless a link went below the degrees.
-``pivot_min_cut`` finds the minimal cut of the first pivot pair ``(0, 1),
-(1, 0), (0, 2), (2, 0), ...`` attaining ``λ``, the one ``strongarc lambda``
-prints.
+arcs at a vertex of least degree unless a link went below the degrees;
+``strongarc lambda`` prints that verified witness.  ``max_flow_unit`` is the
+checked entry to the kernel for a single terminal pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,16 +22,14 @@ from .digraph import Arc, Digraph, DigraphError, _strong_without, degrees, is_st
 class LocalArcConnectivity:
     """Max arc-disjoint s->t paths: their number and a minimum cut.
 
-    ``capped``: the flow stopped at the caller's cap, more paths exist and ``cut``
-    is empty.  Otherwise ``cut`` holds the arcs leaving the residual-reachable
-    side, the unique minimal minimum cut.
+    ``cut`` holds the arcs leaving the residual-reachable side, the unique
+    minimal minimum cut.
     """
 
     source: int
     sink: int
     value: int
     cut: frozenset[Arc]
-    capped: bool
 
 
 @dataclass(frozen=True)
@@ -138,56 +134,20 @@ def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tupl
     return value, via
 
 
-def max_flow_unit(d: Digraph, s: int, t: int, cap: int | None = None) -> LocalArcConnectivity:
-    """Maximum number of arc-disjoint s->t paths, with a minimum cut.
-
-    With ``cap`` below the maximum the result is ``cap``, ``capped`` and an
-    empty cut; with ``cap`` at or above it, the uncapped result.
-    """
+def max_flow_unit(d: Digraph, s: int, t: int) -> LocalArcConnectivity:
+    """Maximum number of arc-disjoint s->t paths, with the minimal minimum cut."""
     if s == t:
         raise DigraphError("source and sink must differ")
     if not (0 <= s < d.n and 0 <= t < d.n):
         raise DigraphError(f"terminals ({s}, {t}) outside 0..{d.n - 1}")
-    if cap is not None and cap < 0:
-        raise DigraphError(f"flow cap must be >= 0, got {cap}")
     # a flow never exceeds the out-degree of s, which is below n
-    value, via = _unit_flow(d, s, t, d.n if cap is None else cap + 1)
-    if cap is not None and value > cap:
-        return LocalArcConnectivity(s, t, cap, frozenset(), True)
-    return LocalArcConnectivity(s, t, value, _cut_from_labels(d, via), False)
+    value, via = _unit_flow(d, s, t, d.n)
+    return LocalArcConnectivity(s, t, value, _cut_from_labels(d, via))
 
 
 def _cut_from_labels(d: Digraph, via: list[int]) -> frozenset[Arc]:
     """Arcs from the vertices a failed ``_unit_flow`` search labelled to those it did not."""
     return frozenset((u, v) for u, v in d.sorted_arcs if via[u] != -1 and via[v] == -1)
-
-
-def pivot_min_cut(d: Digraph, value: int) -> frozenset[Arc]:
-    """Minimal cut of the first pivot pair ``(0, 1), (1, 0), (0, 2), ...`` whose local value is ``value = λ(d)``.
-
-    One exists, since every minimum cut separates 0 from some vertex.  For
-    ``0 < c < u`` the scan has passed ``c``, so ``λ(0, c) > value`` and
-    ``λ(c, 0) > value``; then ``λ(c, u) > value`` proves ``λ(0, u) >=
-    min(λ(0, c), λ(c, u)) > value``, and ``λ(u, c) > value`` proves ``λ(u, 0) >
-    value``.  So each side first tries the flow from or to the largest such
-    in- or out-neighbour ``c`` of ``u``, one arc away; the pivot flow, which
-    gives the cut, runs only when that proof fails or ``u`` has no such
-    neighbour.  Raises ``RuntimeError`` unless the cut has ``value`` arcs and
-    deleting it leaves the digraph not strong.
-    """
-    for u in range(1, d.n):
-        for s, t, adj in ((0, u, d.in_adj[u]), (u, 0, d.out_adj[u])):
-            below = bisect_left(adj, u)
-            near = adj[below - 1] if below else 0
-            if near and _unit_flow(d, s or near, t or near, value + 1)[0] > value:
-                continue
-            local = max_flow_unit(d, s, t, cap=value)
-            if local.capped:
-                continue
-            if len(local.cut) != value or not verify_cut(d, local.cut):
-                raise RuntimeError(f"arc connectivity {value}: the minimum cut of {s}->{t} does not verify")
-            return local.cut
-    raise AssertionError("every minimum cut separates 0 from some vertex")
 
 
 def _bi_dominating(d: Digraph) -> list[int]:
@@ -239,10 +199,10 @@ def _cycle_value(d: Digraph, value: int) -> tuple[int, list[int] | None, int]:
     carried over to digraphs).  The argument reads only that every vertex
     outside X has an in- and an out-neighbour in X, so the pruned set serves
     as the plain greedy one did, with fewer links.  So ``λ`` is the least of
-    ``δ`` and the link flows ``λ(X[i], X[i+1])``.  Each link flow is capped
-    at the least value so far, and the cycle stops at 1.  Returns ``λ``, the
-    ``via`` labels of the last link that lowered it (``None`` if none did),
-    and the number of link flows, at most ``|X|``.
+    ``δ`` and the link flows ``λ(X[i], X[i+1])``.  Each link flow stops once
+    it reaches the least value so far, and the cycle stops at 1.  Returns
+    ``λ``, the ``via`` labels of the last link that lowered it (``None`` if
+    none did), and the number of link flows, at most ``|X|``.
     """
     via, flows = None, 0
     x = _bi_dominating(d) if value >= 2 else []

@@ -32,6 +32,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# two complete digraphs on 0..3 and 4..7, three arcs into 4..7 and the one arc 7 -> 3
+# back: the Schnorr cycle's closing link 4 -> 0 lowers lambda from the degree bound 3 to 1
+TWO_K4 = from_arc_list(
+    8, [(u, v) for b in (range(4), range(4, 8)) for u in b for v in b if u != v] + [(0, 5), (1, 6), (2, 7), (7, 3)]
+)
+
+
+def two_k4_operand(tmp_path) -> str:
+    path = tmp_path / "two_k4.dg"
+    path.write_text(dumps_digraph(TWO_K4))
+    return f"file:{path}"
+
+
 class TestOperandParsing:
     @pytest.mark.parametrize(
         "token,order,arcs",
@@ -122,16 +135,37 @@ class TestLambdaCommand:
 
     @pytest.mark.parametrize(
         "cut",
-        [frozenset({(0, 1), (0, 2), (0, 3), (1, 2)}), frozenset({(0, 1), (1, 2), (2, 3)})],
+        [frozenset({(7, 3), (0, 1)}), frozenset({(0, 1)})],
         ids=["wrong-size", "not-a-cut"],
     )
-    def test_unverified_cut_fails(self, capsys, monkeypatch, cut):
-        # the bad cut enters as the pivot flow's cut, so pivot_min_cut's check rejects it before any output
-        real = flow.max_flow_unit
-        monkeypatch.setattr(flow, "max_flow_unit", lambda *a, **k: dataclasses.replace(real(*a, **k), cut=cut))
-        code, out, err = run(capsys, ["lambda", "bkm:4"])
+    def test_unverified_cut_fails(self, capsys, monkeypatch, tmp_path, cut):
+        # the bad cut enters as the cut of the link that lowered lambda, so
+        # arc_connectivity's check rejects it before any output
+        monkeypatch.setattr(flow, "_cut_from_labels", lambda d, via: cut)
+        code, out, err = run(capsys, ["lambda", two_k4_operand(tmp_path)])
         assert code == 1 and out == ""
         assert "does not verify" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "operand,flows,cut", [("bkm:4", 0, "0->1 0->2 0->3"), ("two-k4", 2, "7->3")], ids=["bkm4", "two-k4"]
+    )
+    def test_prints_witness_from_its_own_flows(self, capsys, monkeypatch, tmp_path, operand, flows, cut):
+        if operand == "two-k4":
+            operand = two_k4_operand(tmp_path)
+        report = flow.arc_connectivity(cli.parse_operand([operand])[0])
+        runs = []
+        kernel = flow._unit_flow
+
+        def counting_kernel(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(flow, "_unit_flow", counting_kernel)
+        code, out, _ = run(capsys, ["lambda", operand])
+        assert code == 0
+        assert len(runs) == report.local_flows == flows
+        assert f"min_cut: {cli._format_arcs(report.min_cut)}\n" in out
+        assert f"min_cut: {cut}\n" in out
 
 
 class TestLambdaTwoCommand:
@@ -175,6 +209,12 @@ class TestLambdaTwoCommand:
     def test_samples_require_seed(self, capsys):
         code, _, err = run(capsys, ["lambda2", "bcm:5", "--samples", "3"])
         assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize("spec", [["cn:4"], ["cn:3", "x", "cn:3"]])
+    def test_seed_requires_samples(self, capsys, spec):
+        code, out, err = run(capsys, ["lambda2", *spec, "--seed", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: --seed needs --samples\n"
 
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_is_usage_error(self, capsys, samples):

@@ -1,5 +1,6 @@
 """The package root: what it exports, that the names the benchmark reads or traces resolve,
-and that a few instances of every benchmark workload pass the benchmark's own output checks."""
+that a few instances of every benchmark workload pass the benchmark's own output checks,
+and that the package imports nothing outside the standard library."""
 
 import ast
 import importlib
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import strongarc
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+SOURCES = ROOT / "src" / "strongarc"
 WORKLOADS = BENCHMARKS / "workloads.py"
 TRACING = BENCHMARKS / "tracing.py"
 
@@ -62,6 +65,23 @@ def test_every_exported_name_resolves():
     assert len(set(strongarc.__all__)) == len(strongarc.__all__)
     for name in strongarc.__all__:
         assert getattr(strongarc, name) is not None
+
+
+def test_runtime_imports_are_stdlib_only():
+    # every import in the package is relative or names a standard-library module
+    sources = sorted(SOURCES.glob("*.py"))
+    assert SOURCES / "flow.py" in sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 BENCHMARK_MODULES = ("run", "workloads", "tracing", "calibration")
