@@ -7,8 +7,8 @@ before the flow route for symmetric digraphs (`lambda2` on two symmetric product
 minimizing pair is not (0, 1)) and before the strong-digraph floor exit (`lambda2` on a
 directed cycle and on a bidirected star, and the first lifted product of the certify
 benchmark) and before the witness-first connectivity scan (`lambda` on a random product
-of order 56; it now prints `arc_connectivity`'s witness, the out-arcs of vertex 21, the
-least vertex of out-degree λ = 2) and before the product-aware pair sweep
+of order 56, whose `min_cut:` line is `arc_connectivity`'s witness: the out-arcs of the
+least vertex of out-degree λ = 2, vertex 21) and before the product-aware pair sweep
 (`check bounds` with factors of order up to 6, and `lambda2` on a product of two order-8
 random factors; both skip lift-settled pairs and screen drop-layout pairs) and before
 one routine built the rectangle members of both cycle families (`construct p51` and
