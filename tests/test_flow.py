@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from strongarc import flow
 from strongarc.digraph import Digraph, DigraphError, degrees, from_arc_list, is_strong
-from strongarc.flow import _unit_flow, arc_connectivity, max_flow_unit, verify_cut
+from strongarc.flow import LocalArcConnectivity, _unit_flow, arc_connectivity, max_flow_unit, verify_cut
 from strongarc.generators import (
     bidirected_cycle,
     complete_digraph,
@@ -156,6 +156,18 @@ def products(draw):
     return cartesian_product(draw(digraphs(3)), draw(digraphs(3))).digraph
 
 
+def reaches(arcs, s: int, t: int) -> bool:
+    """Whether a path s -> t runs along ``arcs``, by a search over the arc set alone."""
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for a, b in arcs:
+            if a == u and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return t in seen
+
+
 def bi_dominates(d: Digraph, x: set[int]) -> bool:
     """Every vertex outside ``x`` has an in-neighbour and an out-neighbour in ``x``."""
     return all(set(d.in_adj[v]) & x and set(d.out_adj[v]) & x for v in set(range(d.n)) - x)
@@ -221,6 +233,19 @@ class TestFlowKernel:
             assert not brute_max_arc_disjoint_paths(d, s, t, local.value + 1)
             assert local.cut == brute_min_cut(d, s, t)
 
+    @pytest.mark.parametrize("seed", range(15))
+    def test_every_pair_cut_separates(self, seed):
+        d = random_strong_digraph(3 + seed % 4, 0.6, seed)
+        reverse = Digraph(d.n, frozenset((v, u) for u, v in d.arcs))
+        for s in range(d.n):
+            for t in range(d.n):
+                if s == t:
+                    continue
+                local = max_flow_unit(d, s, t)
+                assert local.value == brute_local_value(d, s, t) == max_flow_unit(reverse, t, s).value
+                assert len(local.cut) == local.value and local.cut <= d.arcs
+                assert not reaches(d.arcs - local.cut, s, t)
+
     @pytest.mark.parametrize("d", _small_digraphs()[:20], ids=repr)
     def test_excluded_arcs_are_left_out(self, d):
         rng = random.Random(d.n * 1000 + len(d.arcs))
@@ -246,6 +271,12 @@ class TestFlowKernel:
     def test_bad_terminals_rejected(self, s, t, message):
         with pytest.raises(DigraphError, match=message):
             max_flow_unit(directed_cycle(3), s, t)
+
+    def test_cap_keyword_removed(self):
+        with pytest.raises(TypeError):
+            max_flow_unit(directed_cycle(3), 0, 1, cap=1)
+        assert not hasattr(max_flow_unit(directed_cycle(3), 0, 1), "capped")
+        assert "capped" not in LocalArcConnectivity.__dataclass_fields__
 
 
 def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, set[int]]:
@@ -348,6 +379,22 @@ class TestGlobalConnectivity:
         report = arc_connectivity(d)
         assert report.value == brute_arc_connectivity(d) < min(report.delta_out, report.delta_in)
         assert verify_cut(d, report.min_cut)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_value_is_least_pivot_pair_flow(self, seed):
+        # every cut separates vertex 0 from some u one way or the other, so
+        # lambda is the least of the 2(n - 1) pivot flows; products keep brute force out
+        if seed % 3 == 0:
+            d = bottleneck_digraph(3 + seed % 4, 1 + seed % 2, seed)
+        else:
+            d = random_strong_digraph(3 + seed % 5, 0.1 + (seed % 4) * 0.1, seed)
+        if seed % 2:
+            h = random_strong_digraph(2 + seed % 3, 0.3, seed + 100)
+            d = cartesian_product(d, h).digraph
+        report = arc_connectivity(d)
+        pivot = min(max_flow_unit(d, s, t).value for u in range(1, d.n) for s, t in ((0, u), (u, 0)))
+        assert report.strong and report.value == pivot <= min(report.delta_out, report.delta_in)
+        assert len(report.min_cut) == report.value and verify_cut(d, report.min_cut)
 
     @given(digraphs(max_order=8))
     @settings(max_examples=300)
