@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .digraph import Arc, Digraph, DigraphError, biorient, is_strong, is_symmetric
 from .flow import ConnectivityReport, arc_connectivity
@@ -57,8 +56,7 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaBreakdown:
+class FormulaBreakdown(NamedTuple):
     """The four candidate terms for the product's arc-strong connectivity."""
 
     lambda_g: int
@@ -123,8 +121,7 @@ def _formula(n: int, rep_g: ConnectivityReport, m: int, rep_h: ConnectivityRepor
     )
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     """Comparison of the four-term formula against a flow computation.
 
     ``cut_ok`` is always True: ``arc_connectivity`` raises unless its
@@ -159,8 +156,7 @@ def check_product_formula(g: Digraph, h: Digraph) -> FormulaCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricIdentityCheck:
+class SymmetricIdentityCheck(NamedTuple):
     """For bidirected factors the pair-packing number collapses to the formula.
 
     Two routes must agree: the four-term formula on the biorientations, which
@@ -216,8 +212,7 @@ def all_connected_graphs(n: int) -> list[tuple[tuple[int, int], ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Sandwich bounds lambda2(G) + lambda2(H) - 1 <= lambda2(product) <= formula.
 
     ``pair`` and ``witness`` are the product's least minimizing seed pair
@@ -862,8 +857,7 @@ def _lift_general(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HuntHit:
+class HuntHit(NamedTuple):
     """One random product that meets the lower bound, with its ``check_bounds`` report."""
 
     trial: int
@@ -872,8 +866,7 @@ class HuntHit:
     bounds: BoundsReport
 
 
-@dataclass(frozen=True)
-class HuntReport:
+class HuntReport(NamedTuple):
     """Tally of observed slack above the lower bound across random products."""
 
     trials: int

@@ -8,7 +8,6 @@ rejected at construction; vertices are always ``0 .. n-1``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -19,12 +18,32 @@ class DigraphError(ValueError):
     """Raised for malformed digraph inputs (bad arcs, bad vertex sets, bad files)."""
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Simple digraph on vertices ``0 .. n-1`` with an immutable arc set."""
+    """Simple digraph on vertices ``0 .. n-1`` with an immutable arc set.
+
+    Equal and hashed by ``(n, arcs)``; the cached views live in the instance dict.
+    """
 
     n: int
     arcs: frozenset[Arc]
+
+    def __init__(self, n: int, arcs: frozenset[Arc]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Digraph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Digraph is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (self.n, self.arcs) == (other.n, other.arcs)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arcs))
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

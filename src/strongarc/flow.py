@@ -12,14 +12,12 @@ checked entry to the kernel for a single terminal pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import Arc, Digraph, DigraphError, _strong_without, degrees, is_strong
 
 
-@dataclass(frozen=True)
-class LocalArcConnectivity:
+class LocalArcConnectivity(NamedTuple):
     """Max arc-disjoint s->t paths: their number and a minimum cut.
 
     ``cut`` holds the arcs leaving the residual-reachable side, the unique
@@ -32,8 +30,7 @@ class LocalArcConnectivity:
     cut: frozenset[Arc]
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Global arc-strong connectivity with the degree context and a witness cut.
 
     ``strong`` is False when the digraph is not strongly connected; then the
@@ -46,7 +43,7 @@ class ConnectivityReport:
     delta_in: int
     min_cut: frozenset[Arc]
     strong: bool
-    local_flows: int = field(compare=False)
+    local_flows: int
 
 
 def _unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, list[int]]:
@@ -224,8 +221,8 @@ def arc_connectivity(d: Digraph) -> ConnectivityReport:
     that lowered the value, read from that flow's failed last search; if
     none did, the out-arcs of the least vertex of out-degree ``λ`` when
     ``δ⁺ = λ``, else the in-arcs of the least vertex of in-degree ``λ``.
-    Raises ``RuntimeError`` unless the cut has ``λ`` arcs and deleting it
-    leaves the digraph not strong.
+    Raises ``RuntimeError`` unless the cut has ``λ`` arcs, all of them in
+    ``d``, and deleting it leaves the digraph not strong.
     """
     if d.n < 2:
         raise DigraphError("arc connectivity needs at least two vertices")
@@ -241,7 +238,7 @@ def arc_connectivity(d: Digraph) -> ConnectivityReport:
     else:
         u = next(v for v in range(d.n) if d.in_degree(v) == value)
         cut = frozenset((v, u) for v in d.in_adj[u])
-    if len(cut) != value or not verify_cut(d, cut):
+    if len(cut) != value or not cut <= d.arcs or not verify_cut(d, cut):
         raise RuntimeError(f"arc connectivity {value}: the witness cut does not verify")
     return ConnectivityReport(value, d_out, d_in, cut, strong=True, local_flows=flows)
 

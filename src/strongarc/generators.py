@@ -7,28 +7,40 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, DigraphError, biorient, from_arc_list
 
 TREE_KINDS = ("path", "star", "caterpillar", "random")
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Shape selector for ``bidirected_tree``: path, star, caterpillar or seeded random."""
-
+class _TreeShapeFields(NamedTuple):
     kind: str
     order: int
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in TREE_KINDS:
-            raise DigraphError(f"unknown tree kind {self.kind!r}, expected one of {TREE_KINDS}")
-        if self.order < 2:
-            raise DigraphError(f"trees need order >= 2, got {self.order}")
-        if self.kind == "random" and self.seed is None:
+
+class TreeShape(_TreeShapeFields):
+    """Shape selector for ``bidirected_tree``: path, star, caterpillar or seeded random.
+
+    Validated on construction; ``_make``, and with it ``_replace``, builds
+    through the constructor, so every shape in hand is a valid one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, order: int, seed: int | None = None) -> TreeShape:
+        if kind not in TREE_KINDS:
+            raise DigraphError(f"unknown tree kind {kind!r}, expected one of {TREE_KINDS}")
+        if order < 2:
+            raise DigraphError(f"trees need order >= 2, got {order}")
+        if kind == "random" and seed is None:
             raise DigraphError("random tree shape needs an explicit seed")
+        return super().__new__(cls, kind, order, seed)
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> TreeShape:
+        return cls(*fields)
 
 
 def directed_cycle(n: int) -> Digraph:

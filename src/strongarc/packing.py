@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .digraph import (
     Arc,
@@ -39,8 +38,7 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CertificateFamily:
+class CertificateFamily(NamedTuple):
     """A family of arc sets, each meant to induce a strong subgraph through the seed pair."""
 
     n: int
@@ -49,8 +47,7 @@ class CertificateFamily:
     origin: str = "search"
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Per-member verification outcome; ``valid`` only when every check passes."""
 
     valid: bool
@@ -60,8 +57,7 @@ class CertificateReport:
     overlaps: tuple[tuple[int, int, frozenset[Arc]], ...]
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     """Seed-pair packing number with witness family and the reason it is optimal.
 
     When a budget interrupts the search, ``exact`` is False and
@@ -78,8 +74,7 @@ class PackingResult:
     upper: int
 
 
-@dataclass(frozen=True)
-class Lambda2Result:
+class Lambda2Result(NamedTuple):
     """Minimum seed-pair packing number over sampled or all pairs."""
 
     value: int

@@ -9,14 +9,12 @@ an *H-fiber* fixes the G-coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import Arc, Digraph, DigraphError
 
 
-@dataclass(frozen=True)
-class ProductDigraph:
+class ProductDigraph(NamedTuple):
     """A digraph together with its factor dimensions and coordinate codecs."""
 
     digraph: Digraph

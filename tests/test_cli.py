@@ -1,6 +1,5 @@
 """Command line interface: operand parsing, subcommands, exit codes, file output."""
 
-import dataclasses
 import json
 import os
 import resource
@@ -135,8 +134,8 @@ class TestLambdaCommand:
 
     @pytest.mark.parametrize(
         "cut",
-        [frozenset({(7, 3), (0, 1)}), frozenset({(0, 1)})],
-        ids=["wrong-size", "not-a-cut"],
+        [frozenset({(7, 3), (0, 1)}), frozenset({(0, 1)}), frozenset({(0, 7)})],
+        ids=["wrong-size", "not-a-cut", "foreign-arc"],
     )
     def test_unverified_cut_fails(self, capsys, monkeypatch, tmp_path, cut):
         # the bad cut enters as the cut of the link that lowered lambda, so
@@ -186,7 +185,7 @@ class TestLambdaTwoCommand:
     def test_unverified_witness_fails(self, capsys, monkeypatch, spec):
         real = packing.verify_certificate
         monkeypatch.setattr(
-            packing, "verify_certificate", lambda d, fam: dataclasses.replace(real(d, fam), valid=False)
+            packing, "verify_certificate", lambda d, fam: real(d, fam)._replace(valid=False)
         )
         code, out, err = run(capsys, ["lambda2", *spec])
         assert code == 1 and out == ""
@@ -358,7 +357,7 @@ class TestCheckCommands:
 
         def failing(g, h):
             seen.append((g, h))
-            return dataclasses.replace(constructions.check_product_formula(g, h), holds=False)
+            return constructions.check_product_formula(g, h)._replace(holds=False)
 
         monkeypatch.setattr(cli, "check_product_formula", failing)
         code, out, _ = run(capsys, ["check", "thm31", "--trials", "2", "--max-order", "3", "--seed", "1"])
@@ -405,7 +404,7 @@ class TestConstructCommand:
     def test_unverified_family_fails(self, capsys, monkeypatch):
         real = constructions.verify_certificate
         monkeypatch.setattr(
-            constructions, "verify_certificate", lambda d, fam: dataclasses.replace(real(d, fam), valid=False)
+            constructions, "verify_certificate", lambda d, fam: real(d, fam)._replace(valid=False)
         )
         code, out, err = run(capsys, ["construct", "p51", "-n", "4", "-m", "4", "-S", "0,0:1,1"])
         assert code == 1 and out == ""

@@ -1,6 +1,5 @@
 """Product connectivity formulas, closed-form certificate families, lifting, hunts."""
 
-import dataclasses
 import hashlib
 import random
 from functools import partial
@@ -766,7 +765,7 @@ class TestHunt:
         def recording(g, h):
             r = check_bounds(g, h)
             if len(reports) % 3 == 0:
-                r = dataclasses.replace(r, lower=r.observed)
+                r = r._replace(lower=r.observed)
             reports.append((g, h, r))
             return r
 

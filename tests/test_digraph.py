@@ -78,6 +78,27 @@ class TestConstruction:
         assert d.out_degree(0) == 2 and d.in_degree(0) == 1
         assert degrees(d) == (1, 1)
 
+    def test_equal_and_hashed_by_value(self):
+        arcs = [(0, 1), (1, 2), (2, 0)]
+        a, b = from_arc_list(3, arcs), Digraph(3, frozenset(arcs))
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != from_arc_list(4, arcs) and a != from_arc_list(3, arcs[:2])
+        assert a != (3, frozenset(arcs)) and (3, frozenset(arcs)) != a
+
+    def test_fields_are_read_only(self):
+        d = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(AttributeError):
+            d.n = 4
+        with pytest.raises(AttributeError):
+            d.out_adj = ()
+        with pytest.raises(AttributeError):
+            del d.arcs
+        assert d.n == 3 and len(d.arcs) == 3
+
+    def test_views_are_cached(self):
+        d = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
+        assert d.out_adj is d.out_adj and d.flow_network is d.flow_network
+
 
 class TestStrongness:
     def test_cycle_is_strong(self):

@@ -276,7 +276,7 @@ class TestFlowKernel:
         with pytest.raises(TypeError):
             max_flow_unit(directed_cycle(3), 0, 1, cap=1)
         assert not hasattr(max_flow_unit(directed_cycle(3), 0, 1), "capped")
-        assert "capped" not in LocalArcConnectivity.__dataclass_fields__
+        assert "capped" not in LocalArcConnectivity._fields
 
 
 def matches_reference_kernel(d: Digraph, s: int, t: int, need: int, excluded: int = 0) -> tuple[int, set[int]]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from strongarc.digraph import is_strong
+from strongarc.digraph import DigraphError, is_strong
 from strongarc.generators import (
     TREE_KINDS,
     TreeShape,
@@ -105,6 +105,13 @@ class TestTrees:
             TreeShape("path", 1)
         with pytest.raises(ValueError):
             TreeShape("random", 3)  # needs a seed
+
+    def test_replace_validates(self):
+        assert TreeShape("path", 4)._replace(order=6) == TreeShape("path", 6)
+        with pytest.raises(DigraphError, match="unknown tree kind 'bogus'"):
+            TreeShape("path", 4)._replace(kind="bogus")
+        with pytest.raises(DigraphError, match="random tree shape needs an explicit seed"):
+            TreeShape("path", 4)._replace(kind="random")
 
 
 class TestRandomStrongDigraph:

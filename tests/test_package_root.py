@@ -4,6 +4,7 @@ and that the package imports nothing outside the standard library."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -67,21 +68,46 @@ def test_every_exported_name_resolves():
         assert getattr(strongarc, name) is not None
 
 
-def test_runtime_imports_are_stdlib_only():
-    # every import in the package is relative or names a standard-library module
+def _imports(path: Path) -> list[str]:
+    """The absolute module names that the source file ``path`` imports."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module)
+    return modules
+
+
+def _package_imports() -> list[tuple[str, str]]:
+    """``(file name, module)`` for every absolute import in the package's sources."""
     sources = sorted(SOURCES.glob("*.py"))
     assert SOURCES / "flow.py" in sources
-    outside = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+    return [(path.name, module) for path in sources for module in _imports(path)]
+
+
+def test_runtime_imports_are_stdlib_only():
+    # every import in the package is relative or names a standard-library module
+    outside = [(name, m) for name, m in _package_imports() if m.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples and Digraph a plain class: importing dataclasses,
+    # and inspect with it, was most of the cost of importing the package
+    assert [(name, m) for name, m in _package_imports() if m.partition(".")[0] == "dataclasses"] == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site packages, so nothing but the package loads them
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import strongarc, strongarc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SOURCES.parent)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 BENCHMARK_MODULES = ("run", "workloads", "tracing", "calibration")
