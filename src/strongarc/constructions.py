@@ -17,6 +17,7 @@ import random
 from collections import deque
 from functools import partial
 from itertools import combinations
+from math import inf
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .digraph import Arc, Digraph, DigraphError, biorient, is_strong, is_symmetric
@@ -280,16 +281,19 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
 
     A symmetric product keeps the flow route of ``lambda_2``, which runs no
     pair search.  Otherwise ``_search_sweep`` runs with each pair's proven
-    lower bound taken from the lifting construction: ``lift_certificates``
-    builds ``_lift_size`` members there, ``λ₂(G) + λ₂(H)`` less one at a
-    drop layout.  The sweep asks for the bound only as far as its ``need``,
-    and the two counts differ only at ``need = λ₂(G) + λ₂(H)``, so
-    elsewhere no drop test runs and no factor packing is searched for one.
-    The drop test reads the two records, whose memos already hold each
-    factor's packing at its own ``λ₂`` pair.  The pair-orbit
-    representatives come from the factor digraphs' ``pair_orbits`` tables:
-    built only if the sweep gets past ``(0, 1)``, and shared with the
-    factor's own ``λ₂`` sweep when that built one first.
+    lower bound ``L`` taken from the stronger lift (``_lift_bound``, built
+    by ``_sealed_lift`` with ``local``): the factors' whole packings at the
+    seed lines, bridged on distinct rows and columns, so ``L`` is at least
+    ``λ₂(G) + λ₂(H) - 1``, at least that sum off the rare stuck layouts,
+    and above it wherever a factor packs more than its ``λ₂`` there.  The
+    sweep asks for the bound only as far as its ``need``: below the sum it
+    reads nothing, at the sum it searches a factor packing only where that
+    factor holds the digon on the seed lines, and above the sum it reads
+    the records' packing memos, each factor pair searched once.  The
+    pair-orbit representatives come from the factor digraphs'
+    ``pair_orbits`` tables: built only if the sweep gets past ``(0, 1)``,
+    and shared with the factor's own ``λ₂`` sweep when that built one
+    first.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
@@ -299,7 +303,7 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     bound = g_fams.least + h_fams.least
 
     def lower(x: int, y: int, need: int) -> int:
-        return bound - 1 if need != bound else _lift_size(g_fams, h_fams, *divmod(x, m), *divmod(y, m))
+        return bound - 1 if need < bound else _lift_bound(g_fams, h_fams, *divmod(x, m), *divmod(y, m), need)
 
     return _search_sweep(d, product=(g, h, lower))
 
@@ -624,24 +628,39 @@ def _factor_family(
     return result.witness.members
 
 
+class _Side(NamedTuple):
+    """One factor's lifted members at seed lines ``a``, ``b``, each with the line it bridges on.
+
+    ``forced`` is the index of the member bridging on ``b`` itself, or
+    None; ``spare`` is a further member of the packing, or None.
+    """
+
+    members: tuple[frozenset[Arc], ...]
+    lines: list[int]
+    forced: int | None
+    spare: frozenset[Arc] | None
+
+
 class _FactorPackings:
     """All a product routine learns about one factor: its ``λ₂`` and its seed-pair packings.
 
     ``lambda_2`` runs once, through ``_strong_factor``, so a factor not
     strong or on fewer than two vertices raises ``DigraphError`` naming
-    ``what``.  ``least`` is that ``λ₂``: the first ``least`` members of a
-    packing are lifted, and a further member is a spare.  The record builds
-    the factor's arc tables once, and both the ``λ₂`` sweep and every later
-    packing search run on them.  ``least`` is a proven floor at every seed
-    pair, so a search at a pair whose seed degree is ``least`` runs no seed
-    flow.  Each packing is searched once, and the memo starts with
-    ``λ₂``'s witness at its pair, the packing a search there finds: both
+    ``what``.  ``least`` is that ``λ₂``.  The record builds the factor's
+    arc tables once, and both the ``λ₂`` sweep and every later packing
+    search run on them.  ``least`` is a proven floor at every seed pair,
+    so a search at a pair whose seed degree is ``least`` runs no seed flow.
+    Each packing is searched once, and the memo starts with ``λ₂``'s
+    witness at its pair, the packing a search there finds: both
     ``lambda_2`` routes return the packer's first maximum packing at that
-    pair, as a capped ``_exact`` does.  The forced/spare reading of a seed
-    layout (see ``_drop_layout``) is kept per ordered pair of factor
-    vertices.  A record lives as long as the lift or product sweep that
-    built it, never longer; the factor's ordered-pair orbit table lives on
-    the factor digraph (``Digraph.pair_orbits``), which a lift never reads.
+    pair, as a capped ``_exact`` does.  A lift reads a packing as a
+    ``_Side``, kept per ordered pair of factor vertices: its first
+    ``least`` members with the next one as a spare (``lift_certificates``),
+    or the whole packing with no spare, which the product sweep's stronger
+    lift may take instead (see ``_local_general``).  A record lives as long
+    as the lift or product sweep that built it, never longer; the factor's
+    ordered-pair orbit table lives on the factor digraph
+    (``Digraph.pair_orbits``), which a lift never reads.
     """
 
     def __init__(self, what: str, d: Digraph) -> None:
@@ -649,7 +668,7 @@ class _FactorPackings:
         result = _strong_factor(what, d, partial(_lambda_2, tables=self._tables))
         self.d, self.least = d, result.value
         self._found = {result.pair: result.witness.members}
-        self._branched: dict[tuple[int, int], tuple[list[int], int | None]] = {}
+        self._sides: dict[tuple[int, int, bool, bool], _Side] = {}
 
     def at(self, a: int, b: int) -> tuple[frozenset[Arc], ...]:
         """The packer's first maximum packing through ``a`` and ``b``."""
@@ -659,22 +678,38 @@ class _FactorPackings:
             found = self._found[pair] = _factor_family(self.d, self._tables, pair, self.least, floor=self.least)
         return found
 
-    def branches(self, a: int, b: int) -> tuple[list[int], int | None]:
-        """The branch vertex at ``a`` of each lifted member, dodging ``b``, and the first forced member.
+    def side(self, a: int, b: int, whole: bool = False, distinct: bool = False) -> _Side:
+        """The packing at ``{a, b}`` read for a lift from line ``a``: the first ``least`` members, or all when ``whole``.
 
-        A member is forced when it leaves ``a`` only by the arc to ``b``;
-        the index is None when no member is.
+        Each member bridges on its least out-neighbour of ``a`` other than
+        ``b``, and is forced when ``b`` is its only one.  With ``distinct``
+        a forced member is re-matched where ``_distinct_lines`` can, and the
+        side is forced only where no distinct lines exist.
         """
-        branched = self._branched.get((a, b))
-        if branched is None:
-            picks = _choose_branches(self.at(a, b)[: self.least], a, avoid=b)
-            forced = next((i for i, t in enumerate(picks) if t == b), None)
-            branched = self._branched[(a, b)] = (picks, forced)
-        return branched
+        key = (a, b, whole, distinct)
+        side = self._sides.get(key)
+        if side is None:
+            if distinct:
+                side = self.side(a, b, whole)
+                lines = None if side.forced is None else _distinct_lines(side, a, b)
+                if lines is not None:
+                    side = side._replace(lines=lines, forced=None)
+            else:
+                found = self.at(a, b)
+                members = found if whole else found[: self.least]
+                lines = _choose_branches(members, a, avoid=b)
+                forced = next((i for i, t in enumerate(lines) if t == b), None)
+                side = _Side(members, lines, forced, None if whole else self.spare(a, b))
+            self._sides[key] = side
+        return side
 
-    def forced(self, a: int, b: int) -> bool:
+    def forced(self, a: int, b: int, whole: bool = False) -> bool:
         """Some lifted member at ``{a, b}`` leaves ``a`` only towards ``b``; never without arc ``a -> b``."""
-        return self.d.has_arc(a, b) and self.branches(a, b)[1] is not None
+        return self.d.has_arc(a, b) and self.side(a, b, whole).forced is not None
+
+    def stuck(self, a: int, b: int, whole: bool = False) -> bool:
+        """No distinct bridge lines off ``{a, b}`` exist for the lifted members; never without the digon ``a <-> b``."""
+        return self.d.has_arc(a, b) and self.d.has_arc(b, a) and self.side(a, b, whole, distinct=True).forced is not None
 
     def spare(self, a: int, b: int) -> frozenset[Arc] | None:
         """The packing's member after the lifted ones, or None when it has only ``least``."""
@@ -702,14 +737,43 @@ def _choose_branches(
     return picks
 
 
+def _distinct_lines(side: _Side, a: int, b: int) -> list[int] | None:
+    """Bridge lines for ``side``'s members that are distinct and avoid ``a`` and ``b``, or None.
+
+    Every member but the forced one already has such a line, so one
+    augmenting path (Kuhn's, found breadth-first) either re-matches the
+    forced member to a vertex of its own off ``a`` and ``b`` or shows that
+    the members have no system of distinct representatives there.
+    """
+    lines = side.lines
+    owner = {t: i for i, t in enumerate(lines) if i != side.forced}
+    parent: dict[int, int | None] = {side.forced: None}
+    queue = deque(parent)
+    while queue:
+        i = queue.popleft()
+        for v in sorted({v for arc in side.members[i] for v in arc} - {a, b}):
+            j = owner.get(v)
+            if j is None:
+                lines = list(lines)
+                while i is not None:  # i takes v, and hands its old line to the member that asked for it
+                    lines[i], v = v, lines[i]
+                    i = parent[i]
+                return lines
+            if j not in parent:
+                parent[j] = i
+                queue.append(j)
+    return None
+
+
 def _lift_size(
     g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
 ) -> int:
     """The member count of ``lift_certificates`` for seeds at ``(r1, c1)`` and ``(r2, c2)``.
 
     It is ``λ₂(G) + λ₂(H)``, less one at a drop layout, which only seeds in
-    distinct rows and columns can be.  The product sweep trusts it as a
-    proven lower bound, and ``lift_certificates`` checks it on every family.
+    distinct rows and columns can be.  ``lift_certificates`` checks it on
+    every family, and the product sweep's ``L`` is never below it (see
+    ``_lift_bound``).
     """
     general = r1 != r2 and c1 != c2
     return g_fams.least + h_fams.least - (general and _drop_layout(g_fams, h_fams, r1, c1, r2, c2))
@@ -733,6 +797,54 @@ def _drop_layout(
     return h_fams.spare(c1, c2) is None if forced_g else g_fams.spare(r1, r2) is None
 
 
+def _lift_bound(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int, need: float = inf
+) -> int:
+    """``L``, the member count of the stronger lift for seeds at ``(r1, c1)`` and ``(r2, c2)``, as far as ``need``.
+
+    The product sweep trusts it as a proven lower bound, and the stronger
+    lift (``_sealed_lift`` with ``local``) checks ``L`` on every family.
+    Seeds sharing row ``r`` get ``k_H + |at(r, o)|`` members, with ``k_H``
+    the size of H's packing at the seed columns and ``o`` the ``_partner``
+    of ``r`` (and the mirror for a shared column); seeds in general
+    position get the larger count of ``_local_general``'s two forms.  Each
+    is at least ``λ₂(G) + λ₂(H) - 1``, so below that sum ``need`` is met
+    with nothing read.  At the sum the λ₂-member form is counted first: it
+    searches a factor's packing only where that factor holds the digon on
+    the seed lines, and the whole packings are counted only where it drops,
+    from packings by then fetched.  Above the sum ``L`` is the whole
+    packings' count, never below the other form's, read through the
+    records' packing memos.
+    """
+    bound = g_fams.least + h_fams.least
+    if need < bound:
+        return bound - 1
+    if r1 == r2 or c1 == c2:
+        if need == bound:
+            return bound
+        a_fams, b_fams, line, s1, s2 = (g_fams, h_fams, r1, c1, c2) if r1 == r2 else (h_fams, g_fams, c1, r1, r2)
+        return len(b_fams.at(s1, s2)) + len(a_fams.at(line, _partner(line)))
+    if need == bound and not _stuck_drop(g_fams, h_fams, r1, c1, r2, c2, False):
+        return bound
+    whole = len(g_fams.at(r1, r2)) + len(h_fams.at(c1, c2))
+    return whole - _stuck_drop(g_fams, h_fams, r1, c1, r2, c2, True)
+
+
+def _stuck_drop(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int, whole: bool
+) -> bool:
+    """True when a form of ``_local_general`` drops a member, read as lazily as ``_drop_layout``.
+
+    That is where exactly one side is stuck, and the other is not forced,
+    so no swap, and has no spare; a whole packing never has one.
+    """
+    g_stuck = g_fams.stuck(r1, r2, whole)
+    if g_stuck == h_fams.stuck(c1, c2, whole):
+        return False
+    fams, a, b = (h_fams, c1, c2) if g_stuck else (g_fams, r1, r2)
+    return not fams.forced(a, b, whole) and (whole or fams.spare(a, b) is None)
+
+
 def lift_certificates(
     g: Digraph, h: Digraph, x_pos: tuple[int, int], y_pos: tuple[int, int]
 ) -> tuple[ProductDigraph, CertificateFamily]:
@@ -748,19 +860,42 @@ def lift_certificates(
     one member is dropped when the other factor has no spare (a drop
     layout, see ``_drop_layout``).  When both are forced, the two forced
     members swap halves and every member is kept.  The family must verify
-    with exactly ``_lift_size`` members, the count the product sweep trusts.
+    with exactly ``_lift_size`` members.  The product sweep rests on a
+    stronger form of this lift (see ``_local_general``).
     """
     g_fams, h_fams = _FactorPackings("first factor", g), _FactorPackings("second factor", h)
-    p = cartesian_product(g, h)
+    return _sealed_lift(g_fams, h_fams, x_pos, y_pos, False)
+
+
+def _sealed_lift(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, x_pos: tuple[int, int], y_pos: tuple[int, int], local: bool
+) -> tuple[ProductDigraph, CertificateFamily]:
+    """The family of ``lift_certificates``, or with ``local`` the stronger lift the product sweep rests on.
+
+    Seeds sharing a line lift the first ``λ₂`` members of each factor's
+    packing, or with ``local`` every member; seeds in general position lift
+    ``_lift_general`` on the records' sides, or on ``_local_general``'s.
+    The family must verify with exactly ``_lift_size`` members, or with
+    ``local`` exactly ``_lift_bound``'s ``L``.
+    """
+    p = cartesian_product(g_fams.d, h_fams.d)
     x, y = _positions(p, x_pos, y_pos)
     (r1, c1), (r2, c2) = x_pos, y_pos
     if r1 == r2:
-        members = _lift_same_line(p, g_fams, h_fams, lift_g_arcs, lift_h_arcs, r1, c1, c2)
+        members = _lift_same_line(p, g_fams, h_fams, lift_g_arcs, lift_h_arcs, r1, c1, c2, local)
     elif c1 == c2:
-        members = _lift_same_line(p, h_fams, g_fams, lift_h_arcs, lift_g_arcs, c1, r1, r2)
+        members = _lift_same_line(p, h_fams, g_fams, lift_h_arcs, lift_g_arcs, c1, r1, r2, local)
+    elif local:
+        members = _local_general(p, g_fams, h_fams, r1, c1, r2, c2)
     else:
-        members = _lift_general(p, g_fams, h_fams, r1, c1, r2, c2)
-    return p, _sealed_family(p, x, y, members, _lift_size(g_fams, h_fams, r1, c1, r2, c2), "lift")
+        members = _lift_general(p, g_fams.side(r1, r2), h_fams.side(c1, c2), r1, c1, r2, c2)
+    size = (_lift_bound if local else _lift_size)(g_fams, h_fams, r1, c1, r2, c2)
+    return p, _sealed_family(p, x, y, members, size, "lift")
+
+
+def _partner(line: int) -> int:
+    """The vertex whose packing with a shared seed line that line's factor lifts: 0, or 1 for line 0."""
+    return 0 if line != 0 else 1
 
 
 def _lift_same_line(
@@ -772,20 +907,24 @@ def _lift_same_line(
     line: int,
     s1: int,
     s2: int,
+    whole: bool = False,
 ) -> tuple[frozenset[Arc], ...]:
     """Seeds share a line of factor ``b``: copy b-members there, bridge a-members elsewhere.
 
     The line is row ``line`` with seed columns ``s1``, ``s2`` when ``a`` is the
     first factor, and column ``line`` with seed rows ``s1``, ``s2`` when ``a``
     is the second; ``lift_a``/``lift_b`` map each factor's arcs to the product.
+    The b-members are b's packing at the seeds and the a-members a's at
+    ``line`` and its ``_partner``: the first ``λ₂`` of each, or every member
+    when ``whole``.  Each a-member bridges on its least out-neighbour of
+    ``line``, distinct since the members are arc-disjoint.
     """
-    a2, b2 = a_fams.least, b_fams.least
-    other = 0 if line != 0 else 1
-    a_members = a_fams.at(line, other)[:a2]
-    b_members = b_fams.at(s1, s2)
+    a_members, b_members = a_fams.at(line, _partner(line)), b_fams.at(s1, s2)
+    if not whole:
+        a_members, b_members = a_members[: a_fams.least], b_members[: b_fams.least]
     branches = _choose_branches(a_members, line, avoid=None)
     return (
-        *(lift_b(p, b_members[j], line) for j in range(b2)),
+        *(lift_b(p, member, line) for member in b_members),
         *(_bridged(p, lift_a, lift_b, a, s1, s2, b_members[0], t) for a, t in zip(a_members, branches)),
     )
 
@@ -800,56 +939,102 @@ def _bridged(
 
 
 def _lift_general(
-    p: ProductDigraph,
-    g_fams: _FactorPackings,
-    h_fams: _FactorPackings,
-    r1: int,
-    c1: int,
-    r2: int,
-    c2: int,
+    p: ProductDigraph, g: _Side, h: _Side, r1: int, c1: int, r2: int, c2: int
 ) -> tuple[frozenset[Arc], ...]:
-    """Seeds in general position: bridge each factor family through the other.
+    """Seeds in general position: bridge each factor side through the other.
 
-    Each g-side member pairs its two seed-column copies with one row bridge;
-    branch rows are distinct because the factor members are arc-disjoint, so
-    collisions can only involve the seed lines themselves.  A g-side member
-    forced to bridge through row ``r2`` collides exactly with the h-side
-    member whose bridge template it shares (and symmetrically), which is
-    repaired by swapping halves, substituting a spare member, or dropping
-    one member when there is no spare.
+    Each g-side member pairs its two seed-column copies with one row bridge
+    on its line.  The lines of unforced members are distinct and off the
+    seed rows, so collisions can only involve the seed lines themselves.  A
+    g-side member forced to bridge through row ``r2`` collides exactly with
+    the h-side member whose bridge template it shares (and symmetrically),
+    which is repaired by swapping halves, substituting a spare member, or
+    dropping one member when there is no spare.
     """
-    g2, h2 = g_fams.least, h_fams.least
-    g_members = g_fams.at(r1, r2)[:g2]
-    h_members = h_fams.at(c1, c2)[:h2]
-    rows, forced_g = g_fams.branches(r1, r2)
-    cols, forced_h = h_fams.branches(c1, c2)
-    g_bridges = [h_members[0]] * g2
-    h_bridges = [g_members[0]] * h2
-    g_kept, h_kept = range(g2), range(h2)
+    g_bridges = [h.members[0]] * len(g.members)
+    h_bridges = [g.members[0]] * len(h.members)
+    g_kept, h_kept = range(len(g.members)), range(len(h.members))
     # A forced g-side member's bridge in row r2 is h-side member 0's copy of
     # h-member 0: it takes the spare h-member instead, or h-side member 0 goes
     # (and the mirror image for a forced h-side member).
-    if forced_g is not None and forced_h is None:
-        spare = h_fams.spare(c1, c2)
-        if spare is None:
-            h_kept = range(1, h2)
+    if g.forced is not None and h.forced is None:
+        if h.spare is None:
+            h_kept = range(1, len(h.members))
         else:
-            g_bridges[forced_g] = spare
-    if forced_h is not None and forced_g is None:
-        spare = g_fams.spare(r1, r2)
-        if spare is None:
-            g_kept = range(1, g2)
+            g_bridges[g.forced] = h.spare
+    if h.forced is not None and g.forced is None:
+        if g.spare is None:
+            g_kept = range(1, len(g.members))
         else:
-            h_bridges[forced_h] = spare
+            h_bridges[h.forced] = g.spare
     g_side = partial(_bridged, p, lift_g_arcs, lift_h_arcs)
     h_side = partial(_bridged, p, lift_h_arcs, lift_g_arcs)
-    g_sides = [g_side(g_members[i], c1, c2, g_bridges[i], rows[i]) for i in g_kept]
-    h_sides = [h_side(h_members[j], r1, r2, h_bridges[j], cols[j]) for j in h_kept]
-    if forced_g is not None and forced_h is not None:
-        i, j = forced_g, forced_h
-        g_sides[i] = lift_g_arcs(p, g_members[i], c1) | lift_h_arcs(p, h_members[j], r2)
-        h_sides[j] = lift_h_arcs(p, h_members[j], r1) | lift_g_arcs(p, g_members[i], c2)
+    g_sides = [g_side(g.members[i], c1, c2, g_bridges[i], g.lines[i]) for i in g_kept]
+    h_sides = [h_side(h.members[j], r1, r2, h_bridges[j], h.lines[j]) for j in h_kept]
+    if g.forced is not None and h.forced is not None:
+        i, j = g.forced, h.forced
+        g_sides[i] = lift_g_arcs(p, g.members[i], c1) | lift_h_arcs(p, h.members[j], r2)
+        h_sides[j] = lift_h_arcs(p, h.members[j], r1) | lift_g_arcs(p, g.members[i], c2)
     return tuple(g_sides) + tuple(h_sides)
+
+
+def _local_general(
+    p: ProductDigraph, g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
+) -> tuple[frozenset[Arc], ...]:
+    """The stronger lift behind the product sweep's bound, for seeds in general position.
+
+    It builds on ``_lift_general`` as ``lift_certificates`` does, with two
+    inputs changed.
+
+    **Distinct bridge rows.**  A g-side member may bridge on any row it
+    holds, not only on an out-neighbour of ``r1``: the bridge is an H-member
+    copied into that row, and it meets both of the member's seed-column
+    copies.  Off the seed rows the bridge rows need only be distinct, a
+    system of distinct representatives (Hall) of the members' vertex sets
+    less ``{r1, r2}``.  The out-neighbours of ``r1`` are distinct, since the
+    members are arc-disjoint, and at most one of them is ``r2``, since one
+    member at most holds the arc ``r1 -> r2``.  So they match every member
+    but at most one, and a maximum system (``_distinct_lines``) leaves at
+    most one member unmatched.  That member bridges on row ``r2``, which it
+    holds, exactly as a forced member does in ``lift_certificates``, and
+    every other bridge is on a distinct row off the seed rows; so the swap,
+    spare and drop repairs hold for it unchanged.  A member is left
+    unmatched, and the side is stuck, only where G holds both arcs
+    ``r1 -> r2`` and ``r2 -> r1``.  Hall's condition then fails for a set A
+    of members whose rows off the seed rows form a set N with ``|N| < |A|``.
+    Each member of A is strong on two or more vertices, so it holds an arc
+    out of ``r1`` and an arc into ``r1``: ``2|A|`` distinct arcs, each to or
+    from ``N ∪ {r2}``, which has at most ``|A|`` vertices.  So each vertex
+    there, ``r2`` among them, is the head of one and the tail of another.
+    The same holds for columns.  A side facing a stuck side keeps its
+    out-neighbour rows, so where it is forced too the two swap halves and
+    nothing is dropped; so ``L`` never falls below ``_lift_size``.
+
+    **Local packings.**  Each side lifts either its first ``λ₂`` members,
+    with the spare, or its whole packing at the seed lines, with none.
+    ``L`` is the larger of the two counts, ``k_G + k_H`` less one where
+    exactly one side is stuck and the other is not forced and has no
+    spare; a tie keeps the ``λ₂`` members.  The whole packings are never
+    the smaller: where both packings have ``λ₂`` members the two forms are
+    one, and a longer packing gains at least the one member a drop loses.
+    """
+    forms = (_local_sides(g_fams, h_fams, r1, c1, r2, c2, whole) for whole in (False, True))
+    return _lift_general(p, *max(forms, key=lambda sides: _side_count(*sides)), r1, c1, r2, c2)
+
+
+def _local_sides(
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int, whole: bool
+) -> tuple[_Side, _Side]:
+    """Both factors' sides in one form of ``_local_general``: distinct lines, except facing a stuck side."""
+    g_stuck, h_stuck = g_fams.stuck(r1, r2, whole), h_fams.stuck(c1, c2, whole)
+    return g_fams.side(r1, r2, whole, distinct=not h_stuck), h_fams.side(c1, c2, whole, distinct=not g_stuck)
+
+
+def _side_count(g: _Side, h: _Side) -> int:
+    """The members ``_lift_general`` builds from two sides: one fewer where exactly one is forced and the other has no spare."""
+    unforced = g if g.forced is None else h
+    drop = (g.forced is None) != (h.forced is None) and unforced.spare is None
+    return len(g.members) + len(h.members) - drop
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def _bare_bounds(g, h):
 
 
 class TestLiftSettledSweep:
-    """The product sweep skips pairs by the drop-layout test; each gate is checked against the long way."""
+    """The product sweep skips pairs by the stronger lift's bound; each gate is checked against the long way."""
 
     def test_drop_test_counts_the_lifted_members(self):
         # every seed pair, in both orders, of random factor pairs of order 2-5
@@ -363,6 +363,82 @@ class TestLiftSettledSweep:
         path = from_arc_list(3, [(0, 1), (1, 2)])
         cycle = directed_cycle(3)
         assert product_lambda_2(path, cycle) == lambda_2(cartesian_product(path, cycle).digraph)
+
+    # seeds 0-5 and 7 draw products whose λ₂ is λ₂(G) + λ₂(H); on seeds 24, 152 and 178 it is one
+    # more, so only the whole factor packings settle pairs once the running minimum is found
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 24, 152, 178])
+    def test_product_sweep_equals_the_bare_sweep_on_larger_factors(self, seed):
+        rng = random.Random(seed)
+        g, h = (random_strong_digraph(rng.randint(8, 12), rng.random() * 0.5, rng.getrandbits(32)) for _ in range(2))
+        assert product_lambda_2(g, h) == lambda_2(cartesian_product(g, h).digraph)
+
+
+def _stronger_lift_factor_pairs():
+    """60 random factor pairs of order 2-6, every ordered pair of the classes at order 3-5 (trees
+    are paths), and one rare second factor: its whole packing at (4, 1) has λ₂ + 1 = 2 members,
+    and the second one, not the first, leaves 4 only towards 1."""
+    for seed in range(60):
+        yield f"rand#{seed}", *_random_factor_pair(seed, 6)
+    classes = [(f"{cls}:{n}", class_digraph(cls, n)) for cls in CLASS_TOKENS for n in range(3, 6)]
+    for (g_token, g), (h_token, h) in ((a, b) for a in classes for b in classes):
+        yield f"{g_token} x {h_token}", g, h
+    rng = random.Random(881)
+    yield "cn:3 x rand7#881", directed_cycle(3), random_strong_digraph(rng.randint(2, 7), rng.random() * 0.7, rng.getrandbits(32))
+
+
+class TestStrongerLift:
+    """The stronger lift behind the product sweep's bound ``L``: distinct bridge rows, whole factor packings."""
+
+    @staticmethod
+    def _lift(g, h, x_pos, y_pos):
+        g_fams, h_fams = constructions._FactorPackings("first factor", g), constructions._FactorPackings("second factor", h)
+        p, fam = constructions._sealed_lift(g_fams, h_fams, x_pos, y_pos, True)
+        assert verify_certificate(p.digraph, fam).valid
+        return fam, constructions._lift_size(g_fams, h_fams, *x_pos, *y_pos)
+
+    @pytest.mark.parametrize("g,h", [pytest.param(g, h, id=label) for label, g, h in _stronger_lift_factor_pairs()])
+    def test_every_seed_pair_gets_exactly_L_members(self, g, h):
+        # the family is sealed: it verifies with exactly L members or raises.  L is checked against
+        # the exact value by a search at L itself, where that value is at least L, on products of
+        # order at most 25
+        g_fams, h_fams = constructions._FactorPackings("first factor", g), constructions._FactorPackings("second factor", h)
+        bound = g_fams.least + h_fams.least
+        p = cartesian_product(g, h)
+        tables = packing._ArcTables(p.digraph) if p.digraph.n <= 25 else None
+        for x in range(p.digraph.n):
+            for y in range(x + 1, p.digraph.n):
+                (r1, c1), (r2, c2) = x_pos, y_pos = p.decode(x), p.decode(y)
+                size = len(constructions._sealed_lift(g_fams, h_fams, x_pos, y_pos, True)[1].members)
+                assert size >= constructions._lift_size(g_fams, h_fams, r1, c1, r2, c2), (x, y)
+                # the sweep's lazy reading: it reaches need where L does, and never exceeds L
+                for need in range(bound + 3):
+                    assert min(size, need) <= constructions._lift_bound(g_fams, h_fams, r1, c1, r2, c2, need) <= size
+                if tables is not None:
+                    assert packing._exact(p.digraph, tables, x, y, cap=size).value == size, (x, y)
+
+    def test_distinct_rows_free_a_forced_member(self):
+        # the triangle's one member leaves 0 only for 1, but holds 2: bridged there, nothing collides,
+        # so the drop layout of lift_certificates keeps all of λ₂(G) + λ₂(H) = 3 members
+        fam, size = self._lift(directed_cycle(3), bidirected_cycle(4), (0, 0), (1, 2))
+        assert (len(fam.members), size) == (3, 2)
+
+    def test_stuck_side_needs_the_digon(self):
+        # K₂'s one member is the digon itself, with no vertex off the seed lines: stuck
+        k2, triangle = complete_digraph(2), directed_cycle(3)
+        fams = constructions._FactorPackings("factor", k2)
+        assert fams.forced(0, 1) and fams.stuck(0, 1)
+        assert not any(constructions._FactorPackings("factor", triangle).stuck(a, b) for a in range(3) for b in range(3) if a != b)
+        # facing the stuck K₂, the triangle keeps its forced out-neighbour row, and the two swap halves
+        assert [len(self._lift(k2, triangle, (0, 0), (1, 1))[0].members)] == [2]
+        # the triangle holds no arc 1 -> 0, so it is not forced, has no spare, and one member goes
+        assert [len(self._lift(k2, triangle, (0, 1), (1, 0))[0].members)] == [1]
+
+    def test_whole_packings_lift_past_the_lambda_2_members(self):
+        # K23 packs 3 members at (0, 3) although λ₂(K23) = 2: every one of them is lifted
+        fam, size = self._lift(K23, directed_cycle(3), (0, 0), (3, 0))
+        assert (len(fam.members), size) == (4, 3)
+        fam, size = self._lift(directed_cycle(3), K23, (0, 0), (1, 3))
+        assert (len(fam.members), size) == (4, 3)
 
 
 class TestClassTable:

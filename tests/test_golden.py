@@ -10,13 +10,15 @@ benchmark) and before the witness-first connectivity scan (`lambda` on a random 
 of order 56, whose `min_cut:` line is `arc_connectivity`'s witness: the out-arcs of the
 least vertex of out-degree λ = 2, vertex 21) and before the product-aware pair sweep
 (`check bounds` with factors of order up to 6, and `lambda2` on a product of two order-8
-random factors; both skip lift-settled pairs and screen drop-layout pairs) and before
+random factors; both skip the pairs the lift bound settles and screen the rest) and before
 one routine built the rectangle members of both cycle families (`construct p51` and
 `construct p53` with seeds in general position) and before every closed-form family was
 built from shared member routines (`construct p52`, and `construct p51` at the figure's
 diagonally adjacent seeds) and before product sweeps took their pair orbits from the
 factors' automorphisms (`lambda2` on `cn:8 x cn:8`, whose factors are isomorphic, and on
-`cn:5 x bcm:4`; both sweeps get past the floor exit)."""
+`cn:5 x bcm:4`; both sweeps get past the floor exit) and before the product sweep's lift
+bound took distinct bridge rows and whole factor packings (`lambda2` on a product of two
+order-12 random factors, where that bound settles most pairs)."""
 
 from pathlib import Path
 
@@ -65,6 +67,7 @@ COMMANDS = {
     "construct_p51_n4_m4_s00_11": "construct p51 -n 4 -m 4 -S 0,0:1,1",
     "lambda2_cn8_x_cn8": "lambda2 cn:8 x cn:8",
     "lambda2_cn5_x_bcm4": "lambda2 cn:5 x bcm:4",
+    "lambda2_rand12_x_rand12": "lambda2 rand:12:0.4:1 x rand:12:0.4:2",
 }
 
 
@@ -75,17 +78,27 @@ def test_stdout_matches_golden(capsys, name):
 
 
 @pytest.mark.parametrize("name", ["check_bounds_trials50_seed2_maxorder6", "lambda2_rand8_x_rand8"])
-def test_product_goldens_skip_settled_pairs_and_screen_drop_layouts(capsys, monkeypatch, name):
-    # the sweep asks the drop-layout test only where its need is λ₂(G) + λ₂(H), in general position:
-    # mostly at a running minimum of that sum, where a False answer skips the pair and a True one screens it
-    answers = []
-    drop_layout = constructions._drop_layout
+def test_product_goldens_settle_pairs_by_the_lift_bound(capsys, monkeypatch, name):
+    # at need = λ₂(G) + λ₂(H), mostly a running minimum of that sum, the lift bound counts the λ₂
+    # members first; where they drop a member it reads the whole factor packings, which may settle
+    # the pair after all.  Each answer: (did the λ₂ members drop one, does the bound reach need)
+    answers, drops = [], []
+    lift_bound, stuck_drop = constructions._lift_bound, constructions._stuck_drop
 
-    def logged(*args):
-        answers.append(drop_layout(*args))
-        return answers[-1]
+    def logged_drop(*args):
+        drops.append(stuck_drop(*args))
+        return drops[-1]
 
-    monkeypatch.setattr(constructions, "_drop_layout", logged)
+    def logged_bound(g_fams, h_fams, r1, c1, r2, c2, need):
+        drops.clear()
+        value = lift_bound(g_fams, h_fams, r1, c1, r2, c2, need)
+        if need == g_fams.least + h_fams.least:
+            answers.append((drops[:1] == [True], value >= need))
+        return value
+
+    monkeypatch.setattr(constructions, "_stuck_drop", logged_drop)
+    monkeypatch.setattr(constructions, "_lift_bound", logged_bound)
     assert cli.main(COMMANDS[name].split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-    assert True in answers and False in answers
+    assert (False, True) in answers and (True, True) in answers
+    assert (False, False) not in answers
