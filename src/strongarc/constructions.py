@@ -300,10 +300,9 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     if is_symmetric(g) and is_symmetric(h):
         return lambda_2(d)
     m = h.n
-    bound = g_fams.least + h_fams.least
 
     def lower(x: int, y: int, need: int) -> int:
-        return bound - 1 if need < bound else _lift_bound(g_fams, h_fams, *divmod(x, m), *divmod(y, m), need)
+        return _lift_bound(g_fams, h_fams, *divmod(x, m), *divmod(y, m), need)
 
     return _search_sweep(d, product=(g, h, lower))
 

@@ -626,8 +626,8 @@ def _search_sweep(
     a solve's floor: it must reach ``need`` when it can prove it, and need
     not go higher.  A bare or sampled sweep's bound is the floor.
     ``product`` is ``(G, H, lower)`` for ``d = G □ H``, with bounds from
-    the lifting construction (see ``constructions._lift_settled_sweep``),
-    not from a search of ``d``.  The returned witness is verified before
+    a lifting construction on the factors' packings (see
+    ``constructions._lift_settled_sweep``), not from a search of ``d``.  The returned witness is verified before
     return; a witness that fails raises ``RuntimeError``.  ``tables`` are
     ``d``'s arc tables when the caller has built them.
     """

@@ -375,13 +375,15 @@ class TestLiftSettledSweep:
 
 def _stronger_lift_factor_pairs():
     """60 random factor pairs of order 2-6, every ordered pair of the classes at order 3-5 (trees
-    are paths), and one rare second factor: its whole packing at (4, 1) has λ₂ + 1 = 2 members,
-    and the second one, not the first, leaves 4 only towards 1."""
+    are paths) with a `cn` factor, and one rare second factor: its whole packing at (4, 1) has
+    λ₂ + 1 = 2 members, and the second one, not the first, leaves 4 only towards 1.  The other
+    class products are symmetric, and the product sweep takes their flow route, not the lift."""
     for seed in range(60):
         yield f"rand#{seed}", *_random_factor_pair(seed, 6)
     classes = [(f"{cls}:{n}", class_digraph(cls, n)) for cls in CLASS_TOKENS for n in range(3, 6)]
     for (g_token, g), (h_token, h) in ((a, b) for a in classes for b in classes):
-        yield f"{g_token} x {h_token}", g, h
+        if "cn" in (g_token[:2], h_token[:2]):
+            yield f"{g_token} x {h_token}", g, h
     rng = random.Random(881)
     yield "cn:3 x rand7#881", directed_cycle(3), random_strong_digraph(rng.randint(2, 7), rng.random() * 0.7, rng.getrandbits(32))
 
@@ -398,9 +400,9 @@ class TestStrongerLift:
 
     @pytest.mark.parametrize("g,h", [pytest.param(g, h, id=label) for label, g, h in _stronger_lift_factor_pairs()])
     def test_every_seed_pair_gets_exactly_L_members(self, g, h):
-        # the family is sealed: it verifies with exactly L members or raises.  L is checked against
-        # the exact value by a search at L itself, where that value is at least L, on products of
-        # order at most 25
+        # the family is sealed: it passes verify_certificate with exactly L members, or it raises.
+        # On products of order at most 25, L is also checked against the exact value: a search
+        # capped at L finds L members only where the pair's value is at least L
         g_fams, h_fams = constructions._FactorPackings("first factor", g), constructions._FactorPackings("second factor", h)
         bound = g_fams.least + h_fams.least
         p = cartesian_product(g, h)
@@ -429,9 +431,9 @@ class TestStrongerLift:
         assert fams.forced(0, 1) and fams.stuck(0, 1)
         assert not any(constructions._FactorPackings("factor", triangle).stuck(a, b) for a in range(3) for b in range(3) if a != b)
         # facing the stuck K₂, the triangle keeps its forced out-neighbour row, and the two swap halves
-        assert [len(self._lift(k2, triangle, (0, 0), (1, 1))[0].members)] == [2]
+        assert len(self._lift(k2, triangle, (0, 0), (1, 1))[0].members) == 2
         # the triangle holds no arc 1 -> 0, so it is not forced, has no spare, and one member goes
-        assert [len(self._lift(k2, triangle, (0, 1), (1, 0))[0].members)] == [1]
+        assert len(self._lift(k2, triangle, (0, 1), (1, 0))[0].members) == 1
 
     def test_whole_packings_lift_past_the_lambda_2_members(self):
         # K23 packs 3 members at (0, 3) although λ₂(K23) = 2: every one of them is lifted
