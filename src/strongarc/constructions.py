@@ -287,13 +287,13 @@ def _lift_settled_sweep(g_fams: _FactorPackings, h_fams: _FactorPackings) -> Lam
     ``λ₂(G) + λ₂(H) - 1``, at least that sum off the rare stuck layouts,
     and above it wherever a factor packs more than its ``λ₂`` there.  The
     sweep asks for the bound only as far as its ``need``: below the sum it
-    reads nothing, at the sum it searches a factor packing only where that
-    factor holds the digon on the seed lines, and above the sum it reads
-    the records' packing memos, each factor pair searched once.  The
-    pair-orbit representatives come from the factor digraphs'
-    ``pair_orbits`` tables: built only if the sweep gets past ``(0, 1)``,
-    and shared with the factor's own ``λ₂`` sweep when that built one
-    first.
+    reads nothing, at the sum it searches factor packings only for seeds in
+    distinct rows and columns where at least one factor holds the digon on
+    the seed lines, and above the sum it reads the records' packing memos,
+    each factor pair searched once.  The pair-orbit representatives come
+    from the factor digraphs' ``pair_orbits`` tables: built only if the
+    sweep gets past ``(0, 1)``, and shared with the factor's own ``λ₂``
+    sweep when that built one first.
     """
     g, h = g_fams.d, h_fams.d
     d = cartesian_product(g, h).digraph
@@ -655,11 +655,11 @@ class _FactorPackings:
     pair, as a capped ``_exact`` does.  A lift reads a packing as a
     ``_Side``, kept per ordered pair of factor vertices: its first
     ``least`` members with the next one as a spare (``lift_certificates``),
-    or the whole packing with no spare, which the product sweep's stronger
-    lift may take instead (see ``_local_general``).  A record lives as long
-    as the lift or product sweep that built it, never longer; the factor's
-    ordered-pair orbit table lives on the factor digraph
-    (``Digraph.pair_orbits``), which a lift never reads.
+    or the whole packing with no spare (the product sweep's stronger lift,
+    see ``_local_general``).  A record lives as long as the lift or product
+    sweep that built it, never longer; the factor's ordered-pair orbit
+    table lives on the factor digraph (``Digraph.pair_orbits``), which a
+    lift never reads.
     """
 
     def __init__(self, what: str, d: Digraph) -> None:
@@ -706,9 +706,9 @@ class _FactorPackings:
         """Some lifted member at ``{a, b}`` leaves ``a`` only towards ``b``; never without arc ``a -> b``."""
         return self.d.has_arc(a, b) and self.side(a, b, whole).forced is not None
 
-    def stuck(self, a: int, b: int, whole: bool = False) -> bool:
-        """No distinct bridge lines off ``{a, b}`` exist for the lifted members; never without the digon ``a <-> b``."""
-        return self.d.has_arc(a, b) and self.d.has_arc(b, a) and self.side(a, b, whole, distinct=True).forced is not None
+    def stuck(self, a: int, b: int) -> bool:
+        """No distinct bridge lines off ``{a, b}`` exist for the whole packing; never without the digon ``a <-> b``."""
+        return self.d.has_arc(a, b) and self.d.has_arc(b, a) and self.side(a, b, True, distinct=True).forced is not None
 
     def spare(self, a: int, b: int) -> frozenset[Arc] | None:
         """The packing's member after the lifted ones, or None when it has only ``least``."""
@@ -806,14 +806,14 @@ def _lift_bound(
     Seeds sharing row ``r`` get ``k_H + |at(r, o)|`` members, with ``k_H``
     the size of H's packing at the seed columns and ``o`` the ``_partner``
     of ``r`` (and the mirror for a shared column); seeds in general
-    position get the larger count of ``_local_general``'s two forms.  Each
-    is at least ``λ₂(G) + λ₂(H) - 1``, so below that sum ``need`` is met
-    with nothing read.  At the sum the λ₂-member form is counted first: it
-    searches a factor's packing only where that factor holds the digon on
-    the seed lines, and the whole packings are counted only where it drops,
-    from packings by then fetched.  Above the sum ``L`` is the whole
-    packings' count, never below the other form's, read through the
-    records' packing memos.
+    position get ``_local_general``'s count: the sizes of the two whole
+    packings, less one where a member drops (``_stuck_drop``).  Each is at
+    least ``λ₂(G) + λ₂(H) - 1``, so below that sum ``need`` is met with
+    nothing read.  At the sum a shared line reads nothing, and seeds in
+    general position read the drop first: it searches factor packings only
+    where at least one factor holds the digon on the seed lines, and the
+    sizes are counted only where a member drops.  Above the sum ``L`` is
+    read through the records' packing memos.
     """
     bound = g_fams.least + h_fams.least
     if need < bound:
@@ -823,25 +823,28 @@ def _lift_bound(
             return bound
         a_fams, b_fams, line, s1, s2 = (g_fams, h_fams, r1, c1, c2) if r1 == r2 else (h_fams, g_fams, c1, r1, r2)
         return len(b_fams.at(s1, s2)) + len(a_fams.at(line, _partner(line)))
-    if need == bound and not _stuck_drop(g_fams, h_fams, r1, c1, r2, c2, False):
+    drop = _stuck_drop(g_fams, h_fams, r1, c1, r2, c2)
+    if need == bound and not drop:
         return bound
-    whole = len(g_fams.at(r1, r2)) + len(h_fams.at(c1, c2))
-    return whole - _stuck_drop(g_fams, h_fams, r1, c1, r2, c2, True)
+    return len(g_fams.at(r1, r2)) + len(h_fams.at(c1, c2)) - drop
 
 
 def _stuck_drop(
-    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int, whole: bool
+    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int
 ) -> bool:
-    """True when a form of ``_local_general`` drops a member, read as lazily as ``_drop_layout``.
+    """True when ``_local_general`` drops a member, read as lazily as ``_drop_layout``.
 
     That is where exactly one side is stuck, and the other is not forced,
-    so no swap, and has no spare; a whole packing never has one.
+    so no swap; a whole packing has no spare to bridge the stuck member.
+    A factor's packing is searched only to read whether a side is stuck,
+    where the factor holds the digon on the seed lines, or forced, where
+    the other side is stuck and the factor holds the arc ``a -> b``.
     """
-    g_stuck = g_fams.stuck(r1, r2, whole)
-    if g_stuck == h_fams.stuck(c1, c2, whole):
+    g_stuck = g_fams.stuck(r1, r2)
+    if g_stuck == h_fams.stuck(c1, c2):
         return False
     fams, a, b = (h_fams, c1, c2) if g_stuck else (g_fams, r1, r2)
-    return not fams.forced(a, b, whole) and (whole or fams.spare(a, b) is None)
+    return not fams.forced(a, b, True)
 
 
 def lift_certificates(
@@ -1009,31 +1012,18 @@ def _local_general(
     out-neighbour rows, so where it is forced too the two swap halves and
     nothing is dropped; so ``L`` never falls below ``_lift_size``.
 
-    **Local packings.**  Each side lifts either its first ``λ₂`` members,
-    with the spare, or its whole packing at the seed lines, with none.
-    ``L`` is the larger of the two counts, ``k_G + k_H`` less one where
-    exactly one side is stuck and the other is not forced and has no
-    spare; a tie keeps the ``λ₂`` members.  The whole packings are never
-    the smaller: where both packings have ``λ₂`` members the two forms are
-    one, and a longer packing gains at least the one member a drop loses.
+    **Local packings.**  Each side lifts its whole packing at the seed
+    lines, with no spare, so ``L`` is ``k_G + k_H`` less one where exactly
+    one side is stuck and the other is not forced.  That is never below
+    lifting the first ``λ₂`` members with the spare: where both packings
+    have ``λ₂`` members the two are one, and a longer packing gains at
+    least the one member a drop loses.  And that form is never below
+    ``_lift_size``, as above; so ``L ≥ _lift_size``.
     """
-    forms = (_local_sides(g_fams, h_fams, r1, c1, r2, c2, whole) for whole in (False, True))
-    return _lift_general(p, *max(forms, key=lambda sides: _side_count(*sides)), r1, c1, r2, c2)
-
-
-def _local_sides(
-    g_fams: _FactorPackings, h_fams: _FactorPackings, r1: int, c1: int, r2: int, c2: int, whole: bool
-) -> tuple[_Side, _Side]:
-    """Both factors' sides in one form of ``_local_general``: distinct lines, except facing a stuck side."""
-    g_stuck, h_stuck = g_fams.stuck(r1, r2, whole), h_fams.stuck(c1, c2, whole)
-    return g_fams.side(r1, r2, whole, distinct=not h_stuck), h_fams.side(c1, c2, whole, distinct=not g_stuck)
-
-
-def _side_count(g: _Side, h: _Side) -> int:
-    """The members ``_lift_general`` builds from two sides: one fewer where exactly one is forced and the other has no spare."""
-    unforced = g if g.forced is None else h
-    drop = (g.forced is None) != (h.forced is None) and unforced.spare is None
-    return len(g.members) + len(h.members) - drop
+    g_stuck, h_stuck = g_fams.stuck(r1, r2), h_fams.stuck(c1, c2)
+    g = g_fams.side(r1, r2, True, distinct=not h_stuck)
+    h = h_fams.side(c1, c2, True, distinct=not g_stuck)
+    return _lift_general(p, g, h, r1, c1, r2, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -627,9 +627,10 @@ def _search_sweep(
     not go higher.  A bare or sampled sweep's bound is the floor.
     ``product`` is ``(G, H, lower)`` for ``d = G □ H``, with bounds from
     a lifting construction on the factors' packings (see
-    ``constructions._lift_settled_sweep``), not from a search of ``d``.  The returned witness is verified before
-    return; a witness that fails raises ``RuntimeError``.  ``tables`` are
-    ``d``'s arc tables when the caller has built them.
+    ``constructions._lift_settled_sweep``), not from a search of ``d``.
+    The returned witness is verified before return; a witness that fails
+    raises ``RuntimeError``.  ``tables`` are ``d``'s arc tables when the
+    caller has built them.
     """
     if d.n < 2:
         raise DigraphError("pair sweep needs at least two vertices")

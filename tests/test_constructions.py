@@ -442,6 +442,41 @@ class TestStrongerLift:
         fam, size = self._lift(directed_cycle(3), K23, (0, 0), (1, 3))
         assert (len(fam.members), size) == (4, 3)
 
+    def test_lift_bound_searches_only_beside_a_digon(self):
+        # read through the records' packing memos: below the sum the bound searches nothing, and at
+        # the sum a memo grows only for seeds in distinct rows and columns where G or H holds the
+        # digon on its seed lines; the factor searched need not be the one with the digon
+        def digon(d, a, b):
+            return d.has_arc(a, b) and d.has_arc(b, a)
+
+        factor_pairs = [_random_factor_pair(seed, 6) for seed in range(30)]
+        factor_pairs.append((complete_digraph(2), directed_cycle(5)))
+        growths = off_digon = 0
+        for g, h in factor_pairs:
+            g_fams, h_fams = constructions._FactorPackings("first factor", g), constructions._FactorPackings("second factor", h)
+            bound = g_fams.least + h_fams.least
+            p = cartesian_product(g, h)
+            for x in range(p.digraph.n):
+                for y in range(p.digraph.n):
+                    if x == y:
+                        continue
+                    (r1, c1), (r2, c2) = p.decode(x), p.decode(y)
+                    before = len(g_fams._found), len(h_fams._found)
+                    assert constructions._lift_bound(g_fams, h_fams, r1, c1, r2, c2, bound - 1) == bound - 1
+                    assert (len(g_fams._found), len(h_fams._found)) == before
+                    constructions._lift_bound(g_fams, h_fams, r1, c1, r2, c2, bound)
+                    g_grew, h_grew = len(g_fams._found) > before[0], len(h_fams._found) > before[1]
+                    if g_grew or h_grew:
+                        assert r1 != r2 and c1 != c2, (x, y)
+                        assert digon(g, r1, r2) or digon(h, c1, c2), (x, y)
+                        growths += 1
+                        off_digon += (g_grew and not digon(g, r1, r2)) or (h_grew and not digon(h, c1, c2))
+        assert growths > 0 and off_digon > 0
+        # K₂ is stuck at (0, 1), so C₅'s packing at {1, 3} is searched, though C₅ holds neither arc
+        g_fams, h_fams = (constructions._FactorPackings("factor", d) for d in (complete_digraph(2), directed_cycle(5)))
+        constructions._lift_bound(g_fams, h_fams, 0, 1, 1, 3, 2)
+        assert (1, 3) in h_fams._found
+
 
 class TestClassTable:
     def test_full_grid(self):

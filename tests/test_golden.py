@@ -79,9 +79,9 @@ def test_stdout_matches_golden(capsys, name):
 
 @pytest.mark.parametrize("name", ["check_bounds_trials50_seed2_maxorder6", "lambda2_rand8_x_rand8"])
 def test_product_goldens_settle_pairs_by_the_lift_bound(capsys, monkeypatch, name):
-    # at need = λ₂(G) + λ₂(H), mostly a running minimum of that sum, the lift bound counts the λ₂
-    # members first; where they drop a member it reads the whole factor packings, which may settle
-    # the pair after all.  Each answer: (did the λ₂ members drop one, does the bound reach need)
+    # at need = λ₂(G) + λ₂(H), mostly a running minimum of that sum, the lift bound reads first whether
+    # the whole factor packings drop a member; where they do it counts them, and a packing longer than
+    # λ₂ may settle the pair after all.  Each answer: (does a member drop, does the bound reach need)
     answers, drops = [], []
     lift_bound, stuck_drop = constructions._lift_bound, constructions._stuck_drop
 
