@@ -8,14 +8,31 @@ rejected at construction; vertices are always ``0 .. n-1``.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Arc = tuple[int, int]
 
 
 class DigraphError(ValueError):
     """Raised for malformed digraph inputs (bad arcs, bad vertex sets, bad files)."""
+
+
+class _cached:
+    """A view computed on first read and stored in the instance dict, which later reads find first.
+
+    ``functools.cached_property`` without its lock (Python 3.11 takes an
+    ``RLock`` on every first read); the value is written to ``__dict__``
+    directly, past ``Digraph.__setattr__``.
+    """
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Digraph:
@@ -45,7 +62,7 @@ class Digraph:
     def __hash__(self) -> int:
         return hash((self.n, self.arcs))
 
-    @cached_property
+    @_cached
     def _rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """Out- and in-rows from one pass over ``sorted_arcs``.
 
@@ -59,20 +76,20 @@ class Digraph:
             in_rows[v].append(u)
         return tuple(map(tuple, out_rows)), tuple(map(tuple, in_rows))
 
-    @cached_property
+    @_cached
     def out_adj(self) -> tuple[tuple[int, ...], ...]:
         return self._rows[0]
 
-    @cached_property
+    @_cached
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         return self._rows[1]
 
-    @cached_property
+    @_cached
     def sorted_arcs(self) -> tuple[Arc, ...]:
         """Arcs in lexicographic order; the canonical order used everywhere."""
         return tuple(sorted(self.arcs))
 
-    @cached_property
+    @_cached
     def flow_network(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Heads of the unit-flow edges and the edges leaving each vertex.
 
@@ -86,7 +103,7 @@ class Digraph:
             edges[v].append(2 * i + 1)
         return tuple(head), tuple(map(tuple, edges))
 
-    @cached_property
+    @_cached
     def pair_orbits(self) -> list[int]:
         """The orbit id of each ordered pair ``(a, b)``, at index ``a * n + b``, diagonal included.
 
@@ -208,20 +225,22 @@ def biorient(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
     return from_arc_list(n, arcs)
 
 
-def _strong_on_endpoints(arcs: Iterable[Arc]) -> bool:
-    """True iff the non-empty arc set ``arcs`` is strong on the ends of its arcs.
+def _strong_on_endpoints(arcs: Iterable[Arc]) -> tuple[bool, Collection[int]]:
+    """Whether the non-empty arc set ``arcs`` is strong on the ends of its arcs, and those ends.
 
     One pass over the arcs builds the successor and predecessor lists of each
     endpoint.  The arc set is strong iff every endpoint is a tail and a head
-    and the least tail reaches every endpoint along both.
+    and the least tail reaches every endpoint along both.  The ends are read
+    off the same lists, so a caller can test seed coverage with no second pass.
     """
     succ: dict[int, list[int]] = {}
     pred: dict[int, list[int]] = {}
     for u, v in arcs:
         succ.setdefault(u, []).append(v)
         pred.setdefault(v, []).append(u)
-    if succ.keys() != pred.keys():
-        return False
+    ends = succ.keys()
+    if ends != pred.keys():
+        return False, ends | pred.keys()
     start = min(succ)
     for adj in (succ, pred):
         seen = {start}
@@ -232,8 +251,8 @@ def _strong_on_endpoints(arcs: Iterable[Arc]) -> bool:
                     seen.add(w)
                     stack.append(w)
         if len(stack) < len(succ):
-            return False
-    return True
+            return False, ends
+    return True, ends
 
 
 # --- automorphisms ------------------------------------------------------------

@@ -104,26 +104,51 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     Violations are reported, never raised, so a broken certificate can be
     inspected in full.  Only a seed pair that is not two distinct vertices
     of the host raises ``DigraphError``: there is no pair to check against.
+    Each arc is read as ``tuple(arc)``; an arc that is not a pair of numbers,
+    such as ``(0, 1, 2)``, ``(0,)`` or ``('a', 'b')``, leaves its member
+    outside the host and not strong.  A member holds the seed when both seed
+    vertices occur among the entries of its arcs, whatever their length.
+
+    A member given as a frozenset of host arcs is read once: its successor
+    and predecessor lists give both its strongness and its ends.  Pairwise
+    intersections are taken only when the members' sizes add up to more
+    than their union, that is only when some two of them share an arc.
     """
     x, y = _validate_pair(d, cert.seed)
-    mem = [frozenset(map(tuple, member)) for member in cert.members]
+    host, n = d.arcs, d.n
+    mem: list[frozenset[Arc]] = []
     in_host: list[bool] = []
     strong: list[bool] = []
     has_seed: list[bool] = []
-    for arcs in mem:
-        in_host.append(arcs <= d.arcs)
-        endpoints = set().union(*arcs)
-        has_seed.append(x in endpoints and y in endpoints)
-        # an empty member, or one with an endpoint outside 0..n-1, is reported
-        # not strong in the host; host arcs always pass the range test
-        in_range = bool(arcs) and (in_host[-1] or all(0 <= w < d.n for w in endpoints))
-        strong.append(in_range and _strong_on_endpoints(arcs))
+    for member in cert.members:
+        if isinstance(member, frozenset) and member <= host:
+            arcs, inside = member, True
+        else:
+            arcs = frozenset(map(tuple, member))
+            inside = arcs <= host
+        mem.append(arcs)
+        in_host.append(inside)
+        if not arcs:
+            ok, ends = False, ()
+        elif inside:
+            ok, ends = _strong_on_endpoints(arcs)
+        else:
+            # off the host an arc may be malformed or name no vertex of the host
+            ends = set().union(*arcs)
+            try:
+                ok = all(len(arc) == 2 for arc in arcs) and all(0 <= w < n for w in ends)
+            except TypeError:  # an entry that no vertex number compares with
+                ok = False
+            ok = ok and _strong_on_endpoints(arcs)[0]
+        strong.append(ok)
+        has_seed.append(x in ends and y in ends)
     overlaps: list[tuple[int, int, frozenset[Arc]]] = []
-    for i in range(len(mem)):
-        for j in range(i + 1, len(mem)):
-            shared = mem[i] & mem[j]
-            if shared:
-                overlaps.append((i, j, shared))
+    if len(frozenset().union(*mem)) < sum(map(len, mem)):
+        for i in range(len(mem)):
+            for j in range(i + 1, len(mem)):
+                shared = mem[i] & mem[j]
+                if shared:
+                    overlaps.append((i, j, shared))
     valid = all(in_host) and all(strong) and all(has_seed) and not overlaps
     return CertificateReport(valid, tuple(in_host), tuple(strong), tuple(has_seed), tuple(overlaps))
 

@@ -6,10 +6,13 @@ independently of the branch-and-bound search in ``strongarc.packing``:
 subgraph, ``lambda_s_oracle_paths`` every union of one x->y and one y->x simple
 path.  Both are exponential and refuse instances beyond their budgets.
 ``reference_unit_flow`` is the one-sided breadth-first unit-flow kernel that
-``strongarc.flow._unit_flow`` is compared against, and ``strong_by_closure``
-the bit-mask strongness check that ``strongarc.digraph._strong_on_endpoints``
-is.  ``every_pair_lambda_2`` solves every pair with ``lambda_s_exact``,
-outside the pair sweep.
+``strongarc.flow._unit_flow`` is compared against, ``strong_by_closure`` a
+bit-mask strongness check that ``strongarc.digraph._strong_on_endpoints``,
+which walks successor and predecessor lists, is compared against, and
+``reference_verify_certificate`` the member-by-member certificate check that
+``strongarc.packing.verify_certificate`` is compared against.
+``every_pair_lambda_2`` solves every pair with ``lambda_s_exact``, outside
+the pair sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from strongarc.digraph import Digraph, DigraphError, from_arc_list
-from strongarc.packing import Lambda2Result, _validate_pair, lambda_s_exact
+from strongarc.packing import CertificateFamily, CertificateReport, Lambda2Result, _validate_pair, lambda_s_exact
 
 
 class OracleRefusal(RuntimeError):
@@ -216,6 +219,34 @@ def reference_unit_flow(d: Digraph, s: int, t: int, need: int, excluded: int = 0
             v = head[e ^ 1]
         value += 1
     return value, via
+
+
+def reference_verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport:
+    """Reference for ``packing.verify_certificate``: every member rebuilt, every pair of members intersected.
+
+    Each member is rebuilt as a frozenset of tuples and its ends collected in
+    a pass of their own; strongness is ``strong_by_closure``.  Raises on an
+    arc that is not a pair of numbers, where ``verify_certificate`` reports.
+    """
+    x, y = _validate_pair(d, cert.seed)
+    mem = [frozenset(map(tuple, member)) for member in cert.members]
+    in_host: list[bool] = []
+    strong: list[bool] = []
+    has_seed: list[bool] = []
+    for arcs in mem:
+        in_host.append(arcs <= d.arcs)
+        endpoints = set().union(*arcs)
+        has_seed.append(x in endpoints and y in endpoints)
+        in_range = bool(arcs) and (in_host[-1] or all(0 <= w < d.n for w in endpoints))
+        strong.append(in_range and strong_by_closure(arcs))
+    overlaps: list[tuple[int, int, frozenset[tuple[int, int]]]] = []
+    for i in range(len(mem)):
+        for j in range(i + 1, len(mem)):
+            shared = mem[i] & mem[j]
+            if shared:
+                overlaps.append((i, j, shared))
+    valid = all(in_host) and all(strong) and all(has_seed) and not overlaps
+    return CertificateReport(valid, tuple(in_host), tuple(strong), tuple(has_seed), tuple(overlaps))
 
 
 def every_pair_lambda_2(d: Digraph, pairs: Iterable[tuple[int, int]] | None = None) -> Lambda2Result:

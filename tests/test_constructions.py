@@ -51,6 +51,8 @@ from strongarc.generators import (
 from strongarc.packing import _search_sweep, certificate_to_json, lambda_2, verify_certificate
 from strongarc.product import cartesian_product
 
+from oracles import reference_verify_certificate
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # Bidirected K_{2,3} with parts {0, 3} and {1, 2, 4}: its pair-packing number
@@ -390,6 +392,17 @@ def _stronger_lift_factor_pairs():
 
 class TestStrongerLift:
     """The stronger lift behind the product sweep's bound ``L``: distinct bridge rows, whole factor packings."""
+
+    @pytest.fixture(autouse=True)
+    def _verified_as_the_reference_verifies(self, monkeypatch):
+        # every family these tests build is sealed through constructions.verify_certificate:
+        # its report must equal the reference's, field by field
+        def checked(d, fam):
+            report = verify_certificate(d, fam)
+            assert report == reference_verify_certificate(d, fam)
+            return report
+
+        monkeypatch.setattr(constructions, "verify_certificate", checked)
 
     @staticmethod
     def _lift(g, h, x_pos, y_pos):

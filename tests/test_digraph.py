@@ -160,21 +160,23 @@ def labelled_arc_sets(draw):
 
 class TestStrongOnEndpoints:
     def test_labels_past_64_bits(self):
-        assert _strong_on_endpoints({(3, 70), (70, 3)})
-        assert _strong_on_endpoints({(64, 65), (65, 69), (69, 64), (69, 65)})
-        assert not _strong_on_endpoints({(3, 70), (70, 65)})
-        assert not _strong_on_endpoints({(0, 1), (1, 0), (66, 67), (67, 66)})
+        assert _strong_on_endpoints({(3, 70), (70, 3)})[0]
+        assert _strong_on_endpoints({(64, 65), (65, 69), (69, 64), (69, 65)})[0]
+        assert not _strong_on_endpoints({(3, 70), (70, 65)})[0]
+        assert not _strong_on_endpoints({(0, 1), (1, 0), (66, 67), (67, 66)})[0]
 
     def test_reaching_every_endpoint_one_way_is_not_enough(self):
         # every endpoint is a tail and a head and 0 reaches all of them, but 1 and 2
         # never reach 0; then the reverse, where 0 is reached from all but reaches few
-        assert not _strong_on_endpoints({(0, 1), (1, 2), (2, 1), (3, 0), (0, 3)})
-        assert not _strong_on_endpoints({(1, 0), (2, 1), (1, 2), (0, 3), (3, 0)})
+        assert not _strong_on_endpoints({(0, 1), (1, 2), (2, 1), (3, 0), (0, 3)})[0]
+        assert not _strong_on_endpoints({(1, 0), (2, 1), (1, 2), (0, 3), (3, 0)})[0]
 
     @given(labelled_arc_sets())
     @settings(max_examples=300)
     def test_equals_remapped_is_strong(self, arcs):
-        assert _strong_on_endpoints(arcs) == _strong_after_remap(arcs) == strong_by_closure(arcs)
+        strong, ends = _strong_on_endpoints(arcs)
+        assert strong == _strong_after_remap(arcs) == strong_by_closure(arcs)
+        assert set(ends) == set().union(*arcs)
 
 
 class TestSerialization:

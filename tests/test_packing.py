@@ -47,6 +47,7 @@ from oracles import (
     lambda_s_oracle_paths,
     lambda_s_oracle_subsets,
     random_digraph,
+    reference_verify_certificate,
 )
 
 
@@ -838,6 +839,46 @@ def _assert_three_routes_agree(d, pair):
     assert exact == lambda_s_oracle_paths(d, pair)
 
 
+@st.composite
+def certificate_cases(draw):
+    """A digraph of order at most 8 and a family of 0-5 members to verify in it.
+
+    Members mix host arcs, off-host pairs, negative and out-of-range
+    endpoints, cycles (strong wherever the host holds them), empty, repeated
+    and overlapping members, as frozensets, sets, tuples or lists of tuple or
+    list arcs.  The seed is usually a pair of distinct vertices of the digraph.
+    """
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        d = complete_digraph(n)
+    else:
+        d = from_arc_list(n, draw(st.sets(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]), max_size=24)))
+    if draw(st.integers(0, 9)):
+        seed = tuple(draw(st.lists(vertex, min_size=2, max_size=2, unique=True)))
+    else:  # possibly equal, negative or past n: both checks must raise
+        seed = draw(st.tuples(st.integers(-1, n), st.integers(-1, n)))
+    loose = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
+    arc = st.sampled_from(d.sorted_arcs) | loose if d.arcs else loose
+    members: list[list] = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["arcs", "cycle", "repeat", "overlap"] if members else ["arcs", "cycle"]))
+        if kind == "cycle":
+            ring = draw(st.lists(vertex, min_size=2, max_size=n, unique=True))
+            arcs = list(zip(ring, ring[1:] + ring[:1]))
+        else:
+            arcs = draw(st.lists(arc, max_size=8))
+            if kind != "arcs":
+                earlier = draw(st.sampled_from(members))
+                arcs = list(earlier) if kind == "repeat" else earlier[: len(earlier) // 2 + 1] + arcs
+        members.append(arcs)
+    shaped = []
+    for arcs in members:
+        form = draw(st.sampled_from([frozenset, set, tuple, list, "lists"]))
+        shaped.append([list(a) for a in arcs] if form == "lists" else form(arcs))
+    return d, CertificateFamily(n, seed, tuple(shaped))
+
+
 class TestCertificates:
     def build(self, members, seed=(0, 1), n=3, origin="search"):
         return CertificateFamily(n, seed, tuple(frozenset(m) for m in members), origin)
@@ -888,6 +929,31 @@ class TestCertificates:
         report = verify_certificate(d, self.build([member, member]))
         assert not report.valid
         assert report.overlaps == ((0, 1, frozenset(member)),)
+
+    @pytest.mark.parametrize(
+        "member,has_seed",
+        [([(0, 1, 2), (1, 0)], True), ([(0,)], False), ([("a", "b")], False)],
+        ids=["three-entry-arc", "one-entry-arc", "non-numeric-arc"],
+    )
+    def test_malformed_member_is_reported_not_raised(self, member, has_seed):
+        # the reference raises on each of these; the seed test reads every entry of every arc
+        d, cert = complete_digraph(3), CertificateFamily(3, (0, 1), (member, [(0, 2), (2, 1), (1, 2), (2, 0)]))
+        with pytest.raises((TypeError, ValueError)):
+            reference_verify_certificate(d, cert)
+        report = verify_certificate(d, cert)
+        assert report == CertificateReport(False, (False, True), (False, True), (has_seed, True), ())
+
+    @given(certificate_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference(self, case):
+        d, cert = case
+        try:
+            expected = reference_verify_certificate(d, cert)
+        except DigraphError:
+            with pytest.raises(DigraphError):
+                verify_certificate(d, cert)
+            return
+        assert verify_certificate(d, cert) == expected
 
     def test_json_round_trip(self):
         r = lambda_s_exact(complete_digraph(3), (0, 1))
