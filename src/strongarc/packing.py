@@ -102,17 +102,16 @@ def verify_certificate(d: Digraph, cert: CertificateFamily) -> CertificateReport
     """Check membership, strongness, seed coverage and pairwise disjointness.
 
     Violations are reported, never raised, so a broken certificate can be
-    inspected in full.  Only a seed pair that is not two distinct vertices
-    of the host raises ``DigraphError``: there is no pair to check against.
-    Each arc is read as ``tuple(arc)``; an arc that is not a pair of numbers,
-    such as ``(0, 1, 2)``, ``(0,)`` or ``('a', 'b')``, leaves its member
-    outside the host and not strong.  A member holds the seed when both seed
-    vertices occur among the entries of its arcs, whatever their length.
-
-    A member given as a frozenset of host arcs is read once: its successor
-    and predecessor lists give both its strongness and its ends.  Pairwise
-    intersections are taken only when the members' sizes add up to more
-    than their union, that is only when some two of them share an arc.
+    inspected in full.  Only input that cannot be read as arcs raises: a
+    seed pair that is not two distinct vertices of the host raises
+    ``DigraphError``, and a member or arc that is not iterable, or an arc
+    with an unhashable entry, ``TypeError``.  An arc that is not a pair of
+    numbers, such as ``(0, 1, 2)``, ``(0,)`` or ``('a', 'b')``, leaves its
+    member outside the host and not strong; a member holds the seed when
+    both seed vertices occur among the entries of its arcs, whatever their
+    length.  A frozenset of host arcs is read once: its successor and
+    predecessor lists give its strongness and its ends.  Members are
+    intersected pairwise only when their sizes add up to more than their union.
     """
     x, y = _validate_pair(d, cert.seed)
     host, n = d.arcs, d.n
