@@ -3,14 +3,16 @@
 Digraph operands are class tokens (``cn:5``, ``bcm:4``, ``btm:path:4``,
 ``btm:random:5:11``, ``bkm:3``, ``rand:4:0.3:7``, ``file:graph.dg``) or a
 product expression ``A x B``.  Exit codes: 0 success, 1 a checked property
-failed, 2 usage or parse error.  Every randomized command takes an explicit
-seed, so all output is reproducible.
+failed, 2 usage or parse error; a stdout closed early (``| head``) ends the
+run quietly with 0.  Every randomized command takes an explicit seed, so all
+output is reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -174,8 +176,7 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
     for i, member in enumerate(result.witness.members):
         print(f"member {i}: {_format_arcs(member)}")
     if args.cert_out is not None:
-        Path(args.cert_out).write_text(certificate_to_json(result.witness), encoding="utf-8")
-        print(f"wrote {args.cert_out}")
+        _write_or_print(certificate_to_json(result.witness), args.cert_out)
     return 0
 
 
@@ -287,6 +288,7 @@ def _check_eq2(args: argparse.Namespace) -> int:
                             f"product n={n_g} edges={edges_g} by n={n_h} edges={edges_h}: "
                             f"formula={res.formula_value} observed={res.observed_lambda2} FAIL"
                         )
+                        _dump_bundle(g=bg, h=bh)
     print(f"checked {count} bidirected products: all orders <= {product_order}")
     print(f"checked {args.trials + count} identities: {failures} failure(s)")
     return 1 if failures else 0
@@ -494,7 +496,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: stop, and let the flush at exit write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 0
     except (DigraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

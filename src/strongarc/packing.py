@@ -163,24 +163,18 @@ class _ArcTables:
     sweep and every packing the record searches later.
 
     ``adj[u]`` lists the out-arcs of ``u`` as ``(head, bit)`` with bit ``1 << i``
-    for ``sorted_arcs[i]``, so each row is sorted by head; ``out_mask[u]`` and
-    ``in_mask[u]`` are the masks of its out- and in-arcs.  ``dist_to(t)`` gives
-    every vertex's distance to ``t``, searched on first use, so a sweep runs
-    one search per target however many pairs share it.  Not cached on the
-    digraph, where it would outlive the sweep or record that built it.
+    for ``sorted_arcs[i]``, so each row is sorted by head and its bits are
+    consecutive.  ``dist_to(t)`` gives every vertex's distance to ``t``,
+    searched on first use, so a sweep runs one search per target however
+    many pairs share it.  Not cached on the digraph, where it would outlive
+    the sweep or record that built it.
     """
 
     def __init__(self, d: Digraph) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-        out_mask = [0] * d.n
-        in_mask = [0] * d.n
         for i, (u, v) in enumerate(d.sorted_arcs):
-            bit = 1 << i
-            adj[u].append((v, bit))
-            out_mask[u] |= bit
-            in_mask[v] |= bit
+            adj[u].append((v, 1 << i))
         self.adj = tuple(map(tuple, adj))
-        self.out_mask, self.in_mask = out_mask, in_mask
         self._in_adj = d.in_adj
         self._dist: list[list[float] | None] = [None] * d.n
 
@@ -316,22 +310,21 @@ class _SeedPacker:
     def __init__(self, d: Digraph, tables: _ArcTables, x: int, y: int, budget: int | None = None) -> None:
         self.d = d
         self.x, self.y = x, y
-        self.arcs = d.sorted_arcs
         self.tables = tables
         self.ticker = [0, budget if budget is not None else float("inf")]
-        self.out_x = tables.out_mask[x]
+        row = tables.adj[x]  # consecutive bits 2^i .. 2^j, which sum to 2^(j+1) - 2^i
+        self.out_x = 2 * row[-1][1] - row[0][1] if row else 0
         self.fail_memo: dict[int, tuple[int, int]] = {}
         self.stack: list[int] = []
         self.best_partial: list[int] = []
 
     def masks_to_arcs(self, masks: Iterable[int]) -> tuple[frozenset[Arc], ...]:
         out = []
-        for mask in masks:
+        for m in masks:
             member = set()
-            m = mask
             while m:
                 low = m & -m
-                member.add(self.arcs[low.bit_length() - 1])
+                member.add(self.d.sorted_arcs[low.bit_length() - 1])
                 m ^= low
             out.append(frozenset(member))
         return tuple(out)
@@ -428,13 +421,13 @@ def _exact(
     ``_seed_bounds``).  A sound floor leaves the upper bound as it was, so
     the packer makes the same ``feasible(k)`` calls in the same order and
     every field of the result is the one without it.  A value still to be
-    checked is never a floor.
+    checked is never a floor.  Under a sound floor ``feasible(1)`` succeeds
+    (``ub ≥ 1`` means both seed paths exist); else ``RuntimeError`` is raised.
     """
     deg_bound, flow_bound = _seed_bounds(d, x, y, floor)
     ub = flow_bound if cap is None else min(flow_bound, cap)
     if ub == 0:
-        empty = CertificateFamily(d.n, (x, y), ())
-        return PackingResult(0, empty, "unreachable", True, 0, 0)
+        return PackingResult(0, CertificateFamily(d.n, (x, y), ()), "unreachable", True, 0, 0)
     packer = _SeedPacker(d, tables, x, y, budget)
     for k in range(ub, 0, -1):
         try:
@@ -452,8 +445,7 @@ def _exact(
                 why = "search-closed"
             witness = CertificateFamily(d.n, (x, y), packer.masks_to_arcs(masks))
             return PackingResult(k, witness, why, True, k, k)
-    empty = CertificateFamily(d.n, (x, y), ())
-    return PackingResult(0, empty, "search-closed", True, 0, 0)
+    raise RuntimeError(f"pair {(x, y)} has no packing of size 1 to {ub}: the floor is unsound")
 
 
 def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -> PackingResult:

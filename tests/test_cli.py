@@ -19,6 +19,7 @@ from strongarc.constructions import (
     lift_certificates,
 )
 from strongarc.digraph import dumps_digraph, from_arc_list, loads_digraph
+from strongarc.flow import arc_connectivity
 from strongarc.generators import bidirected_cycle, directed_cycle
 from strongarc.packing import certificate_from_json
 
@@ -371,6 +372,56 @@ class TestCheckCommands:
             assert loads_digraph(g_text) == g
             assert loads_digraph(h_text.split("checked")[0]) == h
 
+    def test_failed_table_entry_prints_its_factors(self, capsys, monkeypatch):
+        # the table expects one more than cn:3 x cn:3 has: that entry alone fails
+        def expected(cls_g, cls_h, n, m):
+            return class_table_value(cls_g, cls_h, n, m) + ((cls_g, cls_h, n, m) == ("cn", "cn", 3, 3))
+
+        monkeypatch.setattr(cli, "class_table_value", expected)
+        code, out, _ = run(capsys, ["check", "table1", "--max", "3"])
+        assert code == 1 and out.endswith("checked 49 table entries: 1 failure(s)\n")
+        cycle = dumps_digraph(directed_cycle(3))
+        assert f"cn:3 x cn:3: expected=3 observed=2 FAIL\n--- g ---\n{cycle}--- h ---\n{cycle}cn:3 x bcm:3:" in out
+        assert out.count("FAIL") == 1 and out.count("--- g ---") == 1
+
+    def test_failed_single_graph_identity_prints_its_graph(self, capsys, monkeypatch):
+        # the search reports one more than lambda on every bioriented graph, the products still agree
+        seen = []
+
+        def off_by_one(bg):
+            seen.append(bg)
+            return packing._search_sweep(bg)._replace(value=arc_connectivity(bg).value + 1)
+
+        monkeypatch.setattr(cli, "_search_sweep", off_by_one)
+        code, out, _ = run(capsys, ["check", "eq2", "--trials", "2", "--max-order", "3", "--seed", "4"])
+        assert code == 1 and out.endswith("checked 27 identities: 2 failure(s)\n")
+        trials = out.split("[")[1:]
+        assert len(trials) == 2 == len(seen)
+        for text, bg in zip(trials, seen):
+            line, rest = text.split("\n", 1)
+            lam = arc_connectivity(bg).value
+            assert line.endswith(f"single graph n={bg.n}: lambda={lam} lambda2={lam + 1} FAIL")
+            assert rest.startswith(f"--- graph ---\n{dumps_digraph(bg)}")
+
+    def test_failed_product_identity_prints_its_factors(self, capsys, monkeypatch):
+        seen = []
+
+        def failing(bg, bh, lambda_g, lambda_h):
+            seen.append((bg, bh))
+            return constructions.check_symmetric_identity(bg, bh, lambda_g, lambda_h)._replace(holds=False)
+
+        monkeypatch.setattr(cli, "check_symmetric_identity", failing)
+        code, out, _ = run(capsys, ["check", "eq2", "--trials", "0", "--max-order", "2", "--seed", "4"])
+        assert code == 1 and len(seen) == 1
+        k2 = dumps_digraph(from_arc_list(2, [(0, 1), (1, 0)]))
+        assert seen == [(loads_digraph(k2), loads_digraph(k2))]
+        assert out == (
+            "product n=2 edges=((0, 1),) by n=2 edges=((0, 1),): formula=2 observed=2 FAIL\n"
+            f"--- g ---\n{k2}--- h ---\n{k2}"
+            "checked 1 bidirected products: all orders <= 2\n"
+            "checked 1 identities: 1 failure(s)\n"
+        )
+
     def test_deterministic_check(self, capsys):
         argv = ["check", "thm31", "--trials", "3", "--max-order", "4", "--seed", "9"]
         _, out_a, _ = run(capsys, argv)
@@ -540,6 +591,21 @@ class TestHuntCommand:
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
+
+    @pytest.mark.parametrize("argv", [["lambda", "cn:5"], ["check", "table1", "--max", "4"]])
+    def test_closed_stdout_ends_the_run_quietly(self, argv):
+        # the reader has gone before the first write: the run stops at it, exits 0 and says nothing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(strongarc.__file__).parents[1]))
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "strongarc", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (0, "")
 
     def test_no_arguments(self, capsys):
         assert run(capsys, [])[0] == 2

@@ -1,11 +1,13 @@
-"""Core digraph type: construction, strongness, serialization, DOT."""
+"""Core digraph type: construction, strongness, serialization, DOT, automorphism search."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongarc import digraph as digraph_module
 from strongarc.digraph import (
     Digraph,
     DigraphError,
+    _automorphism_generators,
     _strong_on_endpoints,
     biorient,
     degrees,
@@ -219,3 +221,31 @@ class TestDot:
         colored = [line for line in text.splitlines() if "color=" in line]
         assert len(colored) == 4
         assert len({line.split("color=")[1] for line in colored}) == 2
+
+
+class TestAutomorphismSearch:
+    # two directed 3-cycles and a directed 6-cycle: every vertex has one out- and one in-neighbour,
+    # so refinement alone splits nothing, and a leaf search that maps a 3-cycle vertex into the
+    # 6-cycle reaches a colouring whose signature differs from the first path's
+    CYCLES = from_arc_list(
+        12, [(b + i, b + (i + 1) % 3) for b in (0, 3) for i in range(3)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    )
+
+    def test_signature_mismatch_prunes_the_leaf_search(self, monkeypatch):
+        calls = []
+        refine = digraph_module._refine
+        monkeypatch.setattr(digraph_module, "_refine", lambda d, colour: calls.append(1) or refine(d, colour))
+        generators = _automorphism_generators(self.CYCLES)
+        assert generators and len(calls) == 25  # 187 without the prune
+        for p in generators:
+            assert frozenset((p[u], p[v]) for u, v in self.CYCLES.arcs) == self.CYCLES.arcs
+
+    def test_pruned_search_merges_every_orbit_within_a_small_budget(self, monkeypatch):
+        monkeypatch.setattr(digraph_module, "_AUTOMORPHISM_NODE_BUDGET", 20)
+        d = Digraph(self.CYCLES.n, self.CYCLES.arcs)  # no orbit table cached under the full budget
+        orbits = d.pair_orbits
+        cells = {}
+        for v in range(d.n):
+            cells.setdefault(orbits[v * d.n + v], []).append(v)
+        # without the prune the budget runs out first and leaves 5 vertex orbits
+        assert sorted(cells.values()) == [list(range(6)), list(range(6, 12))]

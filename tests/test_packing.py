@@ -725,6 +725,15 @@ class TestProvenFloor:
                         else:
                             assert floored_flows == plain_flows
 
+    def test_unsound_floor_raises(self):
+        # two digons, no path between them: a floor at the seed degree 1 or above skips the seed
+        # flows and leaves ub = 1, where feasible(1) fails at the pair (0, 2)
+        d = from_arc_list(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        tables = packing._ArcTables(d)
+        with pytest.raises(RuntimeError, match=r"pair \(0, 2\) has no packing of size 1 to 1"):
+            packing._exact(d, tables, 0, 2, floor=3)
+        assert packing._exact(d, tables, 0, 2).optimality == "unreachable"
+
 
 class TestScreenPackerReuse:
     def test_exact_after_failed_screen_is_unchanged(self):
@@ -756,6 +765,18 @@ class TestSeedArcInvariant:
                     assert (tails.count(x), heads.count(x), tails.count(y), heads.count(y)) == (1, 1, 1, 1)
                     members += 1
         assert members > 5000
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seed_out_mask_read_from_its_row(self, seed):
+        """``out_x`` is the mask of x's out-arcs, an empty row included."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            d = random_digraph(n, rng.randint(0, 3 * n), rng.getrandbits(32))
+            tables = packing._ArcTables(d)
+            for x in range(n):
+                mask = sum(1 << i for i, (u, _) in enumerate(d.sorted_arcs) if u == x)
+                assert packing._SeedPacker(d, tables, x, (x + 1) % n).out_x == mask
 
     def test_feasible_above_the_seed_degree_makes_no_search_node(self, monkeypatch):
         nodes = []
