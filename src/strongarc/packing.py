@@ -468,7 +468,7 @@ def lambda_s_exact(d: Digraph, seed: Iterable[int], budget: int | None = None) -
 _POINT = Digraph(1, frozenset())
 
 
-def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> list[tuple[int, int]]:
+def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> Iterator[tuple[int, int]]:
     """The least pair ``x < y`` of each orbit of seed pairs of ``G □ H`` under ``Aut(G) × Aut(H)``.
 
     Each factor's group is the one its ``pair_orbits`` table is taken
@@ -478,10 +478,12 @@ def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> list[tuple[i
     pair ``((r1, c1), (r2, c2))`` has orbit ``(oG[r1, r2], oH[c1, c2])``,
     and the unordered pair the lesser of that and its reverse's.  Pairs are
     taken in lexicographic order and each one whose key has not been seen
-    is returned, so it is its orbit's least pair.  For fixed ``x`` and
+    is yielded, so it is its orbit's least pair.  For fixed ``x`` and
     second row ``r2`` the G part of the key is fixed, so a block whose G
-    part has met every H part is passed over whole.
+    part has met every H part is passed over whole.  ``(0, 1)``, always
+    the first, is yielded before either table is read.
     """
+    yield 0, 1
     g_orbits, h_orbits = g.pair_orbits, h.pair_orbits
     n, m = g.n, h.n
     back = [h_orbits[c::m] for c in range(m)]  # back[c1][c2] is oH[c2, c1]
@@ -491,7 +493,6 @@ def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> list[tuple[i
     # the G orbit holds both (r1, r2) and (r2, r1)
     n_fwd, n_both = len(set(h_orbits)), len({o for row in both for o in row})
     seen: dict[int, set[int]] = {}
-    reps: list[tuple[int, int]] = []
     for x in range(n * m):
         r1, c1 = divmod(x, m)
         for r2 in range(r1, n):
@@ -508,8 +509,8 @@ def _pair_orbit_representatives(g: Digraph, h: Digraph = _POINT) -> list[tuple[i
             for c2 in range(c1 + 1 if r2 == r1 else 0, m):
                 if row[c2] not in met:
                     met.add(row[c2])
-                    reps.append((x, r2 * m + c2))
-    return reps
+                    if x or r2 * m + c2 > 1:  # (0, 1) came first
+                        yield x, r2 * m + c2
 
 
 def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) -> Lambda2Result:
@@ -530,14 +531,17 @@ def lambda_2(d: Digraph, samples: int | None = None, seed: int | None = None) ->
 
     Otherwise (not symmetric, or ``samples`` given) the pairs are searched,
     see ``_search_sweep``, over the orbits of ``d``'s automorphisms, read
-    from its cached ``pair_orbits`` table: the bare sweep is the product
-    sweep of ``d □ K₁``.  ``constructions.product_lambda_2`` reads the
-    factors' tables instead, the same ones their own sweeps cached.  Every
-    sweep stops at the floor, 1 when D is strong and 0 otherwise (see
-    ``_search_sweep``).
+    from its cached ``pair_orbits`` table once the sweep goes past
+    ``(0, 1)``: the bare sweep is the product sweep of ``d □ K₁``.
+    ``constructions.product_lambda_2`` reads the factors' tables instead,
+    the same ones their own sweeps cached.  Every sweep stops at the floor,
+    1 when D is strong and 0 otherwise (see ``_search_sweep``).
     The returned witness is verified before return; a witness that fails
-    raises ``RuntimeError``.
+    raises ``RuntimeError``.  A ``seed`` without ``samples`` raises
+    ``DigraphError``: only a sampled sweep draws pairs.
     """
+    if seed is not None and samples is None:
+        raise DigraphError("a seed needs samples")
     return _lambda_2(d, _ArcTables(d), samples, seed)
 
 
@@ -575,12 +579,6 @@ def _flow_sweep(d: Digraph, tables: _ArcTables) -> Lambda2Result:
     return Lambda2Result(value, (0, target), result.witness, True)
 
 
-def _orbit_sweep(g: Digraph, h: Digraph) -> Iterator[tuple[int, int]]:
-    """``(0, 1)``, then the other pair-orbit representatives of ``G □ H``, their table built only if asked for."""
-    yield 0, 1
-    yield from _pair_orbit_representatives(g, h)[1:]
-
-
 def _sampled_pairs(n: int, samples: int, seed: int) -> list[tuple[int, int]]:
     """``samples`` pairs ``x < y`` (all if fewer), sorted: the draw from the x-major list of all
     pairs by ``random.Random(seed).sample``, which picks the same indices from ``range``."""
@@ -604,8 +602,8 @@ def _search_sweep(
 
     The exhaustive sweep visits one pair per orbit of pairs under a group
     of automorphisms of ``d``: the least pair of each orbit, in
-    lexicographic order, so ``(0, 1)`` first (see
-    ``_pair_orbit_representatives``).  ``λ_S(D) = λ_φ(S)(D)`` for every
+    lexicographic order, so ``(0, 1)`` first, drawn one at a time from
+    ``_pair_orbit_representatives``.  ``λ_S(D) = λ_φ(S)(D)`` for every
     automorphism φ, so each skipped pair has the value of a smaller pair
     already swept, could never have lowered the running minimum, and the
     value, the lexicographically least minimizing pair and its witness are
@@ -658,7 +656,7 @@ def _search_sweep(
     g, h, lower = product if product is not None else (d, _POINT, lambda x, y, need: floor)
     tables = tables or _ArcTables(d)
     if samples is None:
-        pairs, exact = _orbit_sweep(g, h), True
+        pairs, exact = _pair_orbit_representatives(g, h), True
     else:
         pairs = _sampled_pairs(d.n, samples, seed)
         exact = len(pairs) == d.n * (d.n - 1) // 2

@@ -318,8 +318,8 @@ class TestLiftSettledSweep:
         assert _automorphism_generators(g) and not _automorphism_generators(RIGID)
         for left, right in [(g, RIGID), (RIGID, g), (g, g)]:
             assert product_lambda_2(left, right) == _search_sweep(cartesian_product(left, right).digraph)
-        swept = packing._pair_orbit_representatives(g, g)
-        assert len(swept) > len(packing._pair_orbit_representatives(cartesian_product(g, g).digraph))
+        swept = list(packing._pair_orbit_representatives(g, g))
+        assert len(swept) > len(list(packing._pair_orbit_representatives(cartesian_product(g, g).digraph)))
 
     @staticmethod
     def _logged_searches(monkeypatch):
@@ -692,6 +692,23 @@ class TestLift:
         y_pos = (0, 1) if route == "_lift_same_line" else (1, 1)
         with pytest.raises(ConstructionError, match="built 1 members, expected 2"):
             lift_certificates(directed_cycle(3), directed_cycle(3), (0, 0), y_pos)
+
+    def test_factor_family_short_of_need_raises(self):
+        d = directed_cycle(3)
+        with pytest.raises(ConstructionError, match="gave 1 members, expected >= 2"):
+            constructions._factor_family(d, packing._ArcTables(d), (0, 1), 2)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ((frozenset({(1, 2), (2, 1)}),), "member has no arc leaving vertex 0"),
+            ((frozenset({(0, 1), (1, 0)}),) * 2, r"branch vertices at 0 are not distinct: \[1, 1\]"),
+        ],
+        ids=["no-out-arc", "shared-branch"],
+    )
+    def test_bad_branch_members_raise(self, members, message):
+        with pytest.raises(ConstructionError, match=message):
+            constructions._choose_branches(members, 0, avoid=None)
 
     def test_same_column_gets_full_size(self):
         self.check(directed_cycle(3), directed_cycle(3), (0, 0), (1, 0), 2)

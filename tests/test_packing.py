@@ -106,6 +106,35 @@ class TestExactSearch:
         assert (r.value, r.lower, r.upper) == (2, 2, 6)
         assert verify_certificate(p.digraph, r.witness).valid
 
+    def test_budget_spent_at_a_path_length_start(self):
+        # the root node takes the one step, so the first x->y path search stops as it starts its length
+        r = lambda_s_exact(directed_cycle(5), (0, 2), budget=1)
+        assert (r.value, r.lower, r.upper, r.exact, r.optimality) == (0, 0, 1, False, "budget")
+        assert r.witness.members == ()
+
+    def test_failure_memo_hit_saves_budget(self, monkeypatch):
+        """One search node of this pair meets a ``used`` that failed before from no later start, so the
+        memo ends it; without that hit the search needs more than 168 steps to close."""
+        d = random_strong_digraph(8, 0.3, 13)
+        hits = []
+        rec = packing._SeedPacker._rec
+
+        def counted_rec(self, used, remaining, start):
+            memo_start = self.fail_memo.get(used)
+            if remaining and memo_start is not None and memo_start <= start:
+                hits.append(used)
+            return rec(self, used, remaining, start)
+
+        monkeypatch.setattr(packing._SeedPacker, "_rec", counted_rec)
+        r = lambda_s_exact(d, (0, 2))
+        assert len(hits) == 1
+        assert (r.value, r.optimality) == (3, "degree-bound") and r.value == lambda_s_oracle_paths(d, (0, 2))
+        monkeypatch.undo()
+        r = lambda_s_exact(d, (0, 2), budget=168)
+        assert (r.value, r.exact) == (3, True)
+        r = lambda_s_exact(d, (0, 2), budget=167)
+        assert (r.value, r.lower, r.upper, r.exact) == (2, 2, 3, False)
+
     def test_later_xy_paths_reuse_the_drawn_yx_paths(self):
         """The first 0 -> 1 path 0-2-3-1 meets both classes of the only packing, so it fails with
         every 1 -> 0 path; the next, 0-2-4-1, must be offered those same 1 -> 0 paths again."""
@@ -256,6 +285,11 @@ class TestLambdaTwo:
         with pytest.raises(DigraphError):
             lambda_2(bidirected_cycle(5), samples=3)
 
+    @pytest.mark.parametrize("d", [bidirected_cycle(5), directed_cycle(5)], ids=["symmetric", "searched"])
+    def test_seed_without_samples_rejected(self, d):
+        with pytest.raises(DigraphError, match="a seed needs samples"):
+            lambda_2(d, seed=1)
+
     @pytest.mark.parametrize("samples", [0, -2])
     def test_samples_below_one_rejected(self, samples):
         with pytest.raises(DigraphError, match="samples must be at least 1"):
@@ -354,7 +388,7 @@ class TestStrongFloor:
             flows.append((s, t))
             return unit_flow(d, s, t, *rest)
 
-        monkeypatch.setattr(packing, "_pair_orbit_representatives", refuse)
+        monkeypatch.setattr(digraph_module, "_automorphism_generators", refuse)
         monkeypatch.setattr(packing, "_unit_flow", logged_flow)
         assert lambda_2(directed_cycle(7)).value == 1
         assert flows == []  # seed degree 1 is the floor, so (0, 1) runs no seed flow; one member needs none
@@ -503,13 +537,13 @@ class TestPairOrbits:
 
     @pytest.mark.parametrize("name, d", SMALL_INSTANCES, ids=[name for name, _ in SMALL_INSTANCES])
     def test_orbits_match_full_automorphism_group(self, name, d):
-        assert _pair_orbit_representatives(d) == _brute_force_pair_orbits(d)
+        assert list(_pair_orbit_representatives(d)) == _brute_force_pair_orbits(d)
 
     @pytest.mark.parametrize(
         "spec, count", [("cn:5", 2), ("bkm:6 x bkm:6", 2), ("bcm:6 x bcm:6", 9)]
     )
     def test_known_pair_orbit_counts(self, spec, count):
-        assert len(_pair_orbit_representatives(parse_operand(spec.split())[0])) == count
+        assert len(list(_pair_orbit_representatives(parse_operand(spec.split())[0]))) == count
 
     @pytest.mark.parametrize(
         "g, h", FACTOR_PAIRS, ids=[f"{g[0]} x {h[0]}" for g, h in FACTOR_PAIRS]
@@ -536,13 +570,30 @@ class TestPairOrbits:
             least = min(tuple(sorted((image(p, q, x), image(p, q, y)))) for p, q in group)
             by_orbit.setdefault(least, set()).add((x, y))
         assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_orbit.values()))
-        assert _pair_orbit_representatives(g, h) == sorted(by_orbit)
+        assert list(_pair_orbit_representatives(g, h)) == sorted(by_orbit)
+
+    def test_first_pair_reads_no_orbit_table(self):
+        g, h = random_strong_digraph(5, 0.3, 1), bidirected_cycle(4)
+        assert next(_pair_orbit_representatives(g, h)) == (0, 1)
+        assert "pair_orbits" not in g.__dict__ and "pair_orbits" not in h.__dict__
+
+    def test_first_representatives_build_no_list(self):
+        # the product's 79,800 pairs are nearly all representatives: their list takes MBs
+        g, h = (parse_operand([spec])[0] for spec in ("rand:20:0.3:1", "rand:20:0.3:2"))
+        assert g.pair_orbits and h.pair_orbits  # both tables built before the count starts
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(_pair_orbit_representatives(g, h), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == list(_pair_orbit_representatives(g, h))[:10] and peak < 1_000_000
 
     def test_rigid_digraph_keeps_every_pair(self):
         d = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
         assert len(_brute_force_pair_orbits(d)) == 10
         assert _automorphism_generators(d) == []
-        assert len(_pair_orbit_representatives(d)) == 10
+        assert len(list(_pair_orbit_representatives(d))) == 10
 
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_exhausted_budget_keeps_result(self, monkeypatch, budget):
@@ -553,7 +604,7 @@ class TestPairOrbits:
         for d, expected in zip([Digraph(d.n, d.arcs) for d in cases], full):
             if budget == 0:
                 assert _automorphism_generators(d) == []
-                assert len(_pair_orbit_representatives(d)) == d.n * (d.n - 1) // 2
+                assert len(list(_pair_orbit_representatives(d))) == d.n * (d.n - 1) // 2
             r = _search_sweep(d)
             assert (r.value, r.pair, r.witness) == (expected.value, expected.pair, expected.witness)
 
